@@ -92,21 +92,8 @@ def mono_mul(a, b):
     return tuple(x + y for x, y in zip(a, b))
 
 
-def mono_div(a, b):
-    """Quotient a/b; caller guarantees b divides a."""
-    return tuple(x - y for x, y in zip(a, b))
-
-
 def mono_divides(a, b):
     return all(x <= y for x, y in zip(a, b))
-
-
-def mono_lcm(a, b):
-    return tuple(x if x > y else y for x, y in zip(a, b))
-
-
-def mono_coprime(a, b):
-    return all(x == 0 or y == 0 for x, y in zip(a, b))
 
 
 def mono_degree(a):

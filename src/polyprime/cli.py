@@ -198,6 +198,9 @@ def _cmd_sweep(args):
             f"  size {n}: {row['count']} shapes, {row['simple']} simple, {row['non_simple']} non-simple")
     text_lines.append(f"violations: {len(summary.violations)}")
     _emit(args, data, "\n".join(text_lines))
+    if summary.budget_errors:
+        print(f"polyprime: budget exhausted on {len(summary.budget_errors)} shapes", file=sys.stderr)
+        return FAILURE_EXIT
     return 0
 
 

@@ -76,8 +76,18 @@ class Polyomino:
             raise EmptyInputError("a polyomino needs at least one cell")
         if not is_connected(cells):
             raise DisconnectedError("cells are not edge-connected")
-        self.cells_sorted = normalize_cells(cells)
-        self.cells = frozenset(self.cells_sorted)
+        self._set_cells(normalize_cells(cells))
+
+    @classmethod
+    def _trusted(cls, cells_sorted):
+        """Wrap an already canonical, connected, sorted cell tuple without checks."""
+        poly = object.__new__(cls)
+        poly._set_cells(cells_sorted)
+        return poly
+
+    def _set_cells(self, cells_sorted):
+        self.cells_sorted = cells_sorted
+        self.cells = frozenset(cells_sorted)
         self._vertices = None
         self._edges = None
 
@@ -169,36 +179,37 @@ def is_simple(poly, within=None):
     that interval. ``within`` optionally widens the surrounding interval as
     ``((x_lo, y_lo), (x_hi, y_hi))`` in cell coordinates; results do not
     depend on the choice, which the test suite checks rather than assumes.
+
+    The interval plus a one-cell ring around it is a bitmask with one bit
+    per cell, column by column. The fill starts from the ring and grows by
+    shifts until it stops changing; a shift that wraps from the top of one
+    column to the bottom of the next only ever joins two ring cells.
     """
+    w, h = poly.width, poly.height
     if within is None:
-        lo, hi = (0, 0), (poly.width - 1, poly.height - 1)
+        lo, hi = (0, 0), (w - 1, h - 1)
     else:
         lo, hi = within
-        if not all(lo[i] <= 0 and hi[i] >= (poly.width, poly.height)[i] - 1 for i in (0, 1)):
+        if not (lo[0] <= 0 and lo[1] <= 0 and hi[0] >= w - 1 and hi[1] >= h - 1):
             raise ValueError("'within' must contain the polyomino")
-    inside = {
-        (x, y)
-        for x in range(lo[0], hi[0] + 1)
-        for y in range(lo[1], hi[1] + 1)
-        if (x, y) not in poly.cells
-    }
-    # flood the complement from a one-cell ring around the interval
-    seen = set()
-    stack = []
-    for x in range(lo[0] - 1, hi[0] + 2):
-        for y in (lo[1] - 1, hi[1] + 1):
-            stack.append((x, y))
-    for y in range(lo[1], hi[1] + 1):
-        stack.extend(((lo[0] - 1, y), (hi[0] + 1, y)))
-    seen.update(stack)
-    while stack:
-        x, y = stack.pop()
-        for dx, dy in _STEPS:
-            nb = (x + dx, y + dy)
-            if nb in inside and nb not in seen:
-                seen.add(nb)
-                stack.append(nb)
-    return all(c in seen for c in inside)
+    stride = hi[1] - lo[1] + 3            # bits per column, ring included
+    cols = hi[0] - lo[0] + 3
+    origin = (1 - lo[0]) * stride + 1 - lo[1]
+    cells = 0
+    for x, y in poly.cells_sorted:
+        cells |= 1 << (origin + x * stride + y)
+    inner_column = ((1 << (stride - 2)) - 1) << 1
+    interior = 0
+    for _ in range(cols - 2):
+        interior = (interior | inner_column) << stride
+    empty = ((1 << (cols * stride)) - 1) ^ cells
+    reached = empty & ~interior
+    while True:
+        grown = (reached | reached << 1 | reached >> 1
+                 | reached << stride | reached >> stride) & empty
+        if grown == reached:
+            return reached == empty
+        reached = grown
 
 
 def inner_intervals(poly):
@@ -260,17 +271,44 @@ def enumeration_cap():
 
 @lru_cache(maxsize=None)
 def _level(n):
+    """All fixed n-cell polyominoes as a sorted tuple of sorted cell tuples.
+
+    Level n grows level n - 1 by one cell on int bitmasks: cell (x, y) is
+    bit ``x * n + y``. No shape of level n is taller than n, so a column of
+    n bits never spills into the next. A cell added below row 0 or left of
+    column 0 shifts the shape instead, which keeps every mask canonical.
+    """
     if n == 1:
         return (((0, 0),),)
+    bottom = 0                            # bit y = 0 of every column
+    for x in range(n):
+        bottom |= 1 << (x * n)
     grown = set()
     for shape in _level(n - 1):
-        have = set(shape)
+        mask = 0
         for x, y in shape:
-            for dx, dy in _STEPS:
-                nb = (x + dx, y + dy)
-                if nb not in have:
-                    grown.add(normalize_cells(have | {nb}))
-    return tuple(sorted(grown))
+            mask |= 1 << (x * n + y)
+        free = (mask << 1 | (mask & ~bottom) >> 1 | mask << n | mask >> n) & ~mask
+        while free:
+            bit = free & -free
+            grown.add(mask | bit)
+            free ^= bit
+        for x, y in shape:
+            if y == 0:
+                grown.add(mask << 1 | 1 << (x * n))
+            if x == 0:
+                grown.add(mask << n | 1 << y)
+    cell_at = [(i // n, i % n) for i in range(n * n)]
+    out = []
+    for mask in grown:
+        cells = []
+        while mask:
+            bit = mask & -mask
+            cells.append(cell_at[bit.bit_length() - 1])
+            mask ^= bit
+        out.append(tuple(cells))
+    out.sort()
+    return tuple(out)
 
 
 def enumerate_polyominoes(n, cap=None):
@@ -281,7 +319,7 @@ def enumerate_polyominoes(n, cap=None):
     if n > cap:
         raise CapExceededError(f"n={n} exceeds the enumeration cap {cap}")
     for shape in _level(n):
-        yield Polyomino(shape)
+        yield Polyomino._trusted(shape)
 
 
 def random_polyomino(n, rng):

@@ -25,12 +25,6 @@ class EdgeInterval:
         if self.span[1] <= self.span[0]:
             raise ValueError("an edge interval must contain at least one edge")
 
-    def vertex_list(self):
-        a, b = self.span
-        if self.orientation == "v":
-            return [(self.line, t) for t in range(a, b + 1)]
-        return [(t, self.line) for t in range(a, b + 1)]
-
     def contains_vertex(self, point):
         x, y = point
         if self.orientation == "v":

@@ -81,6 +81,10 @@ def check_report_invariants(report):
             + str(report_to_json(report)))
 
 
+def _while_verifying(error, cells):
+    return f"{error} while verifying {list(cells)}"
+
+
 def verify_polyomino(poly, config=VerifyConfig()):
     """Run all checks on one polyomino and return the report.
 
@@ -139,7 +143,7 @@ def verify_polyomino(poly, config=VerifyConfig()):
         report.incomplete = True
         report.error = str(exc)
         report.timings = timings if config.collect_timings else None
-        err = BudgetExceededError(f"{exc} while verifying {list(poly.cells_sorted)}")
+        err = BudgetExceededError(_while_verifying(exc, poly.cells_sorted))
         err.report = report
         raise err from exc
 
@@ -176,9 +180,17 @@ class SweepSummary:
     reports: list
 
 
+def _verify_or_partial(poly, config):
+    """verify_polyomino, returning the incomplete report on a budget error."""
+    try:
+        return verify_polyomino(poly, config)
+    except BudgetExceededError as exc:
+        return exc.report
+
+
 def _verify_shard(args):
     cells, config = args
-    return verify_polyomino(Polyomino(cells), config)
+    return _verify_or_partial(Polyomino(cells), config)
 
 
 def sweep(n_max, config=VerifyConfig()):
@@ -186,7 +198,9 @@ def sweep(n_max, config=VerifyConfig()):
 
     Shards are verified independently (in parallel when config.workers > 1)
     and merged in canonical enumeration order, so the summary content is
-    deterministic; only timing fields vary between runs.
+    deterministic; only timing fields vary between runs. A shape that
+    exhausts a budget keeps its incomplete report and is listed in
+    ``budget_errors``; the sweep carries on.
     """
     t0 = time.perf_counter()
     reports = []
@@ -200,7 +214,7 @@ def sweep(n_max, config=VerifyConfig()):
                 size_reports = list(
                     pool.map(_verify_shard, ((p.cells_sorted, item_config) for p in shapes)))
         else:
-            size_reports = [verify_polyomino(p, item_config) for p in shapes]
+            size_reports = [_verify_or_partial(p, item_config) for p in shapes]
         simple_count = sum(1 for r in size_reports if r.simple)
         per_size[n] = {
             "count": len(size_reports),
@@ -211,13 +225,16 @@ def sweep(n_max, config=VerifyConfig()):
             if not r.simple:
                 non_simple.append({"cells": [list(c) for c in r.cells], "witness": r.gap_witness_text})
         reports.extend(size_reports)
+    budget_errors = [
+        {"cells": [list(c) for c in r.cells], "error": _while_verifying(r.error, r.cells)}
+        for r in reports if r.incomplete]
     return SweepSummary(
         n_max=n_max,
         total=len(reports),
         per_size=per_size,
         non_simple=non_simple,
         violations=[],
-        budget_errors=[],
+        budget_errors=budget_errors,
         wall_clock=time.perf_counter() - t0,
         reports=reports,
     )

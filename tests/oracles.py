@@ -1,11 +1,11 @@
 """Independent oracles used by the test suite.
 
 Everything here is implemented from first principles, without calling the
-library code under test: naive enumeration by subset filtering, hole
-detection via the Euler characteristic, induced-cycle search by subset
-inspection, alternating cycle search by DFS over segments, dense linear
-algebra for degree-bounded ideal membership, and textbook monomial-order
-comparators.
+library code under test: enumeration by subset filtering and by growth on
+cell tuples, hole detection via the Euler characteristic, induced-cycle
+search by subset inspection, alternating cycle search by DFS over
+segments, dense linear algebra for degree-bounded ideal membership, and
+textbook monomial-order comparators.
 """
 
 from fractions import Fraction
@@ -42,6 +42,24 @@ def naive_fixed_polyominoes(n):
         if subsets_connected(sub):
             found.add(tuple(sorted(sub)))
     return sorted(found)
+
+
+def grown_fixed_polyominoes(n):
+    """All fixed n-cell polyominoes by growing cell sets one neighbour at a time."""
+    level = {((0, 0),)}
+    for _ in range(n - 1):
+        grown = set()
+        for shape in level:
+            for x, y in shape:
+                for dx, dy in STEPS:
+                    nb = (x + dx, y + dy)
+                    if nb not in shape:
+                        cells = shape + (nb,)
+                        mx = min(cx for cx, _ in cells)
+                        my = min(cy for _, cy in cells)
+                        grown.add(tuple(sorted((cx - mx, cy - my) for cx, cy in cells)))
+        level = grown
+    return sorted(level)
 
 
 def euler_is_simple(cells):

@@ -176,6 +176,15 @@ class TestSweep:
         assert code == 0
         assert "violations: 0" in out
 
+    def test_sweep_budget_errors_exit_1(self, capsys):
+        code, out, err = run(capsys, "sweep", "2", "--budget-pairs", "20", "--format", "json",
+                             "--no-timings")
+        assert code == 1
+        data = json.loads(out)
+        assert data["total"] == 3
+        assert [e["cells"] for e in data["budget_errors"]] == [[[0, 0], [0, 1]], [[0, 0], [1, 0]]]
+        assert "budget exhausted on 2 shapes" in err
+
     def test_sweep_beyond_cap_is_usage_error(self, capsys, monkeypatch):
         monkeypatch.setenv("POLYPRIME_CAP", "3")
         code, _, err = run(capsys, "sweep", "5")

@@ -140,6 +140,17 @@ class TestSimple:
         annulus = parse_grid("###\n#.#\n###")
         assert not is_simple(annulus, within=((-3, -3), (5, 5)))
 
+    def test_octominoes_agree_with_euler_characteristic(self):
+        octominoes = list(enumerate_polyominoes(8))
+        verdicts = [is_simple(p) for p in octominoes]
+        assert verdicts == [oracles.euler_is_simple(p.cells) for p in octominoes]
+        assert (len(octominoes), verdicts.count(False)) == (2725, 41)
+
+    def test_octominoes_in_widened_box(self):
+        for poly in enumerate_polyominoes(8):
+            within = ((-3, -1), (poly.width, poly.height + 4))
+            assert is_simple(poly, within=within) == oracles.euler_is_simple(poly.cells), poly
+
     def test_within_must_contain_polyomino(self, square2):
         with pytest.raises(ValueError):
             is_simple(square2, within=((0, 0), (0, 0)))
@@ -213,6 +224,11 @@ class TestEnumeration:
             ours = [p.cells_sorted for p in enumerate_polyominoes(n)]
             assert ours == oracles.naive_fixed_polyominoes(n)
 
+    def test_matches_tuple_growth(self):
+        for n in range(1, 9):
+            ours = [p.cells_sorted for p in enumerate_polyominoes(n)]
+            assert ours == oracles.grown_fixed_polyominoes(n), n
+
     def test_deterministic_order(self):
         assert [p.cells_sorted for p in enumerate_polyominoes(4)] == [
             p.cells_sorted for p in enumerate_polyominoes(4)]
@@ -233,6 +249,19 @@ class TestEnumeration:
             next(enumerate_polyominoes(3))
         monkeypatch.setenv("POLYPRIME_CAP", "9")
         assert next(enumerate_polyominoes(3)) is not None
+
+    def test_enumerated_equal_validated(self):
+        # enumeration skips validation; the public constructor must agree with it
+        for poly in shapes_upto(8):
+            checked = Polyomino(poly.cells_sorted)
+            assert poly == checked and hash(poly) == hash(checked)
+            assert poly.cells_sorted == checked.cells_sorted
+
+    def test_straight_strips_at_cap(self):
+        # a strip as tall as the level fills a whole bitmask column
+        shapes = set(enumerate_polyominoes(8))
+        assert Polyomino({(x, 0) for x in range(8)}) in shapes
+        assert Polyomino({(0, y) for y in range(8)}) in shapes
 
     def test_random_polyomino_deterministic(self):
         a = random_polyomino(6, random.Random(7))

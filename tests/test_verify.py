@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -116,6 +117,20 @@ class TestSweep:
         assert sweep_to_json(seq, with_timings=False) == sweep_to_json(par, with_timings=False)
 
     def test_budget_error_identifies_polyomino(self):
-        with pytest.raises(BudgetExceededError) as err:
-            sweep(2, VerifyConfig(budgets=EngineBudgets(pairs=1)))
-        assert "while verifying" in str(err.value)
+        # at 20 S-pairs the monomino completes and both dominoes run out
+        summary = sweep(2, VerifyConfig(budgets=EngineBudgets(pairs=20), collect_timings=False))
+        assert summary.total == 3
+        assert [r.incomplete for r in summary.reports] == [False, True, True]
+        assert [e["cells"] for e in summary.budget_errors] == [[[0, 0], [0, 1]], [[0, 0], [1, 0]]]
+        for entry, report in zip(summary.budget_errors, summary.reports[1:]):
+            assert set(entry) == {"cells", "error"}
+            assert entry["error"].startswith(report.error)
+            assert "while verifying" in entry["error"]
+        assert sweep_to_json(summary)["budget_errors"] == summary.budget_errors
+
+    def test_budget_errors_same_on_pool_path(self):
+        config = VerifyConfig(budgets=EngineBudgets(pairs=20), collect_timings=False)
+        seq = sweep(2, config)
+        par = sweep(2, replace(config, workers=2))
+        assert par.budget_errors == seq.budget_errors
+        assert [r.incomplete for r in par.reports] == [r.incomplete for r in seq.reports]
