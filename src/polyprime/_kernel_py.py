@@ -7,9 +7,27 @@ rewrite rules lead -> tail with lead > tail. ``normal_form`` rewrites a
 monomial with the first divisible lead in append order, restarting the
 scan after every hit, until no lead divides. Both kernels must produce
 bit-identical results; the engine picks whichever is available.
+
+A Basis stores each monomial packed into one Python int, after Monagan
+and Pearce's packed exponent vectors: variable ``i`` owns the 16-bit
+field at bit ``16 * i``, 15 bits of exponent under a guard bit. With
+``G`` the mask of all guard bits and ``m`` free of them, ``lead``
+divides ``m`` exactly when ``((m | G) - lead) & G == G`` (no field
+borrows its guard), and a rewrite is ``m - lead + tail``. An exponent
+above ``MAX_EXPONENT`` (32767), whether given or produced by a rewrite
+(which sets a guard bit), raises LimitExceededError; nothing wraps.
 """
 
+import sys
+from array import array
+
+from polyprime.errors import LimitExceededError
+
 BACKEND = "python"
+
+MAX_EXPONENT = 0x7FFF  # 15 exponent bits under the guard bit of a 16-bit field
+
+_BYTEORDER = sys.byteorder
 
 
 class Order:
@@ -37,41 +55,49 @@ def compare(order, a, b):
 
 
 class Basis:
-    __slots__ = ("nvars", "leads", "tails")
+    __slots__ = ("nvars", "rules", "guard", "nbytes")
 
     def __init__(self, nvars):
         self.nvars = nvars
-        self.leads = []
-        self.tails = []
+        self.rules = []
+        self.nbytes = 2 * nvars
+        self.guard = int.from_bytes(array("H", [MAX_EXPONENT + 1] * nvars).tobytes(), _BYTEORDER)
 
     def __len__(self):
-        return len(self.leads)
+        return len(self.rules)
+
+    def _pack(self, mono):
+        if len(mono) != self.nvars:
+            raise ValueError("exponent tuple has wrong length")
+        try:
+            packed = int.from_bytes(array("H", mono).tobytes(), _BYTEORDER)
+        except OverflowError:  # an exponent outside 0..65535
+            packed = self.guard
+        if packed & self.guard:
+            raise LimitExceededError(
+                f"exponent of {tuple(mono)} outside the kernel limit 0..{MAX_EXPONENT}")
+        return packed
 
     def append(self, lead, tail):
-        self.leads.append(tuple(lead))
-        self.tails.append(tuple(tail))
+        self.rules.append((self._pack(lead), self._pack(tail)))
 
     def normal_form(self, mono, budget):
         """Fully rewrite ``mono``; returns None if ``budget`` steps were not enough."""
-        leads = self.leads
-        tails = self.tails
-        m = tuple(mono)
+        rules = self.rules
+        g = self.guard
+        m = self._pack(mono)
         steps = 0
-        changed = True
-        while changed:
-            changed = False
-            for i, lead in enumerate(leads):
-                ok = True
-                for le, me in zip(lead, m):
-                    if le > me:
-                        ok = False
-                        break
-                if ok:
-                    if steps >= budget:
-                        return None
-                    steps += 1
-                    tail = tails[i]
-                    m = tuple(me - le + te for me, le, te in zip(m, lead, tail))
-                    changed = True
+        while True:
+            mg = m | g
+            for lead, tail in rules:
+                if (mg - lead) & g == g:
                     break
-        return m
+            else:
+                return tuple(memoryview(m.to_bytes(self.nbytes, _BYTEORDER)).cast("H"))
+            if steps >= budget:
+                return None
+            steps += 1
+            m = m - lead + tail
+            if m & g:
+                raise LimitExceededError(
+                    f"rewriting {tuple(mono)} pushed an exponent past the kernel limit {MAX_EXPONENT}")

@@ -26,7 +26,7 @@ class CapExceededError(PolyprimeError):
 
 
 class LimitExceededError(PolyprimeError):
-    """Cycle enumeration budget exhausted."""
+    """Cycle enumeration budget exhausted, or an exponent beyond the kernel limit."""
 
 
 class BudgetExceededError(PolyprimeError):

@@ -10,6 +10,7 @@ witness instead.
 
 from __future__ import annotations
 
+import contextlib
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -206,25 +207,32 @@ def sweep(n_max, config=VerifyConfig()):
     reports = []
     per_size = {}
     non_simple = []
-    for n in range(1, n_max + 1):
-        shapes = list(enumerate_polyominoes(n))
-        item_config = config if config.workers == 1 else replace(config, workers=1)
-        if config.workers > 1:
-            with ProcessPoolExecutor(max_workers=config.workers) as pool:
-                size_reports = list(
-                    pool.map(_verify_shard, ((p.cells_sorted, item_config) for p in shapes)))
-        else:
-            size_reports = [_verify_or_partial(p, item_config) for p in shapes]
-        simple_count = sum(1 for r in size_reports if r.simple)
-        per_size[n] = {
-            "count": len(size_reports),
-            "simple": simple_count,
-            "non_simple": len(size_reports) - simple_count,
-        }
-        for r in size_reports:
-            if not r.simple:
-                non_simple.append({"cells": [list(c) for c in r.cells], "witness": r.gap_witness_text})
-        reports.extend(size_reports)
+    item_config = replace(config, workers=1)
+    # one pool for all sizes, shut down before returning so that the
+    # workers' CPU time is reaped into this process's children
+    pooled = config.workers > 1
+    with ProcessPoolExecutor(max_workers=config.workers) if pooled else contextlib.nullcontext() as pool:
+        for n in range(1, n_max + 1):
+            shapes = list(enumerate_polyominoes(n))
+            if not pooled:
+                size_reports = [_verify_or_partial(p, item_config) for p in shapes]
+            else:
+                chunksize = max(1, len(shapes) // (4 * config.workers))
+                size_reports = list(pool.map(
+                    _verify_shard, ((p.cells_sorted, item_config) for p in shapes), chunksize=chunksize))
+                # share the enumeration's cell tuples instead of keeping unpickled copies
+                for p, r in zip(shapes, size_reports):
+                    r.cells = p.cells_sorted
+            simple_count = sum(1 for r in size_reports if r.simple)
+            per_size[n] = {
+                "count": len(size_reports),
+                "simple": simple_count,
+                "non_simple": len(size_reports) - simple_count,
+            }
+            for r in size_reports:
+                if not r.simple:
+                    non_simple.append({"cells": [list(c) for c in r.cells], "witness": r.gap_witness_text})
+            reports.extend(size_reports)
     budget_errors = [
         {"cells": [list(c) for c in r.cells], "error": _while_verifying(r.error, r.cells)}
         for r in reports if r.incomplete]

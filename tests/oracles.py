@@ -4,8 +4,9 @@ Everything here is implemented from first principles, without calling the
 library code under test: enumeration by subset filtering and by growth on
 cell tuples, hole detection via the Euler characteristic, induced-cycle
 search by subset inspection, alternating cycle search by DFS over
-segments, dense linear algebra for degree-bounded ideal membership, and
-textbook monomial-order comparators.
+segments, dense linear algebra for degree-bounded ideal membership,
+textbook monomial-order comparators, and normal forms rewritten on
+exponent tuples.
 """
 
 from fractions import Fraction
@@ -271,3 +272,28 @@ def direct_degrevlex(a, b, ranking):
         if a[i] != b[i]:
             return 1 if a[i] < b[i] else -1
     return 0
+
+
+# ---------------------------------------------------------------------------
+# normal form on exponent tuples
+
+def tuple_normal_form(rules, mono, budget):
+    """Rewrite ``mono`` by the first divisible lead of ``rules`` [(lead, tail)].
+
+    The scan restarts after every hit; returns None when ``budget`` steps
+    were not enough. This is the kernel contract on plain tuples.
+    """
+    m = tuple(mono)
+    steps = 0
+    changed = True
+    while changed:
+        changed = False
+        for lead, tail in rules:
+            if all(le <= me for le, me in zip(lead, m)):
+                if steps >= budget:
+                    return None
+                steps += 1
+                m = tuple(me - le + te for me, le, te in zip(m, lead, tail))
+                changed = True
+                break
+    return m

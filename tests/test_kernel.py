@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from polyprime import kernel
 from polyprime.binomials import degrevlex_order, mono_from_indices
 from polyprime import (
@@ -13,6 +14,7 @@ from polyprime import (
     toric_ideal_elimination,
 )
 from polyprime.algebra import default_grid_order
+from polyprime.errors import LimitExceededError
 
 HAVE_C = "c" in kernel.available_backends()
 needs_c = pytest.mark.skipif(not HAVE_C, reason="compiled kernel not built")
@@ -38,6 +40,58 @@ def test_env_var_forces_pure(monkeypatch):
 def test_default_prefers_compiled(monkeypatch):
     monkeypatch.delenv("POLYPRIME_PURE", raising=False)
     assert kernel.get_kernel().BACKEND == "c"
+
+
+@st.composite
+def rewrite_systems(draw):
+    """(rules, mono): up to 8 variables, exponents 0-5, leads oriented by degrevlex."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    monos = st.tuples(*[st.integers(0, 5)] * n)
+    rules = []
+    for a, b in draw(st.lists(st.tuples(monos, monos), max_size=8)):
+        if a != b:
+            c = oracles.direct_degrevlex(a, b, range(n))
+            rules.append((a, b) if c > 0 else (b, a))
+    return rules, draw(monos)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rewrite_systems())
+def test_python_normal_form_matches_tuple_oracle(system):
+    rules, mono = system
+    pure = kernel.get_kernel("python")
+    basis = pure.Basis(len(mono))
+    for lead, tail in rules:
+        basis.append(lead, tail)
+    assert len(basis) == len(rules)
+    # every budget from 0 up, through the first one that completes
+    budget = 0
+    while True:
+        got = basis.normal_form(mono, budget)
+        assert got == oracles.tuple_normal_form(rules, mono, budget)
+        if got is not None:
+            break
+        budget += 1
+
+
+def test_python_normal_form_exponent_limit():
+    pure = kernel.get_kernel("python")
+    limit = pure.MAX_EXPONENT
+    assert limit == 32767
+    basis = pure.Basis(2)
+    basis.append((1, 0), (0, 2))  # x -> y^2
+    assert basis.normal_form((0, limit), 10) == (0, limit)
+    assert basis.normal_form((1, limit - 2), 10) == (0, limit)
+    for bad in ((limit + 1, 0), (0, 2 ** 16), (-1, 0)):
+        with pytest.raises(LimitExceededError, match=str(limit)):
+            basis.normal_form(bad, 10)
+        with pytest.raises(LimitExceededError, match=str(limit)):
+            pure.Basis(2).append(bad, (0, 0))
+    # the rewrite sets the guard bit of y's field: raise, never wrap
+    with pytest.raises(LimitExceededError, match=str(limit)):
+        basis.normal_form((1, limit - 1), 10)
+    with pytest.raises(ValueError):
+        basis.normal_form((1, 0, 0), 10)
 
 
 def _make_order(kern, nvars, rows):

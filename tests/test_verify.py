@@ -5,6 +5,7 @@ import pytest
 
 from polyprime.errors import BudgetExceededError, InvariantViolationError
 from polyprime.algebra import EngineBudgets
+from polyprime.grid import enumerate_polyominoes
 from polyprime.verify import (
     VerificationReport,
     VerifyConfig,
@@ -111,9 +112,17 @@ class TestSweep:
         assert a["wall_clock"] is None
 
     def test_parallel_matches_sequential(self):
-        seq = sweep(4, VerifyConfig(collect_timings=False))
-        par = sweep(4, VerifyConfig(collect_timings=False, workers=2))
-        assert [r.cells for r in seq.reports] == [r.cells for r in par.reports]
+        seq = sweep(5, VerifyConfig(collect_timings=False))
+        par = sweep(5, VerifyConfig(workers=2))
+        assert seq.total == par.total == 1 + 2 + 6 + 19 + 63
+        assert all(r.timings for r in par.reports)
+
+        def untimed(report):
+            return {k: v for k, v in report_to_json(report).items() if k != "timings"}
+
+        assert [untimed(r) for r in seq.reports] == [untimed(r) for r in par.reports]
+        # pool reports share the enumeration's cell tuples
+        assert par.reports[-1].cells is list(enumerate_polyominoes(5))[-1].cells_sorted
         assert sweep_to_json(seq, with_timings=False) == sweep_to_json(par, with_timings=False)
 
     def test_budget_error_identifies_polyomino(self):
