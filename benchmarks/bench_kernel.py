@@ -1,21 +1,33 @@
 #!/usr/bin/env python3
 """Benchmark the compiled kernel against the pure-Python fallback.
 
-Two granularities:
+polyprime chooses its kernel once, at import, so each backend is timed in
+its own interpreter that runs this script: the pure-Python one blocks
+``polyprime._speedups`` first; the compiled one is reported as not built
+when the extension does not load.
+
+Three granularities:
   * micro: raw normal-form rewrites against a packed basis;
-  * macro: full verification workloads (Groebner bases of the inner-minor
-    ideal and the elimination-order toric ideal).
+  * macro: Groebner bases of the inner-minor ideal and the elimination-order
+    toric ideal;
+  * sweep: sequential ``verify.sweep``, the whole pipeline on every shape.
 
 Usage: python benchmarks/bench_kernel.py [--quick]
 """
 
 import argparse
+import json
+import subprocess
+import sys
 import time
 
-from polyprime import kernel
+import polyprime
+from polyprime import buchberger, enumerate_polyominoes, grid_variables, inner_minors, kernel
+from polyprime import parse_grid, verify
 from polyprime.algebra import default_grid_order, ideal_equal_paths, toric_ideal_elimination
 from polyprime.binomials import mono_from_indices
-from polyprime import buchberger, enumerate_polyominoes, grid_variables, inner_minors, parse_grid
+
+BACKENDS = ("c", "python")
 
 SHAPES = {
     "2x2 square": "##\n##",
@@ -34,9 +46,9 @@ def timed(fn, repeat):
     return best
 
 
-def micro(kern, rewrites):
+def micro(rewrites):
     n = 24
-    basis = kern.Basis(n)
+    basis = kernel.get_kernel().Basis(n)
     # chain x_i^2 -> x_{i+1} * x_i-ish rules so rewriting walks down the chain
     for i in range(n - 1):
         lead = mono_from_indices(n, (i, i))
@@ -51,7 +63,7 @@ def micro(kern, rewrites):
     return run
 
 
-def macro(kern, texts):
+def macro(texts):
     polys = [parse_grid(t) for t in texts]
 
     def run():
@@ -59,58 +71,88 @@ def macro(kern, texts):
             gvars = grid_variables(poly)
             order = default_grid_order(gvars)
             gens = inner_minors(poly, gvars)
-            ideal_equal_paths(gens, toric_ideal_elimination(poly, order, kern=kern), order, kern=kern)
+            ideal_equal_paths(gens, toric_ideal_elimination(poly, order), order)
 
     return run
 
 
-def sweep_workload(kern, n_max):
+def inner_bases(n_max):
     def run():
         for n in range(1, n_max + 1):
             for poly in enumerate_polyominoes(n):
                 gvars = grid_variables(poly)
                 order = default_grid_order(gvars)
-                buchberger(inner_minors(poly, gvars), order, kern=kern)
+                buchberger(inner_minors(poly, gvars), order)
 
     return run
+
+
+def sweep(n_max):
+    def run():
+        verify.sweep(n_max, verify.VerifyConfig(collect_timings=False))
+
+    return run
+
+
+def workloads(quick):
+    """(name, make, argument, repeat) per row."""
+    repeat = 2 if quick else 3
+    rewrites = 2000 if quick else 10000
+    bases_n = 4 if quick else 5
+    sweep_n = 5 if quick else 6
+    return [
+        (f"micro: {rewrites} chained normal forms", micro, rewrites, repeat),
+        ("macro: ideal equality on 4 shapes", macro, list(SHAPES.values()), repeat),
+        (f"macro: inner-minor bases, all shapes <= {bases_n}", inner_bases, bases_n, repeat),
+        (f"sweep({sweep_n}), sequential", sweep, sweep_n, 1),
+    ]
+
+
+def child(backend, quick):
+    """Time every row on one backend; print {"backend", "rows"} as JSON."""
+    if polyprime.backend_name() != backend:
+        print(json.dumps({"backend": polyprime.backend_name(), "rows": None}))
+        return
+    rows = [(name, timed(make(arg), repeat)) for name, make, arg, repeat in workloads(quick)]
+    print(json.dumps({"backend": backend, "rows": rows}))
+
+
+def run_backend(backend, quick):
+    block = "import sys; sys.modules['polyprime._speedups'] = None; " if backend == "python" else ""
+    code = f"{block}import runpy; runpy.run_path({__file__!r}, run_name='__main__')"
+    cmd = [sys.executable, "-c", code, "--child", backend] + (["--quick"] if quick else [])
+    out = json.loads(subprocess.run(cmd, capture_output=True, text=True, check=True).stdout)
+    return dict(out["rows"]) if out["backend"] == backend else None
 
 
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--quick", action="store_true", help="smaller workloads")
+    parser.add_argument("--child", choices=BACKENDS, help=argparse.SUPPRESS)
     args = parser.parse_args()
+    if args.child:
+        child(args.child, args.quick)
+        return
 
-    backends = kernel.available_backends()
-    print(f"available kernels: {', '.join(backends)}")
-    if "c" not in backends:
-        print("compiled kernel not built; showing pure-Python numbers only")
+    timings = {}
+    for backend in BACKENDS:
+        rows = run_backend(backend, args.quick)
+        if rows is None:
+            print("compiled kernel not built; showing pure-Python numbers only")
+        else:
+            timings[backend] = rows
+    backends = list(timings)
 
-    repeat = 2 if args.quick else 3
-    rewrites = 2000 if args.quick else 10000
-    sweep_n = 4 if args.quick else 5
-    shape_texts = list(SHAPES.values())
-
-    rows = []
-    for name, make in (
-        (f"micro: {rewrites} chained normal forms", lambda k: micro(k, rewrites)),
-        ("macro: ideal equality on 4 shapes", lambda k: macro(k, shape_texts)),
-        (f"macro: inner-minor bases, all shapes <= {sweep_n}", lambda k: sweep_workload(k, sweep_n)),
-    ):
-        timings = {}
-        for backend in backends:
-            kern = kernel.get_kernel(backend)
-            timings[backend] = timed(make(kern), repeat)
-        rows.append((name, timings))
-
-    width = max(len(r[0]) for r in rows) + 2
+    names = [name for name, _, _, _ in workloads(args.quick)]
+    width = max(len(n) for n in names) + 2
     header = f"{'workload':<{width}}" + "".join(f"{b:>12}" for b in backends)
     if len(backends) == 2:
         header += f"{'speedup':>10}"
     print(header)
-    for name, timings in rows:
-        line = f"{name:<{width}}" + "".join(f"{timings[b]:>11.3f}s" for b in backends)
+    for name in names:
+        line = f"{name:<{width}}" + "".join(f"{timings[b][name]:>11.3f}s" for b in backends)
         if len(backends) == 2:
-            line += f"{timings['python'] / timings['c']:>9.1f}x"
+            line += f"{timings['python'][name] / timings['c'][name]:>9.1f}x"
         print(line)
 
 

@@ -35,8 +35,6 @@ from polyprime.graph import (
     chordless_cycles,
     cycle_binomial,
     graph_cycle_to_polyo_cycle,
-    has_self_crossing,
-    is_primitive,
     is_weakly_chordal,
 )
 from polyprime.algebra import (
@@ -79,13 +77,11 @@ __all__ = [
     "find_quadratic_order",
     "graph_cycle_to_polyo_cycle",
     "grid_variables",
-    "has_self_crossing",
     "ideal_equal",
     "ideal_member",
     "inner_intervals",
     "inner_minors",
     "is_connected",
-    "is_primitive",
     "is_simple",
     "is_weakly_chordal",
     "lex_order",

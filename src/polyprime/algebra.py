@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import heapq
-import random
 from dataclasses import dataclass, field
 
 from polyprime import kernel as _kernel
@@ -63,11 +62,11 @@ class Reducer:
 
     __slots__ = ("kb", "steps")
 
-    def __init__(self, elements, order, kern=None, budgets=DEFAULT_BUDGETS, oriented=True):
-        kern = kern or _kernel.get_kernel()
+    def __init__(self, elements, order, budgets=DEFAULT_BUDGETS, oriented=True):
+        kern = _kernel.get_kernel()
         self.kb = kern.Basis(order.nvars)
         self.steps = budgets.reduction_steps
-        ko = kernel_order(order, kern)
+        ko = kernel_order(order)
         for b in elements:
             if oriented:
                 plus, minus = b.plus, b.minus
@@ -89,18 +88,18 @@ class Reducer:
         return Binomial(plus, minus)
 
 
-def reduce(f, basis, order, kern=None, budgets=DEFAULT_BUDGETS):
+def reduce(f, basis, order, budgets=DEFAULT_BUDGETS):
     """Normal form of a binomial modulo a list of binomials; Binomial or ZERO."""
     if f is ZERO:
         return ZERO
-    red = Reducer(basis, order, kern=kern, budgets=budgets, oriented=False)
+    red = Reducer(basis, order, budgets=budgets, oriented=False)
     return red.binomial(f)
 
 
-def buchberger(gens, order, kern=None, budgets=DEFAULT_BUDGETS):
+def buchberger(gens, order, budgets=DEFAULT_BUDGETS):
     """Canonical reduced Groebner basis of a pure-difference binomial ideal."""
-    kern = kern or _kernel.get_kernel()
-    ko = kernel_order(order, kern)
+    kern = _kernel.get_kernel()
+    ko = kernel_order(order)
     kb = kern.Basis(order.nvars)
     basis = []
     seen = set()
@@ -163,12 +162,13 @@ def buchberger(gens, order, kern=None, budgets=DEFAULT_BUDGETS):
         seen.add((plus, minus))
         push_element(plus, minus)
 
-    return _inter_reduce(basis, order, kern, budgets)
+    return _inter_reduce(basis, order, budgets)
 
 
-def _inter_reduce(basis, order, kern, budgets):
+def _inter_reduce(basis, order, budgets):
     """Canonical reduced basis from a (possibly redundant) Groebner basis."""
-    ko = kernel_order(order, kern)
+    kern = _kernel.get_kernel()
+    ko = kernel_order(order)
     by_lead = sorted(basis, key=functools.cmp_to_key(lambda a, b: kern.compare(ko, a[0], b[0])))
     kept = []
     for lead, tail in by_lead:
@@ -186,8 +186,8 @@ def _inter_reduce(basis, order, kern, budgets):
     return GroebnerBasis(order, tuple(elements), reduced=True)
 
 
-def ideal_member(f, gb, kern=None, budgets=DEFAULT_BUDGETS):
-    return reduce(f, gb.elements, gb.order, kern=kern, budgets=budgets) is ZERO
+def ideal_member(f, gb, budgets=DEFAULT_BUDGETS):
+    return reduce(f, gb.elements, gb.order, budgets=budgets) is ZERO
 
 
 def _as_generators(side):
@@ -196,18 +196,18 @@ def _as_generators(side):
     return list(side)
 
 
-def _ensure_gb(side, order, kern, budgets):
+def _ensure_gb(side, order, budgets):
     if isinstance(side, GroebnerBasis) and side.order == order and side.reduced:
         return side
-    return buchberger(_as_generators(side), order, kern=kern, budgets=budgets)
+    return buchberger(_as_generators(side), order, budgets=budgets)
 
 
-def ideal_equal_paths(gens_a, gens_b, order, kern=None, budgets=DEFAULT_BUDGETS):
+def ideal_equal_paths(gens_a, gens_b, order, budgets=DEFAULT_BUDGETS):
     """(mutual-reduction verdict, reduced-basis-identity verdict)."""
-    gb_a = _ensure_gb(gens_a, order, kern, budgets)
-    gb_b = _ensure_gb(gens_b, order, kern, budgets)
-    red_a = Reducer(gb_a.elements, order, kern=kern, budgets=budgets)
-    red_b = Reducer(gb_b.elements, order, kern=kern, budgets=budgets)
+    gb_a = _ensure_gb(gens_a, order, budgets)
+    gb_b = _ensure_gb(gens_b, order, budgets)
+    red_a = Reducer(gb_a.elements, order, budgets=budgets)
+    red_b = Reducer(gb_b.elements, order, budgets=budgets)
     mutual = all(red_b.binomial(g) is ZERO for g in _as_generators(gens_a)) and all(
         red_a.binomial(g) is ZERO for g in _as_generators(gens_b)
     )
@@ -215,9 +215,9 @@ def ideal_equal_paths(gens_a, gens_b, order, kern=None, budgets=DEFAULT_BUDGETS)
     return mutual, identity
 
 
-def ideal_equal(gens_a, gens_b, order, kern=None, budgets=DEFAULT_BUDGETS):
+def ideal_equal(gens_a, gens_b, order, budgets=DEFAULT_BUDGETS):
     """Decide equality of two binomial ideals; both decision paths must agree."""
-    mutual, identity = ideal_equal_paths(gens_a, gens_b, order, kern=kern, budgets=budgets)
+    mutual, identity = ideal_equal_paths(gens_a, gens_b, order, budgets=budgets)
     if mutual != identity:
         raise InternalInconsistencyError(
             f"ideal equality paths disagree: mutual-reduction={mutual}, basis-identity={identity}")
@@ -278,7 +278,7 @@ def _combined_ring(poly, graph, gvars):
     return combined, aux_count, order
 
 
-def toric_ideal_elimination(poly, grid_order=None, kern=None, budgets=DEFAULT_BUDGETS):
+def toric_ideal_elimination(poly, grid_order=None, budgets=DEFAULT_BUDGETS):
     """Kernel of the edge-ring parametrization, computed by block elimination.
 
     Builds <x_a - v_p h_q> in the combined ring with auxiliary variables
@@ -297,7 +297,7 @@ def toric_ideal_elimination(poly, grid_order=None, kern=None, budgets=DEFAULT_BU
         plus = mono_from_indices(total, (p, tmap.m + q))
         minus = mono_from_indices(total, (aux_count + idx,))
         gens.append(Binomial(plus, minus))
-    gb = buchberger(gens, elim_order, kern=kern, budgets=budgets)
+    gb = buchberger(gens, elim_order, budgets=budgets)
     eliminated = []
     for b in gb.elements:
         if any(b.plus[:aux_count]) or any(b.minus[:aux_count]):
@@ -307,12 +307,12 @@ def toric_ideal_elimination(poly, grid_order=None, kern=None, budgets=DEFAULT_BU
     if grid_order is None or grid_order == base_order:
         # the eliminated slice of the reduced block basis is already the
         # reduced basis under the grid block's own degrevlex
-        kern = kern or _kernel.get_kernel()
-        ko = kernel_order(base_order, kern)
+        kern = _kernel.get_kernel()
+        ko = kernel_order(base_order)
         elements = sorted(
             eliminated, key=functools.cmp_to_key(lambda a, b: kern.compare(ko, a.plus, b.plus)))
         return GroebnerBasis(base_order, tuple(elements), reduced=True)
-    return buchberger(eliminated, grid_order, kern=kern, budgets=budgets)
+    return buchberger(eliminated, grid_order, budgets=budgets)
 
 
 def toric_ideal_cycles(poly, max_len=None, budget=10 ** 6, variables=None):
@@ -339,8 +339,6 @@ _RANKING_KEYS = {
 class OrderSearchConfig:
     rankings: tuple = ("row-major", "column-major", "diagonal")
     kinds: tuple = ("degrevlex", "deglex", "lex")
-    random_tries: int = 0
-    seed: int = 0
     budgets: EngineBudgets = field(default=DEFAULT_BUDGETS)
 
 
@@ -354,7 +352,7 @@ def named_ranking(name, variables):
     return tuple(idx)
 
 
-def find_quadratic_order(gens, variables, config=OrderSearchConfig(), kern=None):
+def find_quadratic_order(gens, variables, config=OrderSearchConfig()):
     """First order in the strategy family whose reduced basis is quadratic and squarefree."""
     nvars = len(variables)
     candidates = []
@@ -362,13 +360,8 @@ def find_quadratic_order(gens, variables, config=OrderSearchConfig(), kern=None)
         ranking = named_ranking(name, variables)
         for kind in config.kinds:
             candidates.append(MonomialOrder(kind, nvars, ranking))
-    rng = random.Random(config.seed)
-    for _ in range(config.random_tries):
-        ranking = tuple(rng.sample(range(nvars), nvars))
-        for kind in config.kinds:
-            candidates.append(MonomialOrder(kind, nvars, ranking))
     for order in candidates:
-        gb = buchberger(gens, order, kern=kern, budgets=config.budgets)
+        gb = buchberger(gens, order, budgets=config.budgets)
         if all(b.is_quadratic() and b.is_squarefree() for b in gb.elements):
             return order
     return None
@@ -400,30 +393,30 @@ def _present(binomial, variables):
     return binomial
 
 
-def witness_from_bases(gb_inner, gb_toric, variables, kern=None, budgets=DEFAULT_BUDGETS):
+def witness_from_bases(gb_inner, gb_toric, variables, budgets=DEFAULT_BUDGETS):
     """Minimal-degree element of the toric basis missing from the inner-minor ideal.
 
     Ties are broken by the bounding-box area of the support (most local
     witness first), then by support vertices. Returns None when the toric
     basis lies inside the inner-minor ideal.
     """
-    red = Reducer(gb_inner.elements, gb_inner.order, kern=kern, budgets=budgets)
+    red = Reducer(gb_inner.elements, gb_inner.order, budgets=budgets)
     gaps = [g for g in gb_toric.elements if red.binomial(g) is not ZERO]
     if not gaps:
         return None
     return _present(min(gaps, key=lambda g: _witness_key(g, variables)), variables)
 
 
-def witness_gap(poly, kern=None, budgets=DEFAULT_BUDGETS):
+def witness_gap(poly, budgets=DEFAULT_BUDGETS):
     """A binomial in the toric ideal but not the inner-minor ideal, or None if equal."""
     gvars = grid_variables(poly)
     order = default_grid_order(gvars)
     gens = inner_minors(poly, gvars)
-    gb_inner = buchberger(gens, order, kern=kern, budgets=budgets)
-    gb_toric = toric_ideal_elimination(poly, order, kern=kern, budgets=budgets)
-    if ideal_equal(gb_inner, gb_toric, order, kern=kern, budgets=budgets):
+    gb_inner = buchberger(gens, order, budgets=budgets)
+    gb_toric = toric_ideal_elimination(poly, order, budgets=budgets)
+    if ideal_equal(gb_inner, gb_toric, order, budgets=budgets):
         return None
-    witness = witness_from_bases(gb_inner, gb_toric, gvars, kern=kern, budgets=budgets)
+    witness = witness_from_bases(gb_inner, gb_toric, gvars, budgets=budgets)
     if witness is None:
         raise InternalInconsistencyError(
             "ideals differ but every toric basis element lies in the inner-minor ideal")

@@ -153,10 +153,6 @@ class Binomial:
         return tuple(i for i, (p, m) in enumerate(zip(self.plus, self.minus)) if p or m)
 
 
-def same_up_to_sign(a, b):
-    return a == b or (a.plus == b.minus and a.minus == b.plus)
-
-
 def render_monomial(mono, variables):
     factors = []
     order = sorted(range(len(mono)), key=lambda i: variables.keys[i])
@@ -290,19 +286,13 @@ def order_from_json(spec, variables):
 
 
 @lru_cache(maxsize=None)
-def _kernel_order(order, backend):
-    return _kernel.get_kernel(backend).Order(order.weight_rows())
+def kernel_order(order):
+    return _kernel.get_kernel().Order(order.weight_rows())
 
 
-def kernel_order(order, kern=None):
-    kern = kern or _kernel.get_kernel()
-    return _kernel_order(order, kern.BACKEND)
-
-
-def compare(order, a, b, kern=None):
+def compare(order, a, b):
     """Three-way comparison: LESS, EQUAL or GREATER."""
     if len(a) != order.nvars or len(b) != order.nvars:
         raise VariableSetMismatchError(
             f"monomial width {len(a)}/{len(b)} does not match order on {order.nvars} variables")
-    kern = kern or _kernel.get_kernel()
-    return kern.compare(kernel_order(order, kern), tuple(a), tuple(b))
+    return _kernel.get_kernel().compare(kernel_order(order), tuple(a), tuple(b))

@@ -43,7 +43,6 @@ def _add_common_flags(sub):
     sub.add_argument("--budget-elems", type=int, default=algebra.DEFAULT_BUDGETS.elements)
     sub.add_argument("--max-cycle-len", type=int, default=None)
     sub.add_argument("--format", choices=("text", "json"), default="text")
-    sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--no-timings", action="store_true")
 
 
@@ -167,7 +166,6 @@ def _verify_config(args, search_quadratic):
     return verify.VerifyConfig(
         budgets=_budgets(args),
         search_quadratic=search_quadratic,
-        order_search=algebra.OrderSearchConfig(seed=args.seed),
         collect_timings=not args.no_timings,
     )
 

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 from polyprime.binomials import Binomial, grid_key, mono_from_indices
 from polyprime.errors import LimitExceededError, MissingVertexError
-from polyprime.intervals import maximal_edge_intervals
 
 DEFAULT_CYCLE_BUDGET = 10 ** 6
 
@@ -35,13 +34,6 @@ class GraphCycle:
     @property
     def length(self):
         return 2 * len(self.pairs)
-
-    def vertex_seq(self):
-        seq = []
-        for i, j in self.pairs:
-            seq.append(("v", i))
-            seq.append(("h", j))
-        return seq
 
 
 def _canonical_pairs(pairs):
@@ -76,39 +68,6 @@ class PolyoCycle:
     def segments(self):
         pts = self.points
         return [(pts[k], pts[(k + 1) % len(pts)]) for k in range(len(pts))]
-
-
-def _segment_points(a, b):
-    (x1, y1), (x2, y2) = a, b
-    if x1 == x2 and y1 != y2:
-        lo, hi = sorted((y1, y2))
-        return [(x1, y) for y in range(lo, hi + 1)]
-    if y1 == y2 and x1 != x2:
-        lo, hi = sorted((x1, x2))
-        return [(x, y1) for x in range(lo, hi + 1)]
-    raise ValueError(f"segment {a}-{b} is not axis-aligned")
-
-
-def _segment_is_edge_interval(poly, a, b):
-    pts = _segment_points(a, b)
-    return all(
-        tuple(sorted((pts[k], pts[k + 1]))) in poly.edges for k in range(len(pts) - 1)
-    )
-
-
-def validate_polyo_cycle(poly, cycle):
-    """Raise ValueError unless the cycle's segments are alternating edge intervals of the polyomino."""
-    pts = cycle.points
-    m = len(pts)
-    orientations = []
-    for k in range(m):
-        a, b = pts[k], pts[(k + 1) % m]
-        if not _segment_is_edge_interval(poly, a, b):
-            raise ValueError(f"segment {a}-{b} is not an edge interval of the polyomino")
-        orientations.append("h" if a[1] == b[1] else "v")
-    for k in range(m):
-        if orientations[k] == orientations[(k + 1) % m]:
-            raise ValueError("consecutive segments must alternate orientation")
 
 
 # ---------------------------------------------------------------------------
@@ -193,22 +152,6 @@ def graph_is_connected(graph):
     return len(seen) == total
 
 
-def complement_has_long_chordless_cycle(graph, budget=DEFAULT_CYCLE_BUDGET):
-    """Diagnostic only: does the complement graph contain a chordless cycle of length >= 5?
-
-    The weak-chordality check used everywhere else is the one-sided
-    condition on the graph itself; this probe of the complement is exposed
-    for inspection and asserted nowhere.
-    """
-    total, masks, _ = _adjacency(graph)
-    full = (1 << total) - 1
-    cmasks = [(~masks[x]) & full & ~(1 << x) for x in range(total)]
-    csorted = [[y for y in range(total) if (cmasks[x] >> y) & 1] for x in range(total)]
-    for _ in induced_cycles(total, cmasks, csorted, 5, total, budget):
-        return True
-    return False
-
-
 # ---------------------------------------------------------------------------
 # graph cycles <-> polyomino cycles, attached binomials
 
@@ -239,54 +182,3 @@ def cycle_binomial(cycle, variables):
     plus = mono_from_indices(n, (variables.index(grid_key(p)) for p in pts[0::2]))
     minus = mono_from_indices(n, (variables.index(grid_key(p)) for p in pts[1::2]))
     return Binomial(plus, minus)
-
-
-def graph_cycle_binomial(graph, cycle, variables):
-    """The same binomial computed from the graph-side formula, for cross-checking."""
-    pairs = cycle.pairs
-    r = len(pairs)
-    n = len(variables)
-    plus = mono_from_indices(
-        n, (variables.index(grid_key(_intersection(graph, i, j))) for i, j in pairs))
-    minus = mono_from_indices(
-        n,
-        (
-            variables.index(grid_key(_intersection(graph, pairs[(k + 1) % r][0], pairs[k][1])))
-            for k in range(r)
-        ),
-    )
-    return Binomial(plus, minus)
-
-
-def cycles_to_json(cycles):
-    """Dump graph cycles as a JSON-ready list of alternating vertex sequences."""
-    return [[[side, idx] for side, idx in c.vertex_seq()] for c in cycles]
-
-
-def is_primitive(poly, cycle):
-    """True iff every maximal edge interval contains at most two cycle vertices."""
-    vert, horiz = maximal_edge_intervals(poly)
-    pts = set(cycle.points)
-    for interval in list(vert) + list(horiz):
-        hits = sum(1 for p in pts if interval.contains_vertex(p))
-        if hits > 2:
-            return False
-    return True
-
-
-def has_self_crossing(poly, cycle):
-    """True iff two non-adjacent cycle segments share a vertex besides their endpoints."""
-    segs = cycle.segments()
-    m = len(segs)
-    pts = [set(_segment_points(a, b)) for a, b in segs]
-    for i in range(m):
-        for j in range(i + 1, m):
-            if j == i + 1 or (i == 0 and j == m - 1):
-                continue
-            shared = pts[i] & pts[j]
-            if not shared:
-                continue
-            endpoints = set(segs[i]) | set(segs[j])
-            if shared - endpoints:
-                return True
-    return False

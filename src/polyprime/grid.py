@@ -336,26 +336,3 @@ def random_polyomino(n, rng):
         )
         cells.add(frontier[rng.randrange(len(frontier))])
     return Polyomino(cells)
-
-
-# ---------------------------------------------------------------------------
-# symmetries (used by invariance tests)
-
-def _rot(cells):
-    return [(-y, x) for x, y in cells]
-
-
-def _mirror(cells):
-    return [(-x, y) for x, y in cells]
-
-
-def symmetry_images(poly):
-    """The 8 dihedral images of the polyomino (possibly with repeats)."""
-    out = []
-    cells = list(poly.cells_sorted)
-    for _ in range(2):
-        for _ in range(4):
-            out.append(Polyomino(cells))
-            cells = _rot(cells)
-        cells = _mirror(cells)
-    return out

@@ -1,39 +1,22 @@
-"""Kernel selection: compiled extension when available, pure Python otherwise.
+"""Kernel selection, made once at import: the compiled extension if it
+imports, the pure-Python kernel otherwise.
 
-Set ``POLYPRIME_PURE=1`` to force the pure-Python kernel. Both kernels
-implement the identical contract (see ``_kernel_py``), so the choice only
-affects speed, never results.
+Both kernels implement the identical contract (see ``_kernel_py``), so the
+choice only affects speed, never results. Callers look up ``compare`` and
+the ``Basis`` methods on the module that ``get_kernel`` returns each time
+they call them, so that wrappers set on those attributes see every call.
 """
 
-import os
-
-from polyprime import _kernel_py
-
 try:
-    from polyprime import _speedups
+    from polyprime import _speedups as _selected
 except ImportError:
-    _speedups = None
-
-_KERNELS = {"python": _kernel_py}
-if _speedups is not None:
-    _KERNELS["c"] = _speedups
+    from polyprime import _kernel_py as _selected
 
 
-def get_kernel(name=None):
-    """Return a kernel module by backend name, or the default selection."""
-    if name is None:
-        if os.environ.get("POLYPRIME_PURE") or _speedups is None:
-            return _kernel_py
-        return _speedups
-    try:
-        return _KERNELS[name]
-    except KeyError:
-        raise ValueError(f"unknown kernel backend {name!r}; have {sorted(_KERNELS)}") from None
-
-
-def available_backends():
-    return tuple(sorted(_KERNELS))
+def get_kernel():
+    """The kernel module chosen at import."""
+    return _selected
 
 
 def backend_name():
-    return get_kernel().BACKEND
+    return _selected.BACKEND

@@ -15,7 +15,6 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
-from polyprime import kernel as _kernel
 from polyprime.algebra import (
     DEFAULT_BUDGETS,
     EngineBudgets,
@@ -50,7 +49,6 @@ class VerifyConfig:
     order_search: OrderSearchConfig = field(default=OrderSearchConfig())
     collect_timings: bool = True
     workers: int = 1
-    kernel: str = None
 
 
 @dataclass
@@ -92,7 +90,6 @@ def verify_polyomino(poly, config=VerifyConfig()):
     Budget exhaustion raises BudgetExceededError with the partial report
     (marked incomplete) attached as ``.report``.
     """
-    kern = _kernel.get_kernel(config.kernel)
     report = VerificationReport(cells=poly.cells_sorted, cell_count=len(poly))
     timings = {}
 
@@ -113,13 +110,12 @@ def verify_polyomino(poly, config=VerifyConfig()):
         gvars = grid_variables(poly)
         order = default_grid_order(gvars)
         gens = inner_minors(poly, gvars)
-        gb_inner = staged("gb_inner", lambda: buchberger(gens, order, kern=kern, budgets=config.budgets))
+        gb_inner = staged("gb_inner", lambda: buchberger(gens, order, budgets=config.budgets))
         gb_toric = staged(
-            "gb_toric", lambda: toric_ideal_elimination(poly, order, kern=kern, budgets=config.budgets))
+            "gb_toric", lambda: toric_ideal_elimination(poly, order, budgets=config.budgets))
 
         def decide():
-            mutual, identity = ideal_equal_paths(
-                gb_inner, gb_toric, order, kern=kern, budgets=config.budgets)
+            mutual, identity = ideal_equal_paths(gb_inner, gb_toric, order, budgets=config.budgets)
             if mutual != identity:
                 raise InternalInconsistencyError(
                     f"ideal equality paths disagree on {list(poly.cells_sorted)}")
@@ -129,7 +125,7 @@ def verify_polyomino(poly, config=VerifyConfig()):
         if not report.ideals_equal:
             witness = staged(
                 "witness",
-                lambda: witness_from_bases(gb_inner, gb_toric, gvars, kern=kern, budgets=config.budgets))
+                lambda: witness_from_bases(gb_inner, gb_toric, gvars, budgets=config.budgets))
             if witness is None:
                 raise InternalInconsistencyError(
                     f"ideals differ without a toric-side witness on {list(poly.cells_sorted)}")
@@ -138,7 +134,7 @@ def verify_polyomino(poly, config=VerifyConfig()):
         if config.search_quadratic:
             found = staged(
                 "quadratic_order",
-                lambda: find_quadratic_order(gens, gvars, config.order_search, kern=kern))
+                lambda: find_quadratic_order(gens, gvars, config.order_search))
             report.quadratic_order = None if found is None else found.to_json(gvars)
     except (BudgetExceededError, LimitExceededError) as exc:
         report.incomplete = True

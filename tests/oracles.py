@@ -7,10 +7,19 @@ search by subset inspection, alternating cycle search by DFS over
 segments, dense linear algebra for degree-bounded ideal membership,
 textbook monomial-order comparators, and normal forms rewritten on
 exponent tuples.
+
+The last section is the exception: a sign-blind binomial comparison,
+cycle checks and dihedral images that build on the package's types. The
+package itself never needs them.
 """
 
 from fractions import Fraction
 from itertools import combinations
+
+from polyprime.binomials import Binomial, grid_key, mono_from_indices
+from polyprime.graph import _intersection
+from polyprime.grid import Polyomino
+from polyprime.intervals import maximal_edge_intervals
 
 STEPS = ((1, 0), (-1, 0), (0, 1), (0, -1))
 
@@ -297,3 +306,109 @@ def tuple_normal_form(rules, mono, budget):
                 changed = True
                 break
     return m
+
+
+# ---------------------------------------------------------------------------
+# polyomino cycles and symmetries, on the package's types
+
+def same_up_to_sign(a, b):
+    return a == b or (a.plus == b.minus and a.minus == b.plus)
+
+
+def _segment_points(a, b):
+    (x1, y1), (x2, y2) = a, b
+    if x1 == x2 and y1 != y2:
+        lo, hi = sorted((y1, y2))
+        return [(x1, y) for y in range(lo, hi + 1)]
+    if y1 == y2 and x1 != x2:
+        lo, hi = sorted((x1, x2))
+        return [(x, y1) for x in range(lo, hi + 1)]
+    raise ValueError(f"segment {a}-{b} is not axis-aligned")
+
+
+def _segment_is_edge_interval(poly, a, b):
+    pts = _segment_points(a, b)
+    return all(
+        tuple(sorted((pts[k], pts[k + 1]))) in poly.edges for k in range(len(pts) - 1)
+    )
+
+
+def validate_polyo_cycle(poly, cycle):
+    """Raise ValueError unless the cycle's segments are alternating edge intervals of the polyomino."""
+    pts = cycle.points
+    m = len(pts)
+    orientations = []
+    for k in range(m):
+        a, b = pts[k], pts[(k + 1) % m]
+        if not _segment_is_edge_interval(poly, a, b):
+            raise ValueError(f"segment {a}-{b} is not an edge interval of the polyomino")
+        orientations.append("h" if a[1] == b[1] else "v")
+    for k in range(m):
+        if orientations[k] == orientations[(k + 1) % m]:
+            raise ValueError("consecutive segments must alternate orientation")
+
+
+def graph_cycle_binomial(graph, cycle, variables):
+    """The same binomial computed from the graph-side formula, for cross-checking."""
+    pairs = cycle.pairs
+    r = len(pairs)
+    n = len(variables)
+    plus = mono_from_indices(
+        n, (variables.index(grid_key(_intersection(graph, i, j))) for i, j in pairs))
+    minus = mono_from_indices(
+        n,
+        (
+            variables.index(grid_key(_intersection(graph, pairs[(k + 1) % r][0], pairs[k][1])))
+            for k in range(r)
+        ),
+    )
+    return Binomial(plus, minus)
+
+
+def is_primitive(poly, cycle):
+    """True iff every maximal edge interval contains at most two cycle vertices."""
+    vert, horiz = maximal_edge_intervals(poly)
+    pts = set(cycle.points)
+    for interval in list(vert) + list(horiz):
+        hits = sum(1 for p in pts if interval.contains_vertex(p))
+        if hits > 2:
+            return False
+    return True
+
+
+def has_self_crossing(poly, cycle):
+    """True iff two non-adjacent cycle segments share a vertex besides their endpoints."""
+    segs = cycle.segments()
+    m = len(segs)
+    pts = [set(_segment_points(a, b)) for a, b in segs]
+    for i in range(m):
+        for j in range(i + 1, m):
+            if j == i + 1 or (i == 0 and j == m - 1):
+                continue
+            shared = pts[i] & pts[j]
+            if not shared:
+                continue
+            endpoints = set(segs[i]) | set(segs[j])
+            if shared - endpoints:
+                return True
+    return False
+
+
+def _rot(cells):
+    return [(-y, x) for x, y in cells]
+
+
+def _mirror(cells):
+    return [(-x, y) for x, y in cells]
+
+
+def symmetry_images(poly):
+    """The 8 dihedral images of the polyomino (possibly with repeats)."""
+    out = []
+    cells = list(poly.cells_sorted)
+    for _ in range(2):
+        for _ in range(4):
+            out.append(Polyomino(cells))
+            cells = _rot(cells)
+        cells = _mirror(cells)
+    return out

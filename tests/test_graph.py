@@ -1,5 +1,4 @@
 import itertools
-import json
 import random
 
 import pytest
@@ -15,20 +14,13 @@ from polyprime import (
     enumerate_polyominoes,
     graph_cycle_to_polyo_cycle,
     grid_variables,
-    has_self_crossing,
     inner_intervals,
-    is_primitive,
     is_weakly_chordal,
     parse_grid,
     render_binomial,
 )
+from oracles import graph_cycle_binomial, has_self_crossing, is_primitive, validate_polyo_cycle
 from polyprime.errors import LimitExceededError, MissingVertexError
-from polyprime.graph import (
-    complement_has_long_chordless_cycle,
-    cycles_to_json,
-    graph_cycle_binomial,
-    validate_polyo_cycle,
-)
 
 
 class SyntheticBipartite:
@@ -97,12 +89,6 @@ class TestChordlessCycles:
         with pytest.raises(LimitExceededError):
             list(chordless_cycles(k33(), min_len=4, budget=2))
 
-    def test_cycle_json_dump(self, cell):
-        g = build_interval_graph(cell)
-        dump = cycles_to_json(chordless_cycles(g, 4, 4))
-        assert dump == [[["v", 0], ["h", 0], ["v", 1], ["h", 1]]]
-        assert json.dumps(dump)
-
     def test_canonical_form_invariant_under_rotation_and_reflection(self):
         pairs = ((0, 0), (1, 1), (2, 2), (3, 3))
         base = GraphCycle(pairs)
@@ -134,10 +120,6 @@ class TestWeaklyChordal:
             relabeled = SyntheticBipartite(
                 g.m, g.n, {(sigma[p], tau[q]) for p, q in g.edge_pairs})
             assert is_weakly_chordal(g) == is_weakly_chordal(relabeled)
-
-    def test_complement_diagnostic_runs(self, square2):
-        # diagnostic only; no claim is made about its value
-        assert complement_has_long_chordless_cycle(build_interval_graph(square2)) in (True, False)
 
 
 class TestCycleConversion:

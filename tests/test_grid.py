@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from oracles import symmetry_images
 from polyprime import (
     Polyomino,
     enumerate_polyominoes,
@@ -18,7 +19,7 @@ from polyprime import (
     to_text,
 )
 from polyprime.errors import BadCharError, CapExceededError, DisconnectedError, EmptyInputError
-from polyprime.grid import from_json_dict, random_polyomino, symmetry_images, to_json_dict
+from polyprime.grid import from_json_dict, random_polyomino, to_json_dict
 
 
 def shapes_upto(n):
