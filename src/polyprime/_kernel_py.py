@@ -1,12 +1,17 @@
 """Pure-Python kernel for the binomial Groebner engine.
 
 Same contract as the compiled kernel in ``_speedups``: monomials are
-tuples of non-negative ints (dense exponent vectors), an Order holds the
-weight-matrix rows of a monomial order, and a Basis holds oriented
+tuples of non-negative ints (dense exponent vectors), an Order is built
+from the weight-matrix rows of a monomial order, and a Basis holds oriented
 rewrite rules lead -> tail with lead > tail. ``normal_form`` rewrites a
 monomial with the first divisible lead in append order, restarting the
 scan after every hit, until no lead divides. Both kernels must produce
 bit-identical results; the engine picks whichever is available.
+
+An Order keeps each row sparse, as ``((index, weight), ...)`` over its
+nonzero weights only, so ``compare`` never touches a zero weight. Every
+row of lex, and every row after the first of deglex and degrevlex, has a
+single entry.
 
 A Basis stores each monomial packed into one Python int, after Monagan
 and Pearce's packed exponent vectors: variable ``i`` owns the 16-bit
@@ -34,8 +39,9 @@ class Order:
     __slots__ = ("rows", "nvars")
 
     def __init__(self, rows):
-        self.rows = tuple(tuple(r) for r in rows)
-        self.nvars = len(self.rows[0]) if self.rows else 0
+        rows = tuple(tuple(r) for r in rows)
+        self.nvars = len(rows[0]) if rows else 0
+        self.rows = tuple(tuple((i, w) for i, w in enumerate(r) if w) for r in rows)
 
 
 def compare(order, a, b):
@@ -44,9 +50,8 @@ def compare(order, a, b):
         return 0
     for row in order.rows:
         s = 0
-        for w, x, y in zip(row, a, b):
-            if w:
-                s += w * (x - y)
+        for i, w in row:
+            s += w * (a[i] - b[i])
         if s > 0:
             return 1
         if s < 0:

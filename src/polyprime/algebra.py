@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from polyprime import kernel as _kernel
 from polyprime.binomials import (
@@ -27,7 +27,6 @@ from polyprime.binomials import (
     block_order,
     degrevlex_order,
     kernel_order,
-    mono_divides,
     mono_from_indices,
     render_binomial,
 )
@@ -102,34 +101,54 @@ def buchberger(gens, order, budgets=DEFAULT_BUDGETS):
     ko = kernel_order(order)
     kb = kern.Basis(order.nvars)
     basis = []
+    supports = []     # per element: the variables its lead uses
+    degrees = []      # per element: the total degree of its lead
+    by_variable = {}  # variable -> elements whose lead uses it
     seen = set()
 
     def push_element(plus, minus):
         if len(basis) >= budgets.elements:
             raise BudgetExceededError(f"basis element budget {budgets.elements} exhausted")
+        k = len(basis)
+        support = tuple(v for v, e in enumerate(plus) if e)
+        deg = sum(plus)
         basis.append((plus, minus))
+        supports.append(support)
+        degrees.append(deg)
         kb.append(plus, minus)
-        k = len(basis) - 1
-        for i in range(k):
+        # leads sharing no variable with this one are coprime: their S-pair
+        # reduces to zero, so only partners found through the index are
+        # enqueued; keys are unique, so the pop order ignores push order
+        partners = set()
+        for v in support:
+            ks = by_variable.get(v)
+            if ks is None:
+                by_variable[v] = [k]
+            else:
+                partners.update(ks)
+                ks.append(k)
+        for i in partners:
             lead_i = basis[i][0]
-            lcm_deg = 0
-            coprime = True
-            for x, y in zip(lead_i, plus):
-                if x:
-                    if y:
-                        coprime = False
-                    lcm_deg += x if x > y else y
-                else:
-                    lcm_deg += y
-            # coprime leading terms: the S-pair reduces to zero, never enqueue it
-            if not coprime:
-                heapq.heappush(pairs, (lcm_deg, i, k))
+            shared = 0
+            for v in supports[i]:
+                x, y = lead_i[v], plus[v]
+                shared += x if x < y else y
+            heapq.heappush(pairs, (degrees[i] + deg - shared, i, k))
 
     def nf(mono):
         out = kb.normal_form(mono, budgets.reduction_steps)
         if out is None:
             raise BudgetExceededError(f"reduction step budget {budgets.reduction_steps} exhausted")
         return out
+
+    def cofactor_times(tail, lead, other, other_support):
+        """tail * lcm(lead, other) / lead: add the positive part of other - lead."""
+        out = list(tail)
+        for v in other_support:
+            d = other[v] - lead[v]
+            if d > 0:
+                out[v] += d
+        return tuple(out)
 
     pairs = []
     for g in gens:
@@ -151,8 +170,8 @@ def buchberger(gens, order, budgets=DEFAULT_BUDGETS):
         lead_i, tail_i = basis[i]
         lead_j, tail_j = basis[j]
         # S-binomial of (lead_i - tail_i, lead_j - tail_j): both lcm cofactors applied
-        a = nf(tuple((y if y > x else x) - x + t for x, y, t in zip(lead_i, lead_j, tail_i)))
-        b = nf(tuple((y if y > x else x) - y + t for x, y, t in zip(lead_i, lead_j, tail_j)))
+        a = nf(cofactor_times(tail_i, lead_i, lead_j, supports[j]))
+        b = nf(cofactor_times(tail_j, lead_j, lead_i, supports[i]))
         if a == b:
             continue
         c = kern.compare(ko, a, b)
@@ -171,9 +190,15 @@ def _inter_reduce(basis, order, budgets):
     ko = kernel_order(order)
     by_lead = sorted(basis, key=functools.cmp_to_key(lambda a, b: kern.compare(ko, a[0], b[0])))
     kept = []
+    by_first = {}  # variable -> (lead, support) of kept leads whose support starts there
     for lead, tail in by_lead:
-        if not any(mono_divides(kl, lead) for kl, _ in kept):
-            kept.append((lead, tail))
+        support = tuple(v for v, e in enumerate(lead) if e)
+        # only a lead whose support lies inside this one's can divide it, and it
+        # divides iff it is no larger on its own support
+        if any(all(kl[v] <= lead[v] for v in ks) for u in support for kl, ks in by_first.get(u, ())):
+            continue
+        kept.append((lead, tail))
+        by_first.setdefault(support[0], []).append((lead, support))
     kb = kern.Basis(order.nvars)
     for lead, tail in kept:
         kb.append(lead, tail)
@@ -339,7 +364,6 @@ _RANKING_KEYS = {
 class OrderSearchConfig:
     rankings: tuple = ("row-major", "column-major", "diagonal")
     kinds: tuple = ("degrevlex", "deglex", "lex")
-    budgets: EngineBudgets = field(default=DEFAULT_BUDGETS)
 
 
 def named_ranking(name, variables):
@@ -352,7 +376,7 @@ def named_ranking(name, variables):
     return tuple(idx)
 
 
-def find_quadratic_order(gens, variables, config=OrderSearchConfig()):
+def find_quadratic_order(gens, variables, config=OrderSearchConfig(), budgets=DEFAULT_BUDGETS):
     """First order in the strategy family whose reduced basis is quadratic and squarefree."""
     nvars = len(variables)
     candidates = []
@@ -361,7 +385,7 @@ def find_quadratic_order(gens, variables, config=OrderSearchConfig()):
         for kind in config.kinds:
             candidates.append(MonomialOrder(kind, nvars, ranking))
     for order in candidates:
-        gb = buchberger(gens, order, budgets=config.budgets)
+        gb = buchberger(gens, order, budgets=budgets)
         if all(b.is_quadratic() and b.is_squarefree() for b in gb.elements):
             return order
     return None

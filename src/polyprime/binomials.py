@@ -77,23 +77,11 @@ def aux_h_key(q):
 # ---------------------------------------------------------------------------
 # monomial helpers: dense exponent tuples
 
-def mono_one(nvars):
-    return (0,) * nvars
-
-
 def mono_from_indices(nvars, indices):
     e = [0] * nvars
     for i in indices:
         e[i] += 1
     return tuple(e)
-
-
-def mono_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def mono_divides(a, b):
-    return all(x <= y for x, y in zip(a, b))
 
 
 def mono_degree(a):

@@ -25,12 +25,6 @@ class EdgeInterval:
         if self.span[1] <= self.span[0]:
             raise ValueError("an edge interval must contain at least one edge")
 
-    def contains_vertex(self, point):
-        x, y = point
-        if self.orientation == "v":
-            return x == self.line and self.span[0] <= y <= self.span[1]
-        return y == self.line and self.span[0] <= x <= self.span[1]
-
 
 def _runs(flags):
     """Maximal runs of consecutive True positions; (start, end) spans inclusive-exclusive -> inclusive edges."""

@@ -134,7 +134,7 @@ def verify_polyomino(poly, config=VerifyConfig()):
         if config.search_quadratic:
             found = staged(
                 "quadratic_order",
-                lambda: find_quadratic_order(gens, gvars, config.order_search))
+                lambda: find_quadratic_order(gens, gvars, config.order_search, budgets=config.budgets))
             report.quadratic_order = None if found is None else found.to_json(gvars)
     except (BudgetExceededError, LimitExceededError) as exc:
         report.incomplete = True

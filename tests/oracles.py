@@ -5,23 +5,54 @@ library code under test: enumeration by subset filtering and by growth on
 cell tuples, hole detection via the Euler characteristic, induced-cycle
 search by subset inspection, alternating cycle search by DFS over
 segments, dense linear algebra for degree-bounded ideal membership,
-textbook monomial-order comparators, and normal forms rewritten on
-exponent tuples.
+textbook monomial-order comparators, a dense weight-row comparator,
+and normal forms rewritten on exponent tuples.
 
-The last section is the exception: a sign-blind binomial comparison,
-cycle checks and dihedral images that build on the package's types. The
-package itself never needs them.
+The last two sections are the exceptions. One is the Buchberger engine as
+it was before it worked over lead supports, scanning dense exponent
+tuples; it runs on the package's kernel, so that a differential test can
+check that the two engines make the same kernel calls. The other holds a
+sign-blind binomial comparison, cycle checks and dihedral images that
+build on the package's types. The package itself never needs them.
 """
 
+import functools
+import heapq
 from fractions import Fraction
 from itertools import combinations
 
-from polyprime.binomials import Binomial, grid_key, mono_from_indices
+from polyprime import kernel as _kernel
+from polyprime.algebra import DEFAULT_BUDGETS, GroebnerBasis
+from polyprime.binomials import GREATER, ZERO, Binomial, grid_key, kernel_order, mono_from_indices
+from polyprime.errors import BudgetExceededError
 from polyprime.graph import _intersection
 from polyprime.grid import Polyomino
 from polyprime.intervals import maximal_edge_intervals
 
 STEPS = ((1, 0), (-1, 0), (0, 1), (0, -1))
+
+
+# ---------------------------------------------------------------------------
+# monomials and edge intervals
+
+def mono_one(nvars):
+    return (0,) * nvars
+
+
+def mono_mul(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def mono_divides(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+def contains_vertex(interval, point):
+    """Does the EdgeInterval pass through the grid vertex ``point``?"""
+    x, y = point
+    if interval.orientation == "v":
+        return x == interval.line and interval.span[0] <= y <= interval.span[1]
+    return y == interval.line and interval.span[0] <= x <= interval.span[1]
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +314,28 @@ def direct_degrevlex(a, b, ranking):
     return 0
 
 
+def direct_block(a, b, blocks):
+    """Block order from (kind, ranking) pairs: the first block that differs decides."""
+    for kind, ranking in blocks:
+        sub_a = tuple(a[i] for i in ranking)
+        sub_b = tuple(b[i] for i in ranking)
+        local = range(len(ranking))
+        c = {"lex": direct_lex, "deglex": direct_deglex, "degrevlex": direct_degrevlex}[kind](
+            sub_a, sub_b, local)
+        if c:
+            return c
+    return 0
+
+
+def dense_weight_compare(rows, a, b):
+    """Compare the images of a and b under dense weight rows, row by row."""
+    for row in rows:
+        s = sum(w * (x - y) for w, x, y in zip(row, a, b))
+        if s:
+            return 1 if s > 0 else -1
+    return 0
+
+
 # ---------------------------------------------------------------------------
 # normal form on exponent tuples
 
@@ -306,6 +359,99 @@ def tuple_normal_form(rules, mono, budget):
                 changed = True
                 break
     return m
+
+
+# ---------------------------------------------------------------------------
+# reference engine: dense exponent-tuple loops, on the package's kernel
+
+def dense_buchberger(gens, order, budgets=DEFAULT_BUDGETS):
+    """Canonical reduced Groebner basis of a pure-difference binomial ideal."""
+    kern = _kernel.get_kernel()
+    ko = kernel_order(order)
+    kb = kern.Basis(order.nvars)
+    basis = []
+    seen = set()
+
+    def push_element(plus, minus):
+        if len(basis) >= budgets.elements:
+            raise BudgetExceededError(f"basis element budget {budgets.elements} exhausted")
+        basis.append((plus, minus))
+        kb.append(plus, minus)
+        k = len(basis) - 1
+        for i in range(k):
+            lead_i = basis[i][0]
+            lcm_deg = 0
+            coprime = True
+            for x, y in zip(lead_i, plus):
+                if x:
+                    if y:
+                        coprime = False
+                    lcm_deg += x if x > y else y
+                else:
+                    lcm_deg += y
+            # coprime leading terms: the S-pair reduces to zero, never enqueue it
+            if not coprime:
+                heapq.heappush(pairs, (lcm_deg, i, k))
+
+    def nf(mono):
+        out = kb.normal_form(mono, budgets.reduction_steps)
+        if out is None:
+            raise BudgetExceededError(f"reduction step budget {budgets.reduction_steps} exhausted")
+        return out
+
+    pairs = []
+    for g in gens:
+        if g is ZERO:
+            raise ValueError("generators must be nonzero")
+        c = kern.compare(ko, g.plus, g.minus)
+        plus, minus = (g.plus, g.minus) if c == GREATER else (g.minus, g.plus)
+        if (plus, minus) in seen:
+            continue
+        seen.add((plus, minus))
+        push_element(plus, minus)
+
+    processed = 0
+    while pairs:
+        _, i, j = heapq.heappop(pairs)
+        processed += 1
+        if processed > budgets.pairs:
+            raise BudgetExceededError(f"S-pair budget {budgets.pairs} exhausted")
+        lead_i, tail_i = basis[i]
+        lead_j, tail_j = basis[j]
+        # S-binomial of (lead_i - tail_i, lead_j - tail_j): both lcm cofactors applied
+        a = nf(tuple((y if y > x else x) - x + t for x, y, t in zip(lead_i, lead_j, tail_i)))
+        b = nf(tuple((y if y > x else x) - y + t for x, y, t in zip(lead_i, lead_j, tail_j)))
+        if a == b:
+            continue
+        c = kern.compare(ko, a, b)
+        plus, minus = (a, b) if c == GREATER else (b, a)
+        if (plus, minus) in seen:
+            continue
+        seen.add((plus, minus))
+        push_element(plus, minus)
+
+    return dense_inter_reduce(basis, order, budgets)
+
+
+def dense_inter_reduce(basis, order, budgets):
+    """Canonical reduced basis from a (possibly redundant) Groebner basis."""
+    kern = _kernel.get_kernel()
+    ko = kernel_order(order)
+    by_lead = sorted(basis, key=functools.cmp_to_key(lambda a, b: kern.compare(ko, a[0], b[0])))
+    kept = []
+    for lead, tail in by_lead:
+        if not any(mono_divides(kl, lead) for kl, _ in kept):
+            kept.append((lead, tail))
+    kb = kern.Basis(order.nvars)
+    for lead, tail in kept:
+        kb.append(lead, tail)
+    elements = []
+    for lead, tail in kept:
+        nf_tail = kb.normal_form(tail, budgets.reduction_steps)
+        if nf_tail is None:
+            raise BudgetExceededError(f"reduction step budget {budgets.reduction_steps} exhausted")
+        elements.append(Binomial(lead, nf_tail))
+    return GroebnerBasis(order, tuple(elements), reduced=True)
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +516,7 @@ def is_primitive(poly, cycle):
     vert, horiz = maximal_edge_intervals(poly)
     pts = set(cycle.points)
     for interval in list(vert) + list(horiz):
-        hits = sum(1 for p in pts if interval.contains_vertex(p))
+        hits = sum(1 for p in pts if contains_vertex(interval, p))
         if hits > 2:
             return False
     return True

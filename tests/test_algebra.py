@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from oracles import same_up_to_sign
+from oracles import mono_mul, mono_one, same_up_to_sign
 from polyprime import (
     Binomial,
     ZERO,
@@ -42,12 +42,10 @@ from polyprime.binomials import (
     VariableSet,
     block_order,
     mono_from_indices,
-    mono_mul,
-    mono_one,
     order_from_json,
 )
 from polyprime.errors import BudgetExceededError, VariableSetMismatchError
-from polyprime.grid import random_polyomino
+from polyprime.grid import Polyomino, random_polyomino
 
 
 def simple_vars(n):
@@ -108,6 +106,17 @@ class TestCompareAgainstTextbook:
         ):
             order = MonomialOrder(kind, n, ranking)
             assert compare(order, a, b) == direct(a, b, ranking), (kind, ranking, a, b)
+
+    @settings(max_examples=200, deadline=None)
+    @given(vectors, st.data())
+    def test_block_orders_match_direct_definition(self, vec, data):
+        ranking, (a, b) = vec
+        n = len(ranking)
+        cut = data.draw(st.integers(min_value=0, max_value=n))
+        kinds = data.draw(st.tuples(*[st.sampled_from(("lex", "deglex", "degrevlex"))] * 2))
+        blocks = [(k, tuple(r)) for k, r in zip(kinds, (ranking[:cut], ranking[cut:])) if r]
+        order = block_order(n, blocks)
+        assert compare(order, a, b) == oracles.direct_block(a, b, blocks), (blocks, a, b)
 
     @settings(max_examples=120, deadline=None)
     @given(vectors, st.tuples(*[st.integers(0, 3)] * 5))
@@ -396,6 +405,17 @@ class TestQuadraticOrderSearch:
             assert found is not None
             gb = buchberger(gens, found)
             assert all(b.is_quadratic() and b.is_squarefree() for b in gb.elements)
+
+    def test_budgets_reach_every_candidate_order(self):
+        # a simple hexomino with no quadratic order among the nine: the
+        # default order finishes in 30 S-pairs, diagonal degrevlex needs 31
+        poly = Polyomino([(0, 0), (0, 2), (1, 0), (1, 1), (1, 2), (2, 1)])
+        gvars = grid_variables(poly)
+        gens = inner_minors(poly, gvars)
+        buchberger(gens, default_grid_order(gvars), budgets=EngineBudgets(pairs=30))
+        with pytest.raises(BudgetExceededError):
+            find_quadratic_order(gens, gvars, budgets=EngineBudgets(pairs=30))
+        assert find_quadratic_order(gens, gvars, budgets=EngineBudgets(pairs=31)) is None
 
 
 class TestWitnessGap:

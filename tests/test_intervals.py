@@ -86,8 +86,8 @@ class TestIntervalGraph:
     def test_edge_labels_are_the_intersections(self, square2):
         g = build_interval_graph(square2)
         for p, q, (x, y) in g.edges:
-            assert g.v_intervals[p].contains_vertex((x, y))
-            assert g.h_intervals[q].contains_vertex((x, y))
+            assert oracles.contains_vertex(g.v_intervals[p], (x, y))
+            assert oracles.contains_vertex(g.h_intervals[q], (x, y))
 
     @settings(max_examples=50, deadline=None)
     @given(random_polys)

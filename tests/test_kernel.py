@@ -11,9 +11,9 @@ from hypothesis import given, settings, strategies as st
 import oracles
 import polyprime
 from polyprime import _kernel_py as pure, buchberger, grid_variables, inner_minors, kernel
-from polyprime.algebra import default_grid_order
-from polyprime.binomials import degrevlex_order, mono_from_indices
-from polyprime.errors import LimitExceededError
+from polyprime.algebra import EngineBudgets, default_grid_order, named_ranking
+from polyprime.binomials import Binomial, MonomialOrder, block_order, degrevlex_order, mono_from_indices
+from polyprime.errors import BudgetExceededError, LimitExceededError
 
 # the directory holding the polyprime package these tests import
 PACKAGE_ROOT = str(Path(polyprime.__file__).resolve().parents[1])
@@ -74,6 +74,95 @@ def test_engine_calls_kernel_through_module_attributes(monkeypatch, annulus):
     assert counts["compare"] > 0
     if kern is pure:
         assert counts["normal_form"] > 0
+
+
+KINDS = ("lex", "deglex", "degrevlex")
+
+
+@st.composite
+def monomial_orders(draw, nvars):
+    """lex, deglex or degrevlex on a random ranking, or a two-block order."""
+    ranking = tuple(draw(st.permutations(range(nvars))))
+    if nvars > 1 and draw(st.booleans()):
+        cut = draw(st.integers(min_value=1, max_value=nvars - 1))
+        return block_order(nvars, [(draw(st.sampled_from(KINDS)), ranking[:cut]),
+                                   (draw(st.sampled_from(KINDS)), ranking[cut:])])
+    return MonomialOrder(draw(st.sampled_from(KINDS)), nvars, ranking)
+
+
+@st.composite
+def binomial_ideals(draw):
+    """(generators, order): up to 4 pure-difference binomials in up to 8 variables, exponents 0-3."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    monos = st.tuples(*[st.integers(0, 3)] * n)
+    terms = draw(st.lists(st.tuples(monos, monos).filter(lambda t: t[0] != t[1]),
+                          min_size=1, max_size=4))
+    return [Binomial(a, b) for a, b in terms], draw(monomial_orders(n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=1, max_value=8).flatmap(
+    lambda n: st.tuples(monomial_orders(n), st.lists(
+        st.tuples(*[st.integers(0, 5)] * n), min_size=2, max_size=2))))
+def test_python_compare_matches_dense_weight_rows(data):
+    order, (a, b) = data
+    rows = order.weight_rows()
+    ko = pure.Order(rows)
+    assert ko.nvars == order.nvars
+    assert pure.compare(ko, a, b) == oracles.dense_weight_compare(rows, a, b)
+
+
+def traced_engine(engine, gens, order, budgets):
+    """(reduced basis or budget error text, log of kernel calls) of one engine run.
+
+    Wraps the kernel attributes the way perfbench's tracer does; the
+    compiled kernel's Basis methods cannot be replaced, so there only
+    ``compare`` is logged.
+    """
+    kern = kernel.get_kernel()
+    calls = []
+
+    def logged(name, fn):
+        def wrapper(*args):
+            calls.append((name,) + args[1:])
+            return fn(*args)
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kern, "compare", logged("compare", kern.compare))
+        if kern is pure:
+            mp.setattr(kern.Basis, "append", logged("append", kern.Basis.append))
+            mp.setattr(kern.Basis, "normal_form", logged("normal_form", kern.Basis.normal_form))
+        try:
+            out = engine(gens, order, budgets=budgets).elements
+        except BudgetExceededError as exc:
+            out = str(exc)
+    return out, calls
+
+
+def assert_same_engine_run(gens, order, budgets):
+    got, got_calls = traced_engine(buchberger, gens, order, budgets)
+    want, want_calls = traced_engine(oracles.dense_buchberger, gens, order, budgets)
+    assert got == want
+    # the same calls with the same arguments in the same order, so the same counts
+    assert got_calls == want_calls
+
+
+@settings(max_examples=200, deadline=None)
+@given(binomial_ideals())
+def test_engine_matches_dense_reference(ideal):
+    # small budgets keep the random ideals cheap; a run that exhausts one
+    # must raise the same error after the same calls
+    gens, order = ideal
+    assert_same_engine_run(gens, order, EngineBudgets(pairs=300, elements=80, reduction_steps=100_000))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("ranking", ("row-major", "column-major", "diagonal"))
+def test_engine_matches_dense_reference_on_annulus(annulus, kind, ranking):
+    gvars = grid_variables(annulus)
+    order = MonomialOrder(kind, len(gvars), named_ranking(ranking, gvars))
+    assert_same_engine_run(inner_minors(annulus, gvars), order, EngineBudgets())
 
 
 @st.composite

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import pytest
 
+from polyprime import verify
 from polyprime.errors import BudgetExceededError, InvariantViolationError
 from polyprime.algebra import EngineBudgets
 from polyprime.grid import enumerate_polyominoes
@@ -52,6 +53,20 @@ class TestVerifyPolyomino:
         report = err.value.report
         assert report.incomplete is True
         assert report.error
+
+    def test_order_search_runs_under_the_config_budgets(self, monkeypatch, domino):
+        seen = []
+        search = verify.find_quadratic_order
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs.get("budgets"))
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(verify, "find_quadratic_order", spy)
+        budgets = EngineBudgets(pairs=99_999)
+        report = verify_polyomino(domino, VerifyConfig(budgets=budgets, search_quadratic=True))
+        assert report.quadratic_order is not None
+        assert seen == [budgets]
 
 
 class TestReportInvariants:
