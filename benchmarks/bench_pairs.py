@@ -5,9 +5,10 @@ The parent commit is exported with ``git archive`` into a directory beside
 the working tree (``--workdir``; a fresh temporary directory by default),
 so no worktree entry is left in ``.git``. For each workload and each seed,
 ``perfbench/run.py --trace 0 --workload W --seed S --seconds T`` then runs
-once in the parent tree and once in the working tree, and the side that
-runs first alternates from pair to pair, so that a slow spell on the host
-does not always fall on the same side.
+once in the parent tree and once in the working tree, for every workload
+in BENCHMARK.json and with its ``run_seconds`` as T. The side that runs
+first alternates from pair to pair, so that a slow spell on the host does
+not always fall on the same side. Both sides must report the same kernel.
 
 The record holds, per workload and end-to-end metric, each side's median
 and quartiles, the number of pairs the change won, the relative change
@@ -18,7 +19,7 @@ how many items failed.
 Usage, from the repository root:
 
     python3 benchmarks/bench_pairs.py --parent HEAD --label sparse_engine \\
-        --change "what the change does" --workload orders --seeds 301-310
+        --change "what the change does" --seeds 301-310
 """
 
 import argparse
@@ -117,18 +118,14 @@ def main():
     parser.add_argument("--parent", required=True, help="commit to compare the working tree against")
     parser.add_argument("--label", required=True, help="writes benchmarks/BENCH_<label>.json")
     parser.add_argument("--change", required=True, help="one line saying what the change does")
-    parser.add_argument("--workload", action="append", choices=("sweep_pool", "verify", "orders"),
-                        help="repeatable; default all three")
     parser.add_argument("--seeds", default="101-110", help="one pair per seed, e.g. 301-310")
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="run length; default run_seconds from BENCHMARK.json")
     parser.add_argument("--workdir", default=None, help="where to export the parent tree")
     args = parser.parse_args()
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    seconds = args.seconds if args.seconds is not None else bench["run_seconds"]
+    seconds = bench["run_seconds"]
     metrics_spec = {m["name"]: m for m in bench["end_to_end"]}
-    workloads = args.workload or [w["name"] for w in bench["workloads"]]
+    workloads = [w["name"] for w in bench["workloads"]]
     seeds = parse_seeds(args.seeds)
     if len(seeds) < 2:
         parser.error("quartiles need at least two seeds")
@@ -155,6 +152,10 @@ def main():
                 wall = result["metrics"].get("wall_s", {}).get("value")
                 print(f"{workload} seed={seed} {side}: correct={result['correct']} "
                       f"failed={result['failed']} wall_s={wall}", file=sys.stderr, flush=True)
+            kernels.discard(None)
+            if len(kernels) > 1:
+                sys.exit(f"runs used different kernels ({', '.join(sorted(kernels))}); "
+                         "no record written")
             pairs.append(pair)
         end_to_end[workload] = summarise(pairs, metrics_spec)
 
@@ -165,7 +166,7 @@ def main():
         "machine": machine(),
         "cpus": os.cpu_count(),
         "python": platform.python_version(),
-        "kernel": ",".join(sorted(k for k in kernels if k)),
+        "kernel": "".join(kernels),
         "command": f"python3 perfbench/run.py --trace 0 --workload W --seed SEED --seconds {seconds:g}",
         "seeds": seeds,
         "pairs": "one pair per seed; parent and change alternate which runs first, parent first on the first seed",

@@ -190,15 +190,13 @@ def _inter_reduce(basis, order, budgets):
     ko = kernel_order(order)
     by_lead = sorted(basis, key=functools.cmp_to_key(lambda a, b: kern.compare(ko, a[0], b[0])))
     kept = []
-    by_first = {}  # variable -> (lead, support) of kept leads whose support starts there
+    supports = []  # (lead, support) of each kept element
     for lead, tail in by_lead:
-        support = tuple(v for v, e in enumerate(lead) if e)
-        # only a lead whose support lies inside this one's can divide it, and it
-        # divides iff it is no larger on its own support
-        if any(all(kl[v] <= lead[v] for v in ks) for u in support for kl, ks in by_first.get(u, ())):
+        # a kept lead divides this one iff it is no larger on its own support
+        if any(all(kl[v] <= lead[v] for v in ks) for kl, ks in supports):
             continue
         kept.append((lead, tail))
-        by_first.setdefault(support[0], []).append((lead, support))
+        supports.append((lead, tuple(v for v, e in enumerate(lead) if e)))
     kb = kern.Basis(order.nvars)
     for lead, tail in kept:
         kb.append(lead, tail)

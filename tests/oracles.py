@@ -327,15 +327,6 @@ def direct_block(a, b, blocks):
     return 0
 
 
-def dense_weight_compare(rows, a, b):
-    """Compare the images of a and b under dense weight rows, row by row."""
-    for row in rows:
-        s = sum(w * (x - y) for w, x, y in zip(row, a, b))
-        if s:
-            return 1 if s > 0 else -1
-    return 0
-
-
 # ---------------------------------------------------------------------------
 # normal form on exponent tuples
 

@@ -100,18 +100,6 @@ def binomial_ideals(draw):
     return [Binomial(a, b) for a, b in terms], draw(monomial_orders(n))
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.integers(min_value=1, max_value=8).flatmap(
-    lambda n: st.tuples(monomial_orders(n), st.lists(
-        st.tuples(*[st.integers(0, 5)] * n), min_size=2, max_size=2))))
-def test_python_compare_matches_dense_weight_rows(data):
-    order, (a, b) = data
-    rows = order.weight_rows()
-    ko = pure.Order(rows)
-    assert ko.nvars == order.nvars
-    assert pure.compare(ko, a, b) == oracles.dense_weight_compare(rows, a, b)
-
-
 def traced_engine(engine, gens, order, budgets):
     """(reduced basis or budget error text, log of kernel calls) of one engine run.
 
@@ -216,18 +204,12 @@ def test_python_normal_form_exponent_limit():
 
 
 @settings(max_examples=150, deadline=None)
-@given(
-    st.integers(min_value=1, max_value=6).flatmap(
-        lambda n: st.tuples(
-            st.permutations(range(n)),
-            st.lists(st.tuples(*[st.integers(0, 5)] * n), min_size=2, max_size=2),
-        )
-    )
-)
+@given(st.integers(min_value=1, max_value=6).flatmap(
+    lambda n: st.tuples(monomial_orders(n), st.lists(
+        st.tuples(*[st.integers(0, 5)] * n), min_size=2, max_size=2))))
 def test_compare_identical_across_kernels(fast, data):
-    ranking, (a, b) = data
-    n = len(ranking)
-    rows = degrevlex_order(n, tuple(ranking)).weight_rows()
+    order, (a, b) = data
+    rows = order.weight_rows()
     assert pure.compare(pure.Order(rows), a, b) == fast.compare(fast.Order(rows), a, b)
 
 
