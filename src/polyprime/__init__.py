@@ -31,10 +31,8 @@ from polyprime.grid import (
 from polyprime.intervals import IntervalGraph, build_interval_graph, maximal_edge_intervals
 from polyprime.graph import (
     GraphCycle,
-    PolyoCycle,
     chordless_cycles,
     cycle_binomial,
-    graph_cycle_to_polyo_cycle,
     is_weakly_chordal,
 )
 from polyprime.algebra import (
@@ -62,7 +60,6 @@ __all__ = [
     "IntervalGraph",
     "MonomialOrder",
     "Polyomino",
-    "PolyoCycle",
     "VariableSet",
     "ZERO",
     "backend_name",
@@ -75,7 +72,6 @@ __all__ = [
     "degrevlex_order",
     "enumerate_polyominoes",
     "find_quadratic_order",
-    "graph_cycle_to_polyo_cycle",
     "grid_variables",
     "ideal_equal",
     "ideal_member",

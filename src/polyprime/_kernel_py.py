@@ -46,6 +46,9 @@ class Order:
 
 def compare(order, a, b):
     """Three-way compare of exponent tuples under the weight-matrix order."""
+    n = order.nvars
+    if len(a) != n or len(b) != n:
+        raise ValueError("exponent tuple has wrong length")
     if a == b:
         return 0
     for row in order.rows:

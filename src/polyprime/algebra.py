@@ -20,10 +20,7 @@ from polyprime.binomials import (
     Binomial,
     GREATER,
     MonomialOrder,
-    VariableSet,
     ZERO,
-    aux_h_key,
-    aux_v_key,
     block_order,
     degrevlex_order,
     kernel_order,
@@ -31,7 +28,7 @@ from polyprime.binomials import (
     render_binomial,
 )
 from polyprime.errors import BudgetExceededError, InternalInconsistencyError
-from polyprime.graph import chordless_cycles, cycle_binomial, graph_cycle_to_polyo_cycle
+from polyprime.graph import chordless_cycles, cycle_binomial
 from polyprime.grid import grid_variables, inner_minors
 from polyprime.intervals import build_interval_graph
 
@@ -48,30 +45,37 @@ DEFAULT_BUDGETS = EngineBudgets()
 
 @dataclass(frozen=True)
 class GroebnerBasis:
+    """The reduced Groebner basis of an ideal under ``order``, sorted by lead."""
+
     order: MonomialOrder
     elements: tuple
-    reduced: bool = True
 
     def __len__(self):
         return len(self.elements)
 
 
+def _orient(ko, a, b):
+    """(lead, tail): the larger of two distinct monomials under kernel order ``ko`` first."""
+    return (a, b) if _kernel.get_kernel().compare(ko, a, b) == GREATER else (b, a)
+
+
 class Reducer:
-    """Packed rewrite system for repeated normal forms against a fixed basis."""
+    """Packed rewrite system: normal forms under one step budget.
+
+    Starts from ``elements``, binomials whose plus side is the lead;
+    ``append`` adds further rules lead -> tail.
+    """
 
     __slots__ = ("kb", "steps")
 
-    def __init__(self, elements, order, budgets=DEFAULT_BUDGETS, oriented=True):
-        kern = _kernel.get_kernel()
-        self.kb = kern.Basis(order.nvars)
+    def __init__(self, elements, order, budgets=DEFAULT_BUDGETS):
+        self.kb = _kernel.get_kernel().Basis(order.nvars)
         self.steps = budgets.reduction_steps
-        ko = kernel_order(order)
         for b in elements:
-            if oriented:
-                plus, minus = b.plus, b.minus
-            else:
-                plus, minus = (b.plus, b.minus) if kern.compare(ko, b.plus, b.minus) == GREATER else (b.minus, b.plus)
-            self.kb.append(plus, minus)
+            self.kb.append(b.plus, b.minus)
+
+    def append(self, lead, tail):
+        self.kb.append(lead, tail)
 
     def monomial(self, mono):
         out = self.kb.normal_form(tuple(mono), self.steps)
@@ -91,15 +95,17 @@ def reduce(f, basis, order, budgets=DEFAULT_BUDGETS):
     """Normal form of a binomial modulo a list of binomials; Binomial or ZERO."""
     if f is ZERO:
         return ZERO
-    red = Reducer(basis, order, budgets=budgets, oriented=False)
+    ko = kernel_order(order)
+    red = Reducer((), order, budgets=budgets)
+    for b in basis:
+        red.append(*_orient(ko, b.plus, b.minus))
     return red.binomial(f)
 
 
 def buchberger(gens, order, budgets=DEFAULT_BUDGETS):
     """Canonical reduced Groebner basis of a pure-difference binomial ideal."""
-    kern = _kernel.get_kernel()
     ko = kernel_order(order)
-    kb = kern.Basis(order.nvars)
+    red = Reducer((), order, budgets=budgets)
     basis = []
     supports = []     # per element: the variables its lead uses
     degrees = []      # per element: the total degree of its lead
@@ -115,7 +121,7 @@ def buchberger(gens, order, budgets=DEFAULT_BUDGETS):
         basis.append((plus, minus))
         supports.append(support)
         degrees.append(deg)
-        kb.append(plus, minus)
+        red.append(plus, minus)
         # leads sharing no variable with this one are coprime: their S-pair
         # reduces to zero, so only partners found through the index are
         # enqueued; keys are unique, so the pop order ignores push order
@@ -135,12 +141,6 @@ def buchberger(gens, order, budgets=DEFAULT_BUDGETS):
                 shared += x if x < y else y
             heapq.heappush(pairs, (degrees[i] + deg - shared, i, k))
 
-    def nf(mono):
-        out = kb.normal_form(mono, budgets.reduction_steps)
-        if out is None:
-            raise BudgetExceededError(f"reduction step budget {budgets.reduction_steps} exhausted")
-        return out
-
     def cofactor_times(tail, lead, other, other_support):
         """tail * lcm(lead, other) / lead: add the positive part of other - lead."""
         out = list(tail)
@@ -154,8 +154,7 @@ def buchberger(gens, order, budgets=DEFAULT_BUDGETS):
     for g in gens:
         if g is ZERO:
             raise ValueError("generators must be nonzero")
-        c = kern.compare(ko, g.plus, g.minus)
-        plus, minus = (g.plus, g.minus) if c == GREATER else (g.minus, g.plus)
+        plus, minus = _orient(ko, g.plus, g.minus)
         if (plus, minus) in seen:
             continue
         seen.add((plus, minus))
@@ -170,12 +169,11 @@ def buchberger(gens, order, budgets=DEFAULT_BUDGETS):
         lead_i, tail_i = basis[i]
         lead_j, tail_j = basis[j]
         # S-binomial of (lead_i - tail_i, lead_j - tail_j): both lcm cofactors applied
-        a = nf(cofactor_times(tail_i, lead_i, lead_j, supports[j]))
-        b = nf(cofactor_times(tail_j, lead_j, lead_i, supports[i]))
+        a = red.monomial(cofactor_times(tail_i, lead_i, lead_j, supports[j]))
+        b = red.monomial(cofactor_times(tail_j, lead_j, lead_i, supports[i]))
         if a == b:
             continue
-        c = kern.compare(ko, a, b)
-        plus, minus = (a, b) if c == GREATER else (b, a)
+        plus, minus = _orient(ko, a, b)
         if (plus, minus) in seen:
             continue
         seen.add((plus, minus))
@@ -197,16 +195,10 @@ def _inter_reduce(basis, order, budgets):
             continue
         kept.append((lead, tail))
         supports.append((lead, tuple(v for v, e in enumerate(lead) if e)))
-    kb = kern.Basis(order.nvars)
+    red = Reducer((), order, budgets=budgets)
     for lead, tail in kept:
-        kb.append(lead, tail)
-    elements = []
-    for lead, tail in kept:
-        nf_tail = kb.normal_form(tail, budgets.reduction_steps)
-        if nf_tail is None:
-            raise BudgetExceededError(f"reduction step budget {budgets.reduction_steps} exhausted")
-        elements.append(Binomial(lead, nf_tail))
-    return GroebnerBasis(order, tuple(elements), reduced=True)
+        red.append(lead, tail)
+    return GroebnerBasis(order, tuple(Binomial(lead, red.monomial(tail)) for lead, tail in kept))
 
 
 def ideal_member(f, gb, budgets=DEFAULT_BUDGETS):
@@ -220,7 +212,7 @@ def _as_generators(side):
 
 
 def _ensure_gb(side, order, budgets):
-    if isinstance(side, GroebnerBasis) and side.order == order and side.reduced:
+    if isinstance(side, GroebnerBasis) and side.order == order:
         return side
     return buchberger(_as_generators(side), order, budgets=budgets)
 
@@ -283,24 +275,6 @@ def default_grid_order(variables):
     return degrevlex_order(len(variables))
 
 
-def _combined_ring(poly, graph, gvars):
-    m, n = graph.m, graph.n
-    names = [f"v{p + 1}" for p in range(m)] + [f"h{q + 1}" for q in range(n)]
-    keys = [aux_v_key(p + 1) for p in range(m)] + [aux_h_key(q + 1) for q in range(n)]
-    names.extend(gvars.names)
-    keys.extend(gvars.keys)
-    combined = VariableSet(names, keys)
-    aux_count = m + n
-    order = block_order(
-        len(combined),
-        [
-            ("degrevlex", range(aux_count)),
-            ("degrevlex", range(aux_count, len(combined))),
-        ],
-    )
-    return combined, aux_count, order
-
-
 def toric_ideal_elimination(poly, grid_order=None, budgets=DEFAULT_BUDGETS):
     """Kernel of the edge-ring parametrization, computed by block elimination.
 
@@ -312,8 +286,11 @@ def toric_ideal_elimination(poly, grid_order=None, budgets=DEFAULT_BUDGETS):
     gvars = grid_variables(poly)
     graph = build_interval_graph(poly)
     tmap = toric_map(poly, graph, gvars)
-    combined, aux_count, elim_order = _combined_ring(poly, graph, gvars)
-    total = len(combined)
+    # the auxiliary variables v_1..v_m, h_1..h_n come first, as one block
+    aux_count = graph.m + graph.n
+    total = aux_count + len(gvars)
+    elim_order = block_order(
+        total, [("degrevlex", range(aux_count)), ("degrevlex", range(aux_count, total))])
     gens = []
     for idx in range(len(gvars)):
         p, q = tmap.images[idx]
@@ -334,18 +311,16 @@ def toric_ideal_elimination(poly, grid_order=None, budgets=DEFAULT_BUDGETS):
         ko = kernel_order(base_order)
         elements = sorted(
             eliminated, key=functools.cmp_to_key(lambda a, b: kern.compare(ko, a.plus, b.plus)))
-        return GroebnerBasis(base_order, tuple(elements), reduced=True)
+        return GroebnerBasis(base_order, tuple(elements))
     return buchberger(eliminated, grid_order, budgets=budgets)
 
 
-def toric_ideal_cycles(poly, max_len=None, budget=10 ** 6, variables=None):
+def toric_ideal_cycles(poly, max_len=None, variables=None):
     """Cycle binomials f_C for all chordless cycles of the interval graph."""
     variables = variables if variables is not None else grid_variables(poly)
     graph = build_interval_graph(poly)
-    out = []
-    for gc in chordless_cycles(graph, min_len=4, max_len=max_len, budget=budget):
-        out.append(cycle_binomial(graph_cycle_to_polyo_cycle(graph, gc), variables))
-    return out
+    return [cycle_binomial(graph, gc, variables)
+            for gc in chordless_cycles(graph, min_len=4, max_len=max_len)]
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +335,8 @@ _RANKING_KEYS = {
 
 @dataclass(frozen=True)
 class OrderSearchConfig:
+    """The nine orders ``find_quadratic_order`` tries: each ranking under each kind."""
+
     rankings: tuple = ("row-major", "column-major", "diagonal")
     kinds: tuple = ("degrevlex", "deglex", "lex")
 
@@ -374,13 +351,14 @@ def named_ranking(name, variables):
     return tuple(idx)
 
 
-def find_quadratic_order(gens, variables, config=OrderSearchConfig(), budgets=DEFAULT_BUDGETS):
-    """First order in the strategy family whose reduced basis is quadratic and squarefree."""
+def find_quadratic_order(gens, variables, budgets=DEFAULT_BUDGETS):
+    """First order of the OrderSearchConfig family whose reduced basis is quadratic and squarefree."""
     nvars = len(variables)
+    family = OrderSearchConfig()
     candidates = []
-    for name in config.rankings:
+    for name in family.rankings:
         ranking = named_ranking(name, variables)
-        for kind in config.kinds:
+        for kind in family.kinds:
             candidates.append(MonomialOrder(kind, nvars, ranking))
     for order in candidates:
         gb = buchberger(gens, order, budgets=budgets)
@@ -448,6 +426,6 @@ def witness_gap(poly, budgets=DEFAULT_BUDGETS):
 def gb_to_json(gb, variables):
     return {
         "order": gb.order.to_json(variables),
-        "reduced": gb.reduced,
+        "reduced": True,
         "elements": [render_binomial(b, variables) for b in gb.elements],
     }

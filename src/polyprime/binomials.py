@@ -26,8 +26,7 @@ class VariableSet:
     """An ordered set of named variables.
 
     ``keys`` are structured identities, one per variable: ``('x', (i, j))``
-    for a grid vertex, ``('v', (p,))`` / ``('h', (q,))`` for the auxiliary
-    interval variables of the edge-ring parametrization.
+    for a grid vertex.
     """
 
     __slots__ = ("names", "keys", "_by_key")
@@ -64,14 +63,6 @@ class VariableSet:
 
 def grid_key(point):
     return ("x", (int(point[0]), int(point[1])))
-
-
-def aux_v_key(p):
-    return ("v", (int(p),))
-
-
-def aux_h_key(q):
-    return ("h", (int(q),))
 
 
 # ---------------------------------------------------------------------------

@@ -36,40 +36,31 @@ def _add_input_flags(sub):
     sub.add_argument("--file", help="path to a grid file (ASCII art or JSON)")
 
 
-def _add_common_flags(sub):
-    sub.add_argument("--order", help="monomial order as JSON, e.g. "
-                     '\'{"kind":"degrevlex","ranking":"row-major"}\'')
-    sub.add_argument("--budget-pairs", type=int, default=algebra.DEFAULT_BUDGETS.pairs)
-    sub.add_argument("--budget-elems", type=int, default=algebra.DEFAULT_BUDGETS.elements)
-    sub.add_argument("--max-cycle-len", type=int, default=None)
-    sub.add_argument("--format", choices=("text", "json"), default="text")
-    sub.add_argument("--no-timings", action="store_true")
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="polyprime",
         description="Polyomino ideals: inner minors, toric ideals, and verification sweeps.")
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, needs_input in (
-        ("parse", True),
-        ("check-simple", True),
-        ("graph", True),
-        ("gens", True),
-        ("toric", True),
-        ("gb", True),
-        ("verify", True),
-        ("sweep", False),
-    ):
+    # each subcommand takes only the flags it reads; argparse rejects the rest
+    for name in ("parse", "check-simple", "graph", "gens", "toric", "gb", "verify", "sweep"):
         sub = subs.add_parser(name)
-        if needs_input:
+        if name != "sweep":
             _add_input_flags(sub)
-        _add_common_flags(sub)
+        if name in ("toric", "gb"):
+            sub.add_argument("--order", help="monomial order as JSON, e.g. "
+                             '\'{"kind":"degrevlex","ranking":"row-major"}\'')
+        if name in ("toric", "gb", "verify", "sweep"):
+            sub.add_argument("--budget-pairs", type=int, default=algebra.DEFAULT_BUDGETS.pairs)
+            sub.add_argument("--budget-elems", type=int, default=algebra.DEFAULT_BUDGETS.elements)
         if name == "toric":
+            sub.add_argument("--max-cycle-len", type=int, default=None)
             sub.add_argument("oracle", nargs="?", choices=("elimination", "cycles"),
                              default="elimination")
+        if name in ("verify", "sweep"):
+            sub.add_argument("--no-timings", action="store_true")
         if name == "sweep":
             sub.add_argument("n", type=int)
+        sub.add_argument("--format", choices=("text", "json"), default="text")
     return parser
 
 

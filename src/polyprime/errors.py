@@ -37,10 +37,6 @@ class VariableSetMismatchError(PolyprimeError):
     """Operands belong to different variable sets."""
 
 
-class MissingVertexError(PolyprimeError):
-    """A required interval intersection is not a vertex of the polyomino."""
-
-
 class InternalInconsistencyError(PolyprimeError):
     """Two independent decision paths disagreed; indicates an engine bug."""
 

@@ -1,11 +1,9 @@
 """Cycle machinery on interval graphs.
 
 Graph cycles live in the bipartite interval graph (vertices = maximal
-intervals); polyomino cycles are closed alternating sequences of grid
-vertices whose consecutive segments are edge intervals. A graph cycle maps
-to a primitive polyomino cycle by intersecting consecutive intervals, and
-both carry the same attached binomial: odd-position product minus
-even-position product.
+intervals). Consecutive intervals of a cycle meet in grid vertices, and
+the cycle's binomial multiplies the variables of those meeting points,
+alternately on the plus and the minus side.
 """
 
 from __future__ import annotations
@@ -13,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from polyprime.binomials import Binomial, grid_key, mono_from_indices
-from polyprime.errors import LimitExceededError, MissingVertexError
+from polyprime.errors import LimitExceededError
 
 DEFAULT_CYCLE_BUDGET = 10 ** 6
 
@@ -50,24 +48,6 @@ def _canonical_pairs(pairs):
         for k in range(r):
             candidates.append(base[k:] + base[:k])
     return min(candidates)
-
-
-@dataclass(frozen=True)
-class PolyoCycle:
-    """Closed cycle of grid vertices; segments alternate horizontal/vertical."""
-
-    points: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "points", tuple((int(x), int(y)) for x, y in self.points))
-        if len(self.points) < 4 or len(self.points) % 2:
-            raise ValueError("a cycle needs an even number (>= 4) of vertices")
-        if len(set(self.points)) != len(self.points):
-            raise ValueError("cycle vertices must be distinct")
-
-    def segments(self):
-        pts = self.points
-        return [(pts[k], pts[(k + 1) % len(pts)]) for k in range(len(pts))]
 
 
 # ---------------------------------------------------------------------------
@@ -126,13 +106,13 @@ def chordless_cycles(graph, min_len=4, max_len=None, budget=DEFAULT_CYCLE_BUDGET
         yield GraphCycle(pairs)
 
 
-def is_weakly_chordal(graph, budget=DEFAULT_CYCLE_BUDGET):
+def is_weakly_chordal(graph):
     """True iff every cycle of length greater than 4 has a chord.
 
     In a bipartite graph all cycles are even, so this checks for chordless
     cycles of length >= 6.
     """
-    for _ in chordless_cycles(graph, min_len=6, budget=budget):
+    for _ in chordless_cycles(graph, min_len=6):
         return False
     return True
 
@@ -153,32 +133,18 @@ def graph_is_connected(graph):
 
 
 # ---------------------------------------------------------------------------
-# graph cycles <-> polyomino cycles, attached binomials
+# attached binomials
 
-def graph_cycle_to_polyo_cycle(graph, cycle):
-    """Intersect consecutive intervals of a graph cycle into a polyomino cycle."""
+def cycle_binomial(graph, cycle, variables):
+    """f_C for the cycle v_1, h_1, ..., v_r, h_r (indices mod r).
+
+    The plus side multiplies x(v_k meet h_k), the minus side x(v_(k+1) meet h_k).
+    """
     pairs = cycle.pairs
     r = len(pairs)
-    points = []
-    for k in range(r):
-        i_k, j_k = pairs[k]
-        i_next = pairs[(k + 1) % r][0]
-        points.append(_intersection(graph, i_k, j_k))
-        points.append(_intersection(graph, i_next, j_k))
-    return PolyoCycle(tuple(points))
-
-
-def _intersection(graph, p, q):
-    if (p, q) not in graph.edge_pairs:
-        raise MissingVertexError(
-            f"intervals v{p + 1} and h{q + 1} do not meet in a vertex of the polyomino")
-    return graph.label(p, q)
-
-
-def cycle_binomial(cycle, variables):
-    """Product over odd-position vertices minus product over even-position vertices."""
-    pts = cycle.points
     n = len(variables)
-    plus = mono_from_indices(n, (variables.index(grid_key(p)) for p in pts[0::2]))
-    minus = mono_from_indices(n, (variables.index(grid_key(p)) for p in pts[1::2]))
+    plus = mono_from_indices(n, (variables.index(grid_key(graph.label(i, j))) for i, j in pairs))
+    minus = mono_from_indices(
+        n, (variables.index(grid_key(graph.label(pairs[(k + 1) % r][0], j)))
+            for k, (_, j) in enumerate(pairs)))
     return Binomial(plus, minus)

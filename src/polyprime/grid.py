@@ -29,13 +29,6 @@ def cell_vertices(cell):
     return ((x, y), (x + 1, y), (x, y + 1), (x + 1, y + 1))
 
 
-def cell_edges(cell):
-    """The four edges of a cell as sorted vertex pairs."""
-    x, y = cell
-    a, b, c, d = (x, y), (x + 1, y), (x, y + 1), (x + 1, y + 1)
-    return ((a, b), (a, c), (b, d), (c, d))
-
-
 def is_connected(cells):
     """True iff the cells form one component under shared-edge adjacency.
 
@@ -68,7 +61,7 @@ def normalize_cells(cells):
 class Polyomino:
     """Immutable, canonically translated polyomino."""
 
-    __slots__ = ("cells", "cells_sorted", "_vertices", "_edges")
+    __slots__ = ("cells", "cells_sorted", "_vertices")
 
     def __init__(self, cells):
         cells = set(tuple(map(int, c)) for c in cells)
@@ -89,7 +82,6 @@ class Polyomino:
         self.cells_sorted = cells_sorted
         self.cells = frozenset(cells_sorted)
         self._vertices = None
-        self._edges = None
 
     def __len__(self):
         return len(self.cells)
@@ -119,15 +111,6 @@ class Polyomino:
                 vs.update(cell_vertices(c))
             self._vertices = frozenset(vs)
         return self._vertices
-
-    @property
-    def edges(self):
-        if self._edges is None:
-            es = set()
-            for c in self.cells_sorted:
-                es.update(cell_edges(c))
-            self._edges = frozenset(es)
-        return self._edges
 
 
 def parse_grid(text):
@@ -171,30 +154,21 @@ def from_json_dict(data):
     return Polyomino(cells)
 
 
-def is_simple(poly, within=None):
+def is_simple(poly):
     """True iff the polyomino has no holes.
 
-    Every cell of the surrounding interval that is not in the polyomino
-    must reach, through empty cells sharing edges, a cell strictly outside
-    that interval. ``within`` optionally widens the surrounding interval as
-    ``((x_lo, y_lo), (x_hi, y_hi))`` in cell coordinates; results do not
-    depend on the choice, which the test suite checks rather than assumes.
+    Every cell of the bounding box that is not in the polyomino must
+    reach, through empty cells sharing edges, a cell strictly outside the
+    box.
 
-    The interval plus a one-cell ring around it is a bitmask with one bit
-    per cell, column by column. The fill starts from the ring and grows by
+    The box plus a one-cell ring around it is a bitmask with one bit per
+    cell, column by column. The fill starts from the ring and grows by
     shifts until it stops changing; a shift that wraps from the top of one
     column to the bottom of the next only ever joins two ring cells.
     """
-    w, h = poly.width, poly.height
-    if within is None:
-        lo, hi = (0, 0), (w - 1, h - 1)
-    else:
-        lo, hi = within
-        if not (lo[0] <= 0 and lo[1] <= 0 and hi[0] >= w - 1 and hi[1] >= h - 1):
-            raise ValueError("'within' must contain the polyomino")
-    stride = hi[1] - lo[1] + 3            # bits per column, ring included
-    cols = hi[0] - lo[0] + 3
-    origin = (1 - lo[0]) * stride + 1 - lo[1]
+    stride = poly.height + 2              # bits per column, ring included
+    cols = poly.width + 2
+    origin = stride + 1                   # cell (0, 0), inside the ring
     cells = 0
     for x, y in poly.cells_sorted:
         cells |= 1 << (origin + x * stride + y)

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field, replace
 from polyprime.algebra import (
     DEFAULT_BUDGETS,
     EngineBudgets,
-    OrderSearchConfig,
     buchberger,
     default_grid_order,
     find_quadratic_order,
@@ -33,7 +32,7 @@ from polyprime.errors import (
     InvariantViolationError,
     LimitExceededError,
 )
-from polyprime.graph import DEFAULT_CYCLE_BUDGET, graph_is_connected, is_weakly_chordal
+from polyprime.graph import graph_is_connected, is_weakly_chordal
 from polyprime.grid import Polyomino, enumerate_polyominoes, grid_variables, inner_minors, is_simple
 from polyprime.intervals import build_interval_graph
 
@@ -44,9 +43,7 @@ SWEEP_SCHEMA = "polyprime.sweep/1"
 @dataclass(frozen=True)
 class VerifyConfig:
     budgets: EngineBudgets = field(default=DEFAULT_BUDGETS)
-    cycle_budget: int = DEFAULT_CYCLE_BUDGET
     search_quadratic: bool = False
-    order_search: OrderSearchConfig = field(default=OrderSearchConfig())
     collect_timings: bool = True
     workers: int = 1
 
@@ -105,8 +102,7 @@ def verify_polyomino(poly, config=VerifyConfig()):
         if not graph_is_connected(graph):
             raise InvariantViolationError(
                 f"interval graph of {list(poly.cells_sorted)} is disconnected")
-        report.weakly_chordal = staged(
-            "weakly_chordal", lambda: is_weakly_chordal(graph, budget=config.cycle_budget))
+        report.weakly_chordal = staged("weakly_chordal", lambda: is_weakly_chordal(graph))
         gvars = grid_variables(poly)
         order = default_grid_order(gvars)
         gens = inner_minors(poly, gvars)
@@ -134,7 +130,7 @@ def verify_polyomino(poly, config=VerifyConfig()):
         if config.search_quadratic:
             found = staged(
                 "quadratic_order",
-                lambda: find_quadratic_order(gens, gvars, config.order_search, budgets=config.budgets))
+                lambda: find_quadratic_order(gens, gvars, budgets=config.budgets))
             report.quadratic_order = None if found is None else found.to_json(gvars)
     except (BudgetExceededError, LimitExceededError) as exc:
         report.incomplete = True

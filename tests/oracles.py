@@ -11,13 +11,16 @@ and normal forms rewritten on exponent tuples.
 The last two sections are the exceptions. One is the Buchberger engine as
 it was before it worked over lead supports, scanning dense exponent
 tuples; it runs on the package's kernel, so that a differential test can
-check that the two engines make the same kernel calls. The other holds a
-sign-blind binomial comparison, cycle checks and dihedral images that
-build on the package's types. The package itself never needs them.
+check that the two engines make the same kernel calls. The other holds the
+polyomino-cycle model (a graph cycle mapped to its grid points, and the
+binomial read off those points), a sign-blind binomial comparison, cycle
+checks and dihedral images, all built on the package's types. The package
+itself never needs them.
 """
 
 import functools
 import heapq
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -25,7 +28,6 @@ from polyprime import kernel as _kernel
 from polyprime.algebra import DEFAULT_BUDGETS, GroebnerBasis
 from polyprime.binomials import GREATER, ZERO, Binomial, grid_key, kernel_order, mono_from_indices
 from polyprime.errors import BudgetExceededError
-from polyprime.graph import _intersection
 from polyprime.grid import Polyomino
 from polyprime.intervals import maximal_edge_intervals
 
@@ -442,7 +444,7 @@ def dense_inter_reduce(basis, order, budgets):
         if nf_tail is None:
             raise BudgetExceededError(f"reduction step budget {budgets.reduction_steps} exhausted")
         elements.append(Binomial(lead, nf_tail))
-    return GroebnerBasis(order, tuple(elements), reduced=True)
+    return GroebnerBasis(order, tuple(elements))
 
 
 # ---------------------------------------------------------------------------
@@ -450,6 +452,46 @@ def dense_inter_reduce(basis, order, budgets):
 
 def same_up_to_sign(a, b):
     return a == b or (a.plus == b.minus and a.minus == b.plus)
+
+
+@dataclass(frozen=True)
+class PolyoCycle:
+    """Closed cycle of grid vertices; segments alternate horizontal/vertical."""
+
+    points: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "points", tuple((int(x), int(y)) for x, y in self.points))
+        if len(self.points) < 4 or len(self.points) % 2:
+            raise ValueError("a cycle needs an even number (>= 4) of vertices")
+        if len(set(self.points)) != len(self.points):
+            raise ValueError("cycle vertices must be distinct")
+
+    def segments(self):
+        pts = self.points
+        return [(pts[k], pts[(k + 1) % len(pts)]) for k in range(len(pts))]
+
+
+def graph_cycle_to_polyo_cycle(graph, cycle):
+    """Intersect consecutive intervals of a graph cycle into a polyomino cycle."""
+    pairs = cycle.pairs
+    r = len(pairs)
+    points = []
+    for k in range(r):
+        i_k, j_k = pairs[k]
+        i_next = pairs[(k + 1) % r][0]
+        points.append(graph.label(i_k, j_k))
+        points.append(graph.label(i_next, j_k))
+    return PolyoCycle(tuple(points))
+
+
+def polyo_cycle_binomial(cycle, variables):
+    """Product over odd-position vertices minus product over even-position vertices."""
+    pts = cycle.points
+    n = len(variables)
+    plus = mono_from_indices(n, (variables.index(grid_key(p)) for p in pts[0::2]))
+    minus = mono_from_indices(n, (variables.index(grid_key(p)) for p in pts[1::2]))
+    return Binomial(plus, minus)
 
 
 def _segment_points(a, b):
@@ -463,10 +505,10 @@ def _segment_points(a, b):
     raise ValueError(f"segment {a}-{b} is not axis-aligned")
 
 
-def _segment_is_edge_interval(poly, a, b):
+def _segment_is_edge_interval(edges, a, b):
     pts = _segment_points(a, b)
     return all(
-        tuple(sorted((pts[k], pts[k + 1]))) in poly.edges for k in range(len(pts) - 1)
+        tuple(sorted((pts[k], pts[k + 1]))) in edges for k in range(len(pts) - 1)
     )
 
 
@@ -474,32 +516,16 @@ def validate_polyo_cycle(poly, cycle):
     """Raise ValueError unless the cycle's segments are alternating edge intervals of the polyomino."""
     pts = cycle.points
     m = len(pts)
+    edges = polyomino_edges(poly.cells)
     orientations = []
     for k in range(m):
         a, b = pts[k], pts[(k + 1) % m]
-        if not _segment_is_edge_interval(poly, a, b):
+        if not _segment_is_edge_interval(edges, a, b):
             raise ValueError(f"segment {a}-{b} is not an edge interval of the polyomino")
         orientations.append("h" if a[1] == b[1] else "v")
     for k in range(m):
         if orientations[k] == orientations[(k + 1) % m]:
             raise ValueError("consecutive segments must alternate orientation")
-
-
-def graph_cycle_binomial(graph, cycle, variables):
-    """The same binomial computed from the graph-side formula, for cross-checking."""
-    pairs = cycle.pairs
-    r = len(pairs)
-    n = len(variables)
-    plus = mono_from_indices(
-        n, (variables.index(grid_key(_intersection(graph, i, j))) for i, j in pairs))
-    minus = mono_from_indices(
-        n,
-        (
-            variables.index(grid_key(_intersection(graph, pairs[(k + 1) % r][0], pairs[k][1])))
-            for k in range(r)
-        ),
-    )
-    return Binomial(plus, minus)
 
 
 def is_primitive(poly, cycle):

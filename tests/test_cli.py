@@ -215,3 +215,15 @@ class TestUsage:
     def test_missing_file_exits_2(self, capsys):
         code, _, _ = run(capsys, "parse", "--file", "/nonexistent/shape.txt")
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--grid", "##", "--order", '{"kind":"lex","ranking":"column-major"}'),
+        ("parse", "--grid", "##", "--budget-pairs", "1"),
+        ("gb", "--grid", "##", "--no-timings"),
+        ("sweep", "2", "--max-cycle-len", "4"),
+    ], ids=["verify-order", "parse-budget-pairs", "gb-no-timings", "sweep-max-cycle-len"])
+    def test_flag_the_subcommand_does_not_read_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(list(argv))
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

@@ -7,20 +7,26 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from polyprime import (
     GraphCycle,
-    PolyoCycle,
     build_interval_graph,
     chordless_cycles,
     cycle_binomial,
     enumerate_polyominoes,
-    graph_cycle_to_polyo_cycle,
     grid_variables,
     inner_intervals,
     is_weakly_chordal,
     parse_grid,
     render_binomial,
+    toric_ideal_cycles,
 )
-from oracles import graph_cycle_binomial, has_self_crossing, is_primitive, validate_polyo_cycle
-from polyprime.errors import LimitExceededError, MissingVertexError
+from oracles import (
+    PolyoCycle,
+    graph_cycle_to_polyo_cycle,
+    has_self_crossing,
+    is_primitive,
+    polyo_cycle_binomial,
+    validate_polyo_cycle,
+)
+from polyprime.errors import LimitExceededError
 
 
 class SyntheticBipartite:
@@ -144,11 +150,6 @@ class TestCycleConversion:
         assert len(pc.points) == 6
         assert is_primitive(square2, pc)
 
-    def test_missing_vertex_raises(self):
-        graph = SyntheticBipartite(2, 2, {(0, 0), (1, 0), (1, 1)})
-        with pytest.raises(MissingVertexError):
-            graph_cycle_to_polyo_cycle(graph, GraphCycle(((0, 0), (1, 1))))
-
     def test_images_are_primitive_small_sweep(self):
         for n in range(1, 5):
             for poly in enumerate_polyominoes(n):
@@ -181,14 +182,15 @@ class TestPrimitivity:
 class TestCycleBinomial:
     def test_unit_cell(self, cell):
         gvars = grid_variables(cell)
-        pc = PolyoCycle(((0, 0), (1, 0), (1, 1), (0, 1)))
-        b = cycle_binomial(pc, gvars)
-        assert render_binomial(b, gvars) == "x(0,0)*x(1,1) - x(0,1)*x(1,0)"
+        g = build_interval_graph(cell)
+        (gc,) = chordless_cycles(g, 4, 4)
+        assert render_binomial(cycle_binomial(g, gc, gvars), gvars) == "x(0,0)*x(1,1) - x(0,1)*x(1,0)"
 
     def test_square2_outer(self, square2):
         gvars = grid_variables(square2)
-        pc = PolyoCycle(((0, 0), (2, 0), (2, 2), (0, 2)))
-        assert render_binomial(cycle_binomial(pc, gvars), gvars) == "x(0,0)*x(2,2) - x(0,2)*x(2,0)"
+        g = build_interval_graph(square2)
+        b = cycle_binomial(g, GraphCycle(((0, 0), (2, 2))), gvars)
+        assert render_binomial(b, gvars) == "x(0,0)*x(2,2) - x(0,2)*x(2,0)"
 
     def test_annulus_octagon_both_formulas_agree(self, annulus):
         gvars = grid_variables(annulus)
@@ -196,21 +198,23 @@ class TestCycleBinomial:
         gc = GraphCycle(((0, 0), (1, 1), (2, 2), (3, 3)))
         pc = graph_cycle_to_polyo_cycle(g, gc)
         validate_polyo_cycle(annulus, pc)
-        from_points = cycle_binomial(pc, gvars)
-        from_graph = graph_cycle_binomial(g, gc, gvars)
+        from_points = polyo_cycle_binomial(pc, gvars)
+        from_graph = cycle_binomial(g, gc, gvars)
         assert from_points == from_graph
         assert from_points.degree == 4
         assert render_binomial(from_points, gvars) == (
             "x(0,0)*x(1,1)*x(2,2)*x(3,3) - x(0,3)*x(1,0)*x(2,1)*x(3,2)")
 
     def test_formulas_agree_on_all_small_cycles(self):
-        for n in range(1, 5):
+        # the toric generators, cycle for cycle and in order, against the binomials
+        # read off each cycle's grid points
+        for n in range(1, 8):
             for poly in enumerate_polyominoes(n):
                 g = build_interval_graph(poly)
                 gvars = grid_variables(poly)
-                for gc in chordless_cycles(g, 4):
-                    pc = graph_cycle_to_polyo_cycle(g, gc)
-                    assert cycle_binomial(pc, gvars) == graph_cycle_binomial(g, gc, gvars)
+                from_points = [polyo_cycle_binomial(graph_cycle_to_polyo_cycle(g, gc), gvars)
+                               for gc in chordless_cycles(g, 4)]
+                assert toric_ideal_cycles(poly, variables=gvars) == from_points, poly
 
 
 class TestBijection:

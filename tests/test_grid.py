@@ -132,29 +132,11 @@ class TestSimple:
         verdicts = {is_simple(img) for img in symmetry_images(poly)}
         assert len(verdicts) == 1
 
-    def test_simple_independent_of_containing_interval(self):
-        # the answer must not depend on which surrounding interval is used
-        for poly in shapes_upto(5):
-            base = is_simple(poly)
-            widened = is_simple(poly, within=((-2, -1), (poly.width + 1, poly.height + 2)))
-            assert base == widened
-        annulus = parse_grid("###\n#.#\n###")
-        assert not is_simple(annulus, within=((-3, -3), (5, 5)))
-
     def test_octominoes_agree_with_euler_characteristic(self):
         octominoes = list(enumerate_polyominoes(8))
         verdicts = [is_simple(p) for p in octominoes]
         assert verdicts == [oracles.euler_is_simple(p.cells) for p in octominoes]
         assert (len(octominoes), verdicts.count(False)) == (2725, 41)
-
-    def test_octominoes_in_widened_box(self):
-        for poly in enumerate_polyominoes(8):
-            within = ((-3, -1), (poly.width, poly.height + 4))
-            assert is_simple(poly, within=within) == oracles.euler_is_simple(poly.cells), poly
-
-    def test_within_must_contain_polyomino(self, square2):
-        with pytest.raises(ValueError):
-            is_simple(square2, within=((0, 0), (0, 0)))
 
 
 class TestInnerIntervals:

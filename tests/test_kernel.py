@@ -203,14 +203,35 @@ def test_python_normal_form_exponent_limit():
         basis.normal_form((1, 0, 0), 10)
 
 
-@settings(max_examples=150, deadline=None)
+def test_python_compare_rejects_wrong_width():
+    order = pure.Order(degrevlex_order(2).weight_rows())
+    assert pure.compare(order, (1, 0), (0, 1)) == 1
+    for a, b in (((1, 0, 7), (0, 1, 0)), ((1,), (0, 1)), ((1, 0), (0, 1, 0)), ((1, 0, 0), (1, 0, 0))):
+        with pytest.raises(ValueError, match="exponent tuple has wrong length"):
+            pure.compare(order, a, b)
+
+
+def compare_or_error(kern, rows, a, b):
+    try:
+        return kern.compare(kern.Order(rows), a, b)
+    except ValueError as exc:
+        return str(exc)
+
+
+def exponent_tuples(n):
+    """Mostly n entries, sometimes n - 1 or n + 1."""
+    return st.sampled_from((n,) * 5 + (n - 1, n + 1)).flatmap(
+        lambda width: st.tuples(*[st.integers(0, 5)] * width))
+
+
+@settings(max_examples=300, deadline=None)
 @given(st.integers(min_value=1, max_value=6).flatmap(
-    lambda n: st.tuples(monomial_orders(n), st.lists(
-        st.tuples(*[st.integers(0, 5)] * n), min_size=2, max_size=2))))
+    lambda n: st.tuples(monomial_orders(n), st.tuples(exponent_tuples(n), exponent_tuples(n)))))
 def test_compare_identical_across_kernels(fast, data):
+    # a wrong width must raise the same error in both kernels
     order, (a, b) = data
     rows = order.weight_rows()
-    assert pure.compare(pure.Order(rows), a, b) == fast.compare(fast.Order(rows), a, b)
+    assert compare_or_error(pure, rows, a, b) == compare_or_error(fast, rows, a, b)
 
 
 @settings(max_examples=100, deadline=None)
