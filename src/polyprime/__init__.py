@@ -40,13 +40,10 @@ from polyprime.algebra import (
     GroebnerBasis,
     buchberger,
     find_quadratic_order,
-    ideal_equal,
     ideal_member,
-    reduce,
     toric_ideal_cycles,
     toric_ideal_elimination,
     toric_map,
-    witness_gap,
 )
 from polyprime.kernel import backend_name
 
@@ -73,7 +70,6 @@ __all__ = [
     "enumerate_polyominoes",
     "find_quadratic_order",
     "grid_variables",
-    "ideal_equal",
     "ideal_member",
     "inner_intervals",
     "inner_minors",
@@ -83,11 +79,9 @@ __all__ = [
     "lex_order",
     "maximal_edge_intervals",
     "parse_grid",
-    "reduce",
     "render_binomial",
     "to_text",
     "toric_ideal_cycles",
     "toric_ideal_elimination",
     "toric_map",
-    "witness_gap",
 ]

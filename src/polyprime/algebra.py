@@ -27,9 +27,9 @@ from polyprime.binomials import (
     mono_from_indices,
     render_binomial,
 )
-from polyprime.errors import BudgetExceededError, InternalInconsistencyError
+from polyprime.errors import BudgetExceededError
 from polyprime.graph import chordless_cycles, cycle_binomial
-from polyprime.grid import grid_variables, inner_minors
+from polyprime.grid import grid_variables
 from polyprime.intervals import build_interval_graph
 
 
@@ -91,17 +91,6 @@ class Reducer:
         return Binomial(plus, minus)
 
 
-def reduce(f, basis, order, budgets=DEFAULT_BUDGETS):
-    """Normal form of a binomial modulo a list of binomials; Binomial or ZERO."""
-    if f is ZERO:
-        return ZERO
-    ko = kernel_order(order)
-    red = Reducer((), order, budgets=budgets)
-    for b in basis:
-        red.append(*_orient(ko, b.plus, b.minus))
-    return red.binomial(f)
-
-
 def buchberger(gens, order, budgets=DEFAULT_BUDGETS):
     """Canonical reduced Groebner basis of a pure-difference binomial ideal."""
     ko = kernel_order(order)
@@ -110,7 +99,7 @@ def buchberger(gens, order, budgets=DEFAULT_BUDGETS):
     supports = []     # per element: the variables its lead uses
     degrees = []      # per element: the total degree of its lead
     by_variable = {}  # variable -> elements whose lead uses it
-    seen = set()
+    seen = set()      # oriented generators, so that a repeated one is pushed once
 
     def push_element(plus, minus):
         if len(basis) >= budgets.elements:
@@ -171,13 +160,10 @@ def buchberger(gens, order, budgets=DEFAULT_BUDGETS):
         # S-binomial of (lead_i - tail_i, lead_j - tail_j): both lcm cofactors applied
         a = red.monomial(cofactor_times(tail_i, lead_i, lead_j, supports[j]))
         b = red.monomial(cofactor_times(tail_j, lead_j, lead_i, supports[i]))
-        if a == b:
-            continue
-        plus, minus = _orient(ko, a, b)
-        if (plus, minus) in seen:
-            continue
-        seen.add((plus, minus))
-        push_element(plus, minus)
+        # a and b are normal forms modulo every lead so far, so the new lead
+        # is divisible by none of them and cannot repeat an element
+        if a != b:
+            push_element(*_orient(ko, a, b))
 
     return _inter_reduce(basis, order, budgets)
 
@@ -202,7 +188,8 @@ def _inter_reduce(basis, order, budgets):
 
 
 def ideal_member(f, gb, budgets=DEFAULT_BUDGETS):
-    return reduce(f, gb.elements, gb.order, budgets=budgets) is ZERO
+    """True iff ``f`` reduces to zero modulo the reduced basis ``gb``."""
+    return f is ZERO or Reducer(gb.elements, gb.order, budgets=budgets).binomial(f) is ZERO
 
 
 def _as_generators(side):
@@ -228,15 +215,6 @@ def ideal_equal_paths(gens_a, gens_b, order, budgets=DEFAULT_BUDGETS):
     )
     identity = gb_a.elements == gb_b.elements
     return mutual, identity
-
-
-def ideal_equal(gens_a, gens_b, order, budgets=DEFAULT_BUDGETS):
-    """Decide equality of two binomial ideals; both decision paths must agree."""
-    mutual, identity = ideal_equal_paths(gens_a, gens_b, order, budgets=budgets)
-    if mutual != identity:
-        raise InternalInconsistencyError(
-            f"ideal equality paths disagree: mutual-reduction={mutual}, basis-identity={identity}")
-    return identity
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +244,7 @@ class ToricMap:
 def toric_map(poly, graph=None, variables=None):
     graph = graph if graph is not None else build_interval_graph(poly)
     variables = variables if variables is not None else grid_variables(poly)
-    images = tuple(graph.intervals_through(key[1]) for key in variables.keys)
+    images = tuple(graph.intervals_through(point) for point in variables.points)
     return ToricMap(graph.m, graph.n, images)
 
 
@@ -345,7 +323,7 @@ def named_ranking(name, variables):
     key = _RANKING_KEYS[name]
     idx = sorted(
         range(len(variables)),
-        key=lambda i: key(*variables.keys[i][1]),
+        key=lambda i: key(*variables.points[i]),
         reverse=True,
     )
     return tuple(idx)
@@ -371,7 +349,7 @@ def find_quadratic_order(gens, variables, budgets=DEFAULT_BUDGETS):
 # gap witness
 
 def _witness_key(binomial, variables):
-    verts = [variables.keys[i][1] for i in binomial.support()]
+    verts = [variables.points[i] for i in binomial.support()]
     xs = [v[0] for v in verts]
     ys = [v[1] for v in verts]
     area = (max(xs) - min(xs)) * (max(ys) - min(ys))
@@ -386,7 +364,7 @@ def _present(binomial, variables):
     """
 
     def side_key(mono):
-        return tuple(sorted((variables.keys[i][1], e) for i, e in enumerate(mono) if e))
+        return tuple(sorted((variables.points[i], e) for i, e in enumerate(mono) if e))
 
     if side_key(binomial.minus) < side_key(binomial.plus):
         return binomial.flipped()
@@ -405,22 +383,6 @@ def witness_from_bases(gb_inner, gb_toric, variables, budgets=DEFAULT_BUDGETS):
     if not gaps:
         return None
     return _present(min(gaps, key=lambda g: _witness_key(g, variables)), variables)
-
-
-def witness_gap(poly, budgets=DEFAULT_BUDGETS):
-    """A binomial in the toric ideal but not the inner-minor ideal, or None if equal."""
-    gvars = grid_variables(poly)
-    order = default_grid_order(gvars)
-    gens = inner_minors(poly, gvars)
-    gb_inner = buchberger(gens, order, budgets=budgets)
-    gb_toric = toric_ideal_elimination(poly, order, budgets=budgets)
-    if ideal_equal(gb_inner, gb_toric, order, budgets=budgets):
-        return None
-    witness = witness_from_bases(gb_inner, gb_toric, gvars, budgets=budgets)
-    if witness is None:
-        raise InternalInconsistencyError(
-            "ideals differ but every toric basis element lies in the inner-minor ideal")
-    return witness
 
 
 def gb_to_json(gb, variables):

@@ -13,56 +13,46 @@ degrevlex and block elimination orders, and is what the kernels consume.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 from polyprime import kernel as _kernel
-from polyprime.errors import VariableSetMismatchError
 
 LESS, EQUAL, GREATER = -1, 0, 1
 
 
 class VariableSet:
-    """An ordered set of named variables.
+    """The variables x(i,j), one per grid vertex, in a fixed order.
 
-    ``keys`` are structured identities, one per variable: ``('x', (i, j))``
-    for a grid vertex.
+    ``points[k]`` is the vertex of variable ``k`` and ``names[k]`` its name.
     """
 
-    __slots__ = ("names", "keys", "_by_key")
+    __slots__ = ("points", "names", "_by_point")
 
-    def __init__(self, names, keys):
-        self.names = tuple(names)
-        self.keys = tuple(keys)
-        if len(self.names) != len(self.keys):
-            raise ValueError("names and keys must align")
-        if len(set(self.names)) != len(self.names):
-            raise ValueError("duplicate variable names")
-        self._by_key = {k: i for i, k in enumerate(self.keys)}
-        if len(self._by_key) != len(self.keys):
-            raise ValueError("duplicate variable keys")
+    def __init__(self, points):
+        self.points = tuple(points)
+        self._by_point = {p: k for k, p in enumerate(self.points)}
+        if len(self._by_point) != len(self.points):
+            raise ValueError("duplicate variable points")
+        self.names = tuple(f"x({x},{y})" for x, y in self.points)
 
     def __len__(self):
-        return len(self.names)
+        return len(self.points)
 
     def __eq__(self, other):
-        return isinstance(other, VariableSet) and self.names == other.names and self.keys == other.keys
+        return isinstance(other, VariableSet) and self.points == other.points
 
     def __hash__(self):
-        return hash((self.names, self.keys))
+        return hash(self.points)
 
     def __repr__(self):
         return f"VariableSet({len(self.names)} vars: {', '.join(self.names[:4])}{'...' if len(self.names) > 4 else ''})"
 
-    def index(self, key):
+    def index(self, point):
         try:
-            return self._by_key[key]
+            return self._by_point[point]
         except KeyError:
-            raise KeyError(f"no variable with key {key!r}") from None
-
-
-def grid_key(point):
-    return ("x", (int(point[0]), int(point[1])))
+            raise KeyError(f"no variable at vertex {point!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +124,7 @@ class Binomial:
 
 def render_monomial(mono, variables):
     factors = []
-    order = sorted(range(len(mono)), key=lambda i: variables.keys[i])
+    order = sorted(range(len(mono)), key=lambda i: variables.points[i])
     for i in order:
         e = mono[i]
         if e == 1:
@@ -160,35 +150,27 @@ class MonomialOrder:
 
     ``ranking`` lists variable indices from highest to lowest. For
     ``kind="block"`` the order compares block by block (first block is the
-    elimination block) and ``blocks`` holds the per-block sub-orders, whose
-    rankings use global variable indices.
+    elimination block) and ``blocks`` holds one ``(kind, ranking)`` pair per
+    block, whose ranking lists global variable indices.
     """
 
     kind: str
     nvars: int
     ranking: tuple = ()
-    blocks: tuple = field(default=())
+    blocks: tuple = ()
 
     def __post_init__(self):
-        if self.kind == "block":
-            seen = [i for b in self.blocks for i in b.ranking]
-            if sorted(seen) != list(range(self.nvars)):
-                raise ValueError("block rankings must partition the variables")
-            for b in self.blocks:
-                if b.kind not in _KINDS:
-                    raise ValueError("nested block orders are not supported")
-        else:
-            if self.kind not in _KINDS:
-                raise ValueError(f"unknown order kind {self.kind!r}")
-            if sorted(self.ranking) != list(range(self.nvars)):
-                raise ValueError("ranking must be a permutation of all variables")
+        parts = self.blocks if self.kind == "block" else ((self.kind, self.ranking),)
+        for kind, _ in parts:
+            if kind not in _KINDS:
+                raise ValueError(f"unknown order kind {kind!r}")
+        if sorted(i for _, ranking in parts for i in ranking) != list(range(self.nvars)):
+            raise ValueError("the rankings must partition the variables")
 
     def weight_rows(self):
         if self.kind == "block":
-            rows = []
-            for b in self.blocks:
-                rows.extend(_rows_for(b.kind, b.ranking, self.nvars))
-            return tuple(rows)
+            return tuple(row for kind, ranking in self.blocks
+                         for row in _rows_for(kind, ranking, self.nvars))
         return tuple(_rows_for(self.kind, self.ranking, self.nvars))
 
     def to_json(self, variables=None):
@@ -200,7 +182,7 @@ class MonomialOrder:
         if self.kind == "block":
             return {
                 "kind": "block",
-                "blocks": [{"kind": b.kind, "ranking": names(b.ranking)} for b in self.blocks],
+                "blocks": [{"kind": kind, "ranking": names(ranking)} for kind, ranking in self.blocks],
             }
         return {"kind": self.kind, "ranking": names(self.ranking)}
 
@@ -235,18 +217,7 @@ def degrevlex_order(nvars, ranking=None):
 
 def block_order(nvars, blocks):
     """Block order from (kind, ranking) pairs, first block eliminated first."""
-    subs = tuple(_sub(kind, ranking, nvars) for kind, ranking in blocks)
-    return MonomialOrder("block", nvars, (), subs)
-
-
-def _sub(kind, ranking, nvars):
-    # sub-orders bypass the full-permutation check: they cover one block only
-    sub = object.__new__(MonomialOrder)
-    object.__setattr__(sub, "kind", kind)
-    object.__setattr__(sub, "nvars", nvars)
-    object.__setattr__(sub, "ranking", tuple(ranking))
-    object.__setattr__(sub, "blocks", ())
-    return sub
+    return MonomialOrder("block", nvars, (), tuple((kind, tuple(ranking)) for kind, ranking in blocks))
 
 
 def _default_ranking(nvars, ranking):
@@ -270,8 +241,5 @@ def kernel_order(order):
 
 
 def compare(order, a, b):
-    """Three-way comparison: LESS, EQUAL or GREATER."""
-    if len(a) != order.nvars or len(b) != order.nvars:
-        raise VariableSetMismatchError(
-            f"monomial width {len(a)}/{len(b)} does not match order on {order.nvars} variables")
+    """Three-way comparison: LESS, EQUAL or GREATER; ValueError on a wrong width."""
     return _kernel.get_kernel().compare(kernel_order(order), tuple(a), tuple(b))

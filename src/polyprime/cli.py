@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Subcommands: parse, check-simple, graph, gens, toric, gb, verify, sweep.
+Subcommands: parse, check-simple, graph, gens, toric, cycles, gb, verify, sweep.
 Grids come from --grid (inline, with \\n escapes) or --file, as ASCII art
 or as the JSON form {"cells": [[x, y], ...]}. Every algebraic output embeds
 the monomial order it was computed under, so results are self-describing.
@@ -42,7 +42,7 @@ def build_parser():
         description="Polyomino ideals: inner minors, toric ideals, and verification sweeps.")
     subs = parser.add_subparsers(dest="command", required=True)
     # each subcommand takes only the flags it reads; argparse rejects the rest
-    for name in ("parse", "check-simple", "graph", "gens", "toric", "gb", "verify", "sweep"):
+    for name in ("parse", "check-simple", "graph", "gens", "toric", "cycles", "gb", "verify", "sweep"):
         sub = subs.add_parser(name)
         if name != "sweep":
             _add_input_flags(sub)
@@ -52,10 +52,8 @@ def build_parser():
         if name in ("toric", "gb", "verify", "sweep"):
             sub.add_argument("--budget-pairs", type=int, default=algebra.DEFAULT_BUDGETS.pairs)
             sub.add_argument("--budget-elems", type=int, default=algebra.DEFAULT_BUDGETS.elements)
-        if name == "toric":
+        if name == "cycles":
             sub.add_argument("--max-cycle-len", type=int, default=None)
-            sub.add_argument("oracle", nargs="?", choices=("elimination", "cycles"),
-                             default="elimination")
         if name in ("verify", "sweep"):
             sub.add_argument("--no-timings", action="store_true")
         if name == "sweep":
@@ -131,15 +129,18 @@ def _cmd_gens(args):
 def _cmd_toric(args):
     poly = _load_polyomino(args)
     gvars = grid.grid_variables(poly)
-    if args.oracle == "cycles":
-        gens = algebra.toric_ideal_cycles(poly, max_len=args.max_cycle_len, variables=gvars)
-        rendered = [render_binomial(b, gvars) for b in gens]
-        _emit(args, {"oracle": "cycles", "binomials": rendered}, "\n".join(rendered))
-        return 0
-    order = _grid_order(args, gvars)
-    gb = algebra.toric_ideal_elimination(poly, order, budgets=_budgets(args))
+    gb = algebra.toric_ideal_elimination(poly, _grid_order(args, gvars), budgets=_budgets(args))
     payload = dict(algebra.gb_to_json(gb, gvars), oracle="elimination")
     _emit(args, payload, "\n".join(payload["elements"]))
+    return 0
+
+
+def _cmd_cycles(args):
+    poly = _load_polyomino(args)
+    gvars = grid.grid_variables(poly)
+    gens = algebra.toric_ideal_cycles(poly, max_len=args.max_cycle_len, variables=gvars)
+    rendered = [render_binomial(b, gvars) for b in gens]
+    _emit(args, {"oracle": "cycles", "binomials": rendered}, "\n".join(rendered))
     return 0
 
 
@@ -199,6 +200,7 @@ _COMMANDS = {
     "graph": _cmd_graph,
     "gens": _cmd_gens,
     "toric": _cmd_toric,
+    "cycles": _cmd_cycles,
     "gb": _cmd_gb,
     "verify": _cmd_verify,
     "sweep": _cmd_sweep,

@@ -33,10 +33,6 @@ class BudgetExceededError(PolyprimeError):
     """Groebner engine budget (S-pairs, basis size, or reduction steps) exhausted."""
 
 
-class VariableSetMismatchError(PolyprimeError):
-    """Operands belong to different variable sets."""
-
-
 class InternalInconsistencyError(PolyprimeError):
     """Two independent decision paths disagreed; indicates an engine bug."""
 

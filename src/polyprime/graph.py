@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from polyprime.binomials import Binomial, grid_key, mono_from_indices
+from polyprime.binomials import Binomial, mono_from_indices
 from polyprime.errors import LimitExceededError
 
 DEFAULT_CYCLE_BUDGET = 10 ** 6
@@ -143,8 +143,7 @@ def cycle_binomial(graph, cycle, variables):
     pairs = cycle.pairs
     r = len(pairs)
     n = len(variables)
-    plus = mono_from_indices(n, (variables.index(grid_key(graph.label(i, j))) for i, j in pairs))
+    plus = mono_from_indices(n, (variables.index(graph.label(i, j)) for i, j in pairs))
     minus = mono_from_indices(
-        n, (variables.index(grid_key(graph.label(pairs[(k + 1) % r][0], j)))
-            for k, (_, j) in enumerate(pairs)))
+        n, (variables.index(graph.label(pairs[(k + 1) % r][0], j)) for k, (_, j) in enumerate(pairs)))
     return Binomial(plus, minus)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import os
 from functools import lru_cache
 
-from polyprime.binomials import Binomial, VariableSet, grid_key, mono_from_indices
+from polyprime.binomials import Binomial, VariableSet, mono_from_indices
 from polyprime.errors import (
     BadCharError,
     CapExceededError,
@@ -212,23 +212,18 @@ def grid_variables(poly):
     Ranking (and hence default variable order) is row-major descending on
     (y, x): the top-right vertex is the highest variable.
     """
-    verts = sorted(poly.vertices, key=lambda p: (p[1], p[0]), reverse=True)
-    return VariableSet(
-        names=[f"x({x},{y})" for x, y in verts],
-        keys=[grid_key(p) for p in verts],
-    )
+    return VariableSet(sorted(poly.vertices, key=lambda p: (p[1], p[0]), reverse=True))
 
 
 def inner_minors(poly, variables=None):
     """The inner 2-minors: diagonal product minus anti-diagonal product per inner interval."""
     variables = variables if variables is not None else grid_variables(poly)
     n = len(variables)
+    index = variables.index
     out = []
     for (x1, y1), (x2, y2) in inner_intervals(poly):
-        plus = mono_from_indices(n, (variables.index(grid_key((x1, y1))),
-                                     variables.index(grid_key((x2, y2)))))
-        minus = mono_from_indices(n, (variables.index(grid_key((x1, y2))),
-                                      variables.index(grid_key((x2, y1)))))
+        plus = mono_from_indices(n, (index((x1, y1)), index((x2, y2))))
+        minus = mono_from_indices(n, (index((x1, y2)), index((x2, y1))))
         out.append(Binomial(plus, minus))
     return out
 
@@ -285,9 +280,9 @@ def _level(n):
     return tuple(out)
 
 
-def enumerate_polyominoes(n, cap=None):
+def enumerate_polyominoes(n):
     """Yield every fixed polyomino with n cells once, in sorted canonical order."""
-    cap = enumeration_cap() if cap is None else cap
+    cap = enumeration_cap()
     if n < 1:
         raise ValueError("cell count must be positive")
     if n > cap:

@@ -26,7 +26,7 @@ from itertools import combinations
 
 from polyprime import kernel as _kernel
 from polyprime.algebra import DEFAULT_BUDGETS, GroebnerBasis
-from polyprime.binomials import GREATER, ZERO, Binomial, grid_key, kernel_order, mono_from_indices
+from polyprime.binomials import GREATER, ZERO, Binomial, kernel_order, mono_from_indices
 from polyprime.errors import BudgetExceededError
 from polyprime.grid import Polyomino
 from polyprime.intervals import maximal_edge_intervals
@@ -489,8 +489,8 @@ def polyo_cycle_binomial(cycle, variables):
     """Product over odd-position vertices minus product over even-position vertices."""
     pts = cycle.points
     n = len(variables)
-    plus = mono_from_indices(n, (variables.index(grid_key(p)) for p in pts[0::2]))
-    minus = mono_from_indices(n, (variables.index(grid_key(p)) for p in pts[1::2]))
+    plus = mono_from_indices(n, (variables.index(p) for p in pts[0::2]))
+    minus = mono_from_indices(n, (variables.index(p) for p in pts[1::2]))
     return Binomial(plus, minus)
 
 

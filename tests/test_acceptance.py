@@ -5,6 +5,8 @@ with measured runtimes. Criterion texts are asserted at their stated
 tolerances (violation counts, exact witnesses, runtime bounds).
 """
 
+import hashlib
+import json
 import random
 import time
 
@@ -26,14 +28,15 @@ from polyprime import (
     toric_ideal_cycles,
     toric_ideal_elimination,
     toric_map,
-    witness_gap,
 )
 from polyprime.algebra import default_grid_order, ideal_equal_paths
 from polyprime.binomials import mono_from_indices
 from polyprime.grid import random_polyomino
-from polyprime.verify import VerifyConfig, sweep
+from polyprime.verify import VerifyConfig, sweep, sweep_to_json, verify_polyomino
 
 CONTAINMENT_SEED = 20260808
+# SHA-256 of `polyprime sweep 7 --format json --no-timings`
+SWEEP7_DIGEST = "835d69d945d24b925a400029527f3ff34a652f22853f14de6d8c9b8b28027519"
 
 
 def announce(number, name, ok, elapsed, detail):
@@ -138,10 +141,10 @@ def test_criterion_4_annulus_negative_control():
     gvars = grid_variables(poly)
     order = default_grid_order(gvars)
     simple = is_simple(poly)
-    witness = witness_gap(poly)
+    witness = verify_polyomino(poly).gap_witness
     expected = Binomial(
-        mono_from_indices(len(gvars), (gvars.index(("x", (1, 1))), gvars.index(("x", (2, 2))))),
-        mono_from_indices(len(gvars), (gvars.index(("x", (1, 2))), gvars.index(("x", (2, 1))))),
+        mono_from_indices(len(gvars), (gvars.index((1, 1)), gvars.index((2, 2)))),
+        mono_from_indices(len(gvars), (gvars.index((1, 2)), gvars.index((2, 1)))),
     )
     gb_inner = buchberger(inner_minors(poly, gvars), order)
     gb_toric = toric_ideal_elimination(poly, order)
@@ -176,17 +179,21 @@ def test_criterion_5_non_simple_heptominoes():
     theorem_breaks = [r.cells for r in summary.reports
                       if (r.simple and not (r.weakly_chordal and r.ideals_equal))
                       or (not r.simple and r.ideals_equal)]
+    # the bytes `polyprime sweep 7 --format json --no-timings` prints
+    printed = json.dumps(sweep_to_json(summary, with_timings=False), indent=2) + "\n"
+    digest_ok = hashlib.sha256(printed.encode()).hexdigest() == SWEEP7_DIGEST
     ok = (counts_ok and per_size_ok and witnesses_ok and found_shapes == expected
-          and not theorem_breaks and elapsed < 1800)
+          and not theorem_breaks and digest_ok and elapsed < 1800)
     announce(5, "non-simple heptomino detection in sweep(7)", ok, elapsed,
              f"found {len(found)} non-simple shapes (expected the 4 fixed forms of the "
              f"3x3 ring minus a corner), witnesses nonempty: {witnesses_ok}, "
-             f"{len(theorem_breaks)} theorem violations")
+             f"{len(theorem_breaks)} theorem violations, output digest matches: {digest_ok}")
     assert counts_ok
     assert per_size_ok
     assert witnesses_ok
     assert summary.violations == []
     assert theorem_breaks == []
+    assert digest_ok
     assert elapsed < 1800
     assert len(found) == 4, (
         "expected the 4 fixed forms of the 3x3 ring minus a corner (its diagonal symmetry "

@@ -16,19 +16,17 @@ from polyprime import (
     enumerate_polyominoes,
     find_quadratic_order,
     grid_variables,
-    ideal_equal,
     ideal_member,
     inner_minors,
     lex_order,
-    reduce,
     render_binomial,
     toric_ideal_cycles,
     toric_ideal_elimination,
     toric_map,
-    witness_gap,
 )
 from polyprime.algebra import (
     EngineBudgets,
+    Reducer,
     default_grid_order,
     gb_to_json,
     ideal_equal_paths,
@@ -44,12 +42,9 @@ from polyprime.binomials import (
     mono_from_indices,
     order_from_json,
 )
-from polyprime.errors import BudgetExceededError, VariableSetMismatchError
+from polyprime.errors import BudgetExceededError
 from polyprime.grid import Polyomino, random_polyomino
-
-
-def simple_vars(n):
-    return VariableSet([f"t{i}" for i in range(n)], [("t", (i,)) for i in range(n)])
+from polyprime.verify import verify_polyomino
 
 
 def mono(nvars, *indices):
@@ -74,7 +69,7 @@ class TestCompare:
         assert compare(order, m, m) == EQUAL
 
     def test_width_mismatch(self):
-        with pytest.raises(VariableSetMismatchError):
+        with pytest.raises(ValueError):
             compare(lex_order(2), (1, 0, 0), (0, 1))
 
     def test_block_order_eliminates_first_block(self):
@@ -145,22 +140,26 @@ class TestCompareAgainstTextbook:
 class TestReduce:
     def test_self_reduces_to_zero(self):
         g = Binomial(mono(3, 0, 1), mono(3, 2, 2))
-        assert reduce(g, [g], degrevlex_order(3)) is ZERO
+        order = degrevlex_order(3)
+        assert compare(order, g.plus, g.minus) == GREATER
+        assert Reducer([g], order).binomial(g) is ZERO
+        assert ideal_member(g, buchberger([g], order))
 
     def test_empty_basis_identity(self, cell):
         gvars = grid_variables(cell)
         (minor,) = inner_minors(cell, gvars)
-        assert reduce(minor, [], default_grid_order(gvars)) == minor
+        assert Reducer((), default_grid_order(gvars)).binomial(minor) == minor
 
     def test_hole_minor_not_reducible_by_inner_ideal(self, annulus):
         gvars = grid_variables(annulus)
         order = default_grid_order(gvars)
         gb = buchberger(inner_minors(annulus, gvars), order)
         hole = Binomial(
-            mono_from_indices(len(gvars), (gvars.index(("x", (1, 1))), gvars.index(("x", (2, 2))))),
-            mono_from_indices(len(gvars), (gvars.index(("x", (1, 2))), gvars.index(("x", (2, 1))))),
+            mono_from_indices(len(gvars), (gvars.index((1, 1)), gvars.index((2, 2)))),
+            mono_from_indices(len(gvars), (gvars.index((1, 2)), gvars.index((2, 1)))),
         )
-        assert reduce(hole, gb.elements, order) is not ZERO
+        assert Reducer(gb.elements, order).binomial(hole) is not ZERO
+        assert not ideal_member(hole, gb)
 
 
 class TestBuchberger:
@@ -280,21 +279,24 @@ class TestMembershipAgainstDenseOracle:
 
 
 class TestIdealEqual:
+    """Both decision paths of ``ideal_equal_paths`` give the expected verdict."""
+
     def test_same_generators(self, cell):
         gvars = grid_variables(cell)
         gens = inner_minors(cell, gvars)
-        assert ideal_equal(gens, gens, default_grid_order(gvars))
+        assert ideal_equal_paths(gens, gens, default_grid_order(gvars)) == (True, True)
 
     def test_domino_inner_equals_toric(self, domino):
         gvars = grid_variables(domino)
         order = default_grid_order(gvars)
-        assert ideal_equal(inner_minors(domino, gvars), toric_ideal_elimination(domino, order), order)
+        assert ideal_equal_paths(
+            inner_minors(domino, gvars), toric_ideal_elimination(domino, order), order) == (True, True)
 
     def test_annulus_ideals_differ(self, annulus):
         gvars = grid_variables(annulus)
         order = default_grid_order(gvars)
-        assert not ideal_equal(
-            inner_minors(annulus, gvars), toric_ideal_elimination(annulus, order), order)
+        assert ideal_equal_paths(
+            inner_minors(annulus, gvars), toric_ideal_elimination(annulus, order), order) == (False, False)
 
     def test_both_paths_agree(self, tromino_l, annulus):
         for poly in (tromino_l, annulus):
@@ -317,7 +319,7 @@ class TestToricIdeal:
         gvars = grid_variables(square2)
         order = default_grid_order(gvars)
         gb = toric_ideal_elimination(square2, order)
-        assert ideal_equal(inner_minors(square2, gvars), gb, order)
+        assert ideal_equal_paths(inner_minors(square2, gvars), gb, order) == (True, True)
 
     def test_no_auxiliary_variables_leak(self, square2):
         gvars = grid_variables(square2)
@@ -365,10 +367,8 @@ class TestToricCycles:
 
     def test_annulus_includes_hole_minor(self, annulus):
         gvars = grid_variables(annulus)
-        hole_plus = mono_from_indices(
-            len(gvars), (gvars.index(("x", (1, 1))), gvars.index(("x", (2, 2)))))
-        hole_minus = mono_from_indices(
-            len(gvars), (gvars.index(("x", (1, 2))), gvars.index(("x", (2, 1)))))
+        hole_plus = mono_from_indices(len(gvars), (gvars.index((1, 1)), gvars.index((2, 2))))
+        hole_minus = mono_from_indices(len(gvars), (gvars.index((1, 2)), gvars.index((2, 1))))
         hole = Binomial(hole_plus, hole_minus)
         gens = toric_ideal_cycles(annulus, max_len=4, variables=gvars)
         assert any(same_up_to_sign(b, hole) for b in gens)
@@ -379,7 +379,8 @@ class TestToricCycles:
                 gvars = grid_variables(poly)
                 order = default_grid_order(gvars)
                 cyc = toric_ideal_cycles(poly, variables=gvars)
-                assert ideal_equal(cyc, toric_ideal_elimination(poly, order), order)
+                assert ideal_equal_paths(
+                    cyc, toric_ideal_elimination(poly, order), order) == (True, True)
 
 
 class TestQuadraticOrderSearch:
@@ -421,7 +422,7 @@ class TestQuadraticOrderSearch:
 class TestWitnessGap:
     def test_annulus_hole_minor(self, annulus):
         gvars = grid_variables(annulus)
-        w = witness_gap(annulus)
+        w = verify_polyomino(annulus).gap_witness
         assert render_binomial(w, gvars) == "x(1,1)*x(2,2) - x(1,2)*x(2,1)"
         # confirmed by basis membership on both sides
         order = default_grid_order(gvars)
@@ -431,11 +432,11 @@ class TestWitnessGap:
         assert not ideal_member(w, gb_inner)
 
     def test_rectangle_none(self, rect23):
-        assert witness_gap(rect23) is None
+        assert verify_polyomino(rect23).gap_witness is None
 
     def test_simple_shapes_none(self, tromino_l, square2):
-        assert witness_gap(tromino_l) is None
-        assert witness_gap(square2) is None
+        assert verify_polyomino(tromino_l).gap_witness is None
+        assert verify_polyomino(square2).gap_witness is None
 
 
 class TestValueTypes:
@@ -461,7 +462,30 @@ class TestValueTypes:
 
     def test_variable_set_rejects_duplicates(self):
         with pytest.raises(ValueError):
-            VariableSet(["a", "a"], [("t", (0,)), ("t", (1,))])
+            VariableSet([(0, 0), (1, 0), (0, 0)])
+
+
+class TestGridVariables:
+    def test_points_run_in_descending_row_major_order(self, annulus):
+        gvars = grid_variables(annulus)
+        assert len(gvars) == 16
+        assert list(gvars.points) == sorted(annulus.vertices, key=lambda p: (p[1], p[0]), reverse=True)
+        assert gvars.points[0] == (3, 3) and gvars.points[-1] == (0, 0)
+        assert all(gvars.names[k] == f"x({x},{y})" for k, (x, y) in enumerate(gvars.points))
+
+    def test_index_round_trips_every_vertex(self, annulus):
+        gvars = grid_variables(annulus)
+        for point in annulus.vertices:
+            assert gvars.points[gvars.index(point)] == point
+        assert [gvars.index(p) for p in gvars.points] == list(range(len(gvars)))
+
+    def test_missing_vertex_raises_key_error(self, annulus):
+        # the centre of the hole is no vertex of the annulus
+        gvars = grid_variables(annulus)
+        with pytest.raises(KeyError):
+            gvars.index((1.5, 1.5))
+        with pytest.raises(KeyError):
+            gvars.index((4, 0))
 
 
 class TestSerialization:
@@ -475,6 +499,20 @@ class TestSerialization:
         }
         assert data["elements"] == ["x(0,1)*x(1,0) - x(0,0)*x(1,1)"]
         assert data["reduced"] is True
+
+    def test_two_block_order_rows_and_json(self, domino):
+        # pinned so that the stored block representation can change without moving them
+        gvars = grid_variables(domino)
+        order = block_order(6, [("lex", (4, 1, 5)), ("degrevlex", (3, 0, 2))])
+        assert order.weight_rows() == (
+            (0, 0, 0, 0, 1, 0), (0, 1, 0, 0, 0, 0), (0, 0, 0, 0, 0, 1),
+            (1, 0, 1, 1, 0, 0), (0, 0, -1, 0, 0, 0), (-1, 0, 0, 0, 0, 0))
+        assert order.to_json(gvars) == {"kind": "block", "blocks": [
+            {"kind": "lex", "ranking": ["x(1,0)", "x(1,1)", "x(0,0)"]},
+            {"kind": "degrevlex", "ranking": ["x(2,0)", "x(2,1)", "x(0,1)"]}]}
+        assert order.to_json() == {"kind": "block", "blocks": [
+            {"kind": "lex", "ranking": [4, 1, 5]}, {"kind": "degrevlex", "ranking": [3, 0, 2]}]}
+        assert order_from_json(order.to_json(gvars), gvars) == order
 
     def test_order_round_trip(self, square2):
         gvars = grid_variables(square2)

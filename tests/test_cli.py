@@ -118,7 +118,7 @@ class TestToric:
         assert data["elements"] == ["x(0,1)*x(1,0) - x(0,0)*x(1,1)"]
 
     def test_cycles_oracle(self, capsys):
-        code, out, _ = run(capsys, "toric", "--grid", "##", "cycles", "--format", "json")
+        code, out, _ = run(capsys, "cycles", "--grid", "##", "--format", "json")
         assert code == 0
         data = json.loads(out)
         assert data["oracle"] == "cycles"
@@ -126,7 +126,7 @@ class TestToric:
 
     def test_max_cycle_len(self, capsys):
         code, out, _ = run(
-            capsys, "toric", "--grid", "##\\n##", "cycles", "--max-cycle-len", "4",
+            capsys, "cycles", "--grid", "##\\n##", "--max-cycle-len", "4",
             "--format", "json")
         assert code == 0
         assert len(json.loads(out)["binomials"]) == 9
@@ -221,7 +221,11 @@ class TestUsage:
         ("parse", "--grid", "##", "--budget-pairs", "1"),
         ("gb", "--grid", "##", "--no-timings"),
         ("sweep", "2", "--max-cycle-len", "4"),
-    ], ids=["verify-order", "parse-budget-pairs", "gb-no-timings", "sweep-max-cycle-len"])
+        ("toric", "--grid", "##", "cycles", "--order", "nonsense", "--budget-pairs", "1"),
+        ("toric", "--grid", "##", "--max-cycle-len", "1"),
+        ("cycles", "--grid", "##", "--order", "nonsense", "--budget-pairs", "1"),
+    ], ids=["verify-order", "parse-budget-pairs", "gb-no-timings", "sweep-max-cycle-len",
+            "toric-cycles-positional", "toric-max-cycle-len", "cycles-order"])
     def test_flag_the_subcommand_does_not_read_exits_2(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             cli.main(list(argv))

@@ -58,7 +58,7 @@ ANNULUS_DIGESTS = [
     (("toric",),
      "e62f800472e0b1c9293e22669f5771813511e8e208dbcda0acd334e2569c01e4",
      "5aacd6f9068ef31048015fc630078572e11c4664b75635a8ef6375739bb7cfab"),
-    (("toric", "cycles"),
+    (("cycles",),
      "56cfdb82af034a47b457c94cff5c9bec3a4b2ab400b3376fc3c49cbb3143899f",
      "9c3db56f55cabf690d93b6ecd05a75ae5aa664889aa7c80194019415d504a744"),
 ]

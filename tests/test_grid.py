@@ -221,10 +221,11 @@ class TestEnumeration:
             assert min(x for x, _ in poly.cells_sorted) == 0
             assert min(y for _, y in poly.cells_sorted) == 0
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
         with pytest.raises(CapExceededError):
             next(enumerate_polyominoes(9))
-        assert sum(1 for _ in enumerate_polyominoes(3, cap=3)) == 6
+        monkeypatch.setenv("POLYPRIME_CAP", "3")
+        assert sum(1 for _ in enumerate_polyominoes(3)) == 6
 
     def test_cap_env_override(self, monkeypatch):
         monkeypatch.setenv("POLYPRIME_CAP", "2")
