@@ -22,7 +22,7 @@ import sys
 import time
 
 import polyprime
-from polyprime import buchberger, enumerate_polyominoes, grid_variables, inner_minors, kernel
+from polyprime import buchberger, build_interval_graph, enumerate_polyominoes, grid_variables, inner_minors, kernel
 from polyprime import parse_grid, verify
 from polyprime.algebra import default_grid_order, ideal_equal_paths, toric_ideal_elimination
 from polyprime.binomials import mono_from_indices
@@ -71,7 +71,8 @@ def macro(texts):
             gvars = grid_variables(poly)
             order = default_grid_order(gvars)
             gens = inner_minors(poly, gvars)
-            ideal_equal_paths(gens, toric_ideal_elimination(poly, order), order)
+            toric = toric_ideal_elimination(build_interval_graph(poly), gvars, order)
+            ideal_equal_paths(gens, toric, order)
 
     return run
 

@@ -19,8 +19,9 @@ field at bit ``16 * i``, 15 bits of exponent under a guard bit. With
 ``G`` the mask of all guard bits and ``m`` free of them, ``lead``
 divides ``m`` exactly when ``((m | G) - lead) & G == G`` (no field
 borrows its guard), and a rewrite is ``m - lead + tail``. An exponent
-above ``MAX_EXPONENT`` (32767), whether given or produced by a rewrite
-(which sets a guard bit), raises LimitExceededError; nothing wraps.
+outside 0..``MAX_EXPONENT`` (32767), whether given or produced by a
+rewrite (which sets a guard bit), raises LimitExceededError; nothing
+wraps. The compiled kernel raises the same errors with the same messages.
 """
 
 import sys

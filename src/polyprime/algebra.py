@@ -241,9 +241,7 @@ class ToricMap:
         return self.image_exponents(binomial.plus) == self.image_exponents(binomial.minus)
 
 
-def toric_map(poly, graph=None, variables=None):
-    graph = graph if graph is not None else build_interval_graph(poly)
-    variables = variables if variables is not None else grid_variables(poly)
+def toric_map(graph, variables):
     images = tuple(graph.intervals_through(point) for point in variables.points)
     return ToricMap(graph.m, graph.n, images)
 
@@ -253,24 +251,23 @@ def default_grid_order(variables):
     return degrevlex_order(len(variables))
 
 
-def toric_ideal_elimination(poly, grid_order=None, budgets=DEFAULT_BUDGETS):
+def toric_ideal_elimination(graph, variables, grid_order=None, budgets=DEFAULT_BUDGETS):
     """Kernel of the edge-ring parametrization, computed by block elimination.
 
-    Builds <x_a - v_p h_q> in the combined ring with auxiliary variables
-    ranked above all grid variables, eliminates, and returns the reduced
-    basis re-expressed under the requested grid-variable order. A monomial
-    parametrization needs no saturation step.
+    ``graph`` is the polyomino's interval graph and ``variables`` its grid
+    variables. Builds <x_a - v_p h_q> in the combined ring with auxiliary
+    variables ranked above all grid variables, eliminates, and returns the
+    reduced basis re-expressed under the requested grid-variable order. A
+    monomial parametrization needs no saturation step.
     """
-    gvars = grid_variables(poly)
-    graph = build_interval_graph(poly)
-    tmap = toric_map(poly, graph, gvars)
+    tmap = toric_map(graph, variables)
     # the auxiliary variables v_1..v_m, h_1..h_n come first, as one block
     aux_count = graph.m + graph.n
-    total = aux_count + len(gvars)
+    total = aux_count + len(variables)
     elim_order = block_order(
         total, [("degrevlex", range(aux_count)), ("degrevlex", range(aux_count, total))])
     gens = []
-    for idx in range(len(gvars)):
+    for idx in range(len(variables)):
         p, q = tmap.images[idx]
         plus = mono_from_indices(total, (p, tmap.m + q))
         minus = mono_from_indices(total, (aux_count + idx,))
@@ -281,7 +278,7 @@ def toric_ideal_elimination(poly, grid_order=None, budgets=DEFAULT_BUDGETS):
         if any(b.plus[:aux_count]) or any(b.minus[:aux_count]):
             continue
         eliminated.append(Binomial(b.plus[aux_count:], b.minus[aux_count:]))
-    base_order = default_grid_order(gvars)
+    base_order = default_grid_order(variables)
     if grid_order is None or grid_order == base_order:
         # the eliminated slice of the reduced block basis is already the
         # reduced basis under the grid block's own degrevlex

@@ -129,7 +129,8 @@ def _cmd_gens(args):
 def _cmd_toric(args):
     poly = _load_polyomino(args)
     gvars = grid.grid_variables(poly)
-    gb = algebra.toric_ideal_elimination(poly, _grid_order(args, gvars), budgets=_budgets(args))
+    graph = intervals.build_interval_graph(poly)
+    gb = algebra.toric_ideal_elimination(graph, gvars, _grid_order(args, gvars), budgets=_budgets(args))
     payload = dict(algebra.gb_to_json(gb, gvars), oracle="elimination")
     _emit(args, payload, "\n".join(payload["elements"]))
     return 0

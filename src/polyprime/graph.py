@@ -18,36 +18,19 @@ DEFAULT_CYCLE_BUDGET = 10 ** 6
 
 @dataclass(frozen=True)
 class GraphCycle:
-    """Alternating cycle v_{i1}, h_{j1}, ..., v_{ir}, h_{jr}, stored canonically.
+    """Alternating cycle v_{i1}, h_{j1}, ..., v_{ir}, h_{jr}.
 
-    ``pairs`` holds ((i1, j1), ..., (ir, jr)); the canonical representative is
-    the least tuple over all rotations and the reflection.
+    ``pairs`` holds ((i1, j1), ..., (ir, jr)). ``chordless_cycles`` yields
+    each cycle in canonical form, the least such tuple over all rotations
+    and the reflection: i1 is the least v-index, and j1 the smaller of the
+    two h-neighbours of v_{i1}.
     """
 
     pairs: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "pairs", _canonical_pairs(self.pairs))
-
     @property
     def length(self):
         return 2 * len(self.pairs)
-
-
-def _canonical_pairs(pairs):
-    pairs = tuple((int(i), int(j)) for i, j in pairs)
-    r = len(pairs)
-    vs = [p[0] for p in pairs]
-    hs = [p[1] for p in pairs]
-    # reflection: v_{i1}, h_{jr}, v_{ir}, h_{j(r-1)}, ..., v_{i2}, h_{j1}
-    refl = tuple(
-        (vs[-k % r], hs[-k - 1]) for k in range(r)
-    )
-    candidates = []
-    for base in (pairs, refl):
-        for k in range(r):
-            candidates.append(base[k:] + base[:k])
-    return min(candidates)
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +84,9 @@ def chordless_cycles(graph, min_len=4, max_len=None, budget=DEFAULT_CYCLE_BUDGET
     if max_len < min_len:
         return
     for ids in induced_cycles(total, masks, sorted_adj, min_len, max_len, budget):
-        # the smallest id is a v-side vertex, so even positions are v-side
+        # the smallest id is a v-side vertex, so even positions are v-side;
+        # the walk goes on to its smaller h-neighbour (``y > path[1]``), so
+        # the pairs come in GraphCycle's canonical form
         pairs = tuple((ids[2 * k], ids[2 * k + 1] - graph.m) for k in range(len(ids) // 2))
         yield GraphCycle(pairs)
 

@@ -108,7 +108,7 @@ def verify_polyomino(poly, config=VerifyConfig()):
         gens = inner_minors(poly, gvars)
         gb_inner = staged("gb_inner", lambda: buchberger(gens, order, budgets=config.budgets))
         gb_toric = staged(
-            "gb_toric", lambda: toric_ideal_elimination(poly, order, budgets=config.budgets))
+            "gb_toric", lambda: toric_ideal_elimination(graph, gvars, order, budgets=config.budgets))
 
         def decide():
             mutual, identity = ideal_equal_paths(gb_inner, gb_toric, order, budgets=config.budgets)

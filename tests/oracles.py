@@ -160,6 +160,16 @@ def brute_chordless_cycles(nvertices, edge_set, min_len, max_len):
     return found
 
 
+def canonical_cycle_pairs(pairs):
+    """The least of a graph cycle's ((i1, j1), ..., (ir, jr)) tuples over all
+    rotations and the reflection v_{i1}, h_{jr}, v_{ir}, ..., v_{i2}, h_{j1}."""
+    r = len(pairs)
+    vs = [i for i, _ in pairs]
+    hs = [j for _, j in pairs]
+    reflected = tuple((vs[-k % r], hs[-k - 1]) for k in range(r))
+    return min(base[k:] + base[:k] for base in (pairs, reflected) for k in range(r))
+
+
 # ---------------------------------------------------------------------------
 # alternating cycles in a polyomino by DFS over axis segments
 

@@ -58,7 +58,7 @@ def theorem_data():
         gvars = grid_variables(poly)
         order = default_grid_order(gvars)
         mutual, identity = ideal_equal_paths(
-            inner_minors(poly, gvars), toric_ideal_elimination(poly, order), order)
+            inner_minors(poly, gvars), toric_ideal_elimination(build_interval_graph(poly), gvars, order), order)
         rows.append((poly.cells_sorted, mutual, identity))
     return {"rows": rows, "elapsed": time.perf_counter() - t0}
 
@@ -73,7 +73,7 @@ def oracle_data():
         order = default_grid_order(gvars)
         mutual, identity = ideal_equal_paths(
             toric_ideal_cycles(poly, variables=gvars),
-            toric_ideal_elimination(poly, order),
+            toric_ideal_elimination(build_interval_graph(poly), gvars, order),
             order,
         )
         rows.append((poly.cells_sorted, mutual, identity))
@@ -86,7 +86,7 @@ def annulus_paths():
     gvars = grid_variables(poly)
     order = default_grid_order(gvars)
     return ideal_equal_paths(
-        inner_minors(poly, gvars), toric_ideal_elimination(poly, order), order)
+        inner_minors(poly, gvars), toric_ideal_elimination(build_interval_graph(poly), gvars, order), order)
 
 
 def test_criterion_1_weak_chordality_lemma():
@@ -123,8 +123,9 @@ def test_criterion_3_universal_containment():
         poly = random_polyomino(rng.randint(1, 10), rng)
         gvars = grid_variables(poly)
         order = default_grid_order(gvars)
-        tmap = toric_map(poly)
-        gb_toric = toric_ideal_elimination(poly, order)
+        graph = build_interval_graph(poly)
+        tmap = toric_map(graph, gvars)
+        gb_toric = toric_ideal_elimination(graph, gvars, order)
         for minor in inner_minors(poly, gvars):
             if not tmap.balanced(minor) or not ideal_member(minor, gb_toric):
                 violations.append((poly.cells_sorted, render_binomial(minor, gvars)))
@@ -147,7 +148,7 @@ def test_criterion_4_annulus_negative_control():
         mono_from_indices(len(gvars), (gvars.index((1, 2)), gvars.index((2, 1)))),
     )
     gb_inner = buchberger(inner_minors(poly, gvars), order)
-    gb_toric = toric_ideal_elimination(poly, order)
+    gb_toric = toric_ideal_elimination(build_interval_graph(poly), gvars, order)
     in_toric = ideal_member(witness, gb_toric)
     in_inner = ideal_member(witness, gb_inner)
     elapsed = time.perf_counter() - t0

@@ -10,6 +10,7 @@ from polyprime import (
     Binomial,
     ZERO,
     buchberger,
+    build_interval_graph,
     compare,
     deglex_order,
     degrevlex_order,
@@ -289,28 +290,28 @@ class TestIdealEqual:
     def test_domino_inner_equals_toric(self, domino):
         gvars = grid_variables(domino)
         order = default_grid_order(gvars)
-        assert ideal_equal_paths(
-            inner_minors(domino, gvars), toric_ideal_elimination(domino, order), order) == (True, True)
+        toric = toric_ideal_elimination(build_interval_graph(domino), gvars, order)
+        assert ideal_equal_paths(inner_minors(domino, gvars), toric, order) == (True, True)
 
     def test_annulus_ideals_differ(self, annulus):
         gvars = grid_variables(annulus)
         order = default_grid_order(gvars)
-        assert ideal_equal_paths(
-            inner_minors(annulus, gvars), toric_ideal_elimination(annulus, order), order) == (False, False)
+        toric = toric_ideal_elimination(build_interval_graph(annulus), gvars, order)
+        assert ideal_equal_paths(inner_minors(annulus, gvars), toric, order) == (False, False)
 
     def test_both_paths_agree(self, tromino_l, annulus):
         for poly in (tromino_l, annulus):
             gvars = grid_variables(poly)
             order = default_grid_order(gvars)
-            mutual, identity = ideal_equal_paths(
-                inner_minors(poly, gvars), toric_ideal_elimination(poly, order), order)
+            toric = toric_ideal_elimination(build_interval_graph(poly), gvars, order)
+            mutual, identity = ideal_equal_paths(inner_minors(poly, gvars), toric, order)
             assert mutual == identity
 
 
 class TestToricIdeal:
     def test_single_cell_segre_kernel(self, cell):
         gvars = grid_variables(cell)
-        gb = toric_ideal_elimination(cell)
+        gb = toric_ideal_elimination(build_interval_graph(cell), gvars)
         (minor,) = inner_minors(cell, gvars)
         assert len(gb.elements) == 1
         assert same_up_to_sign(gb.elements[0], minor)
@@ -318,28 +319,29 @@ class TestToricIdeal:
     def test_square2_is_k33_minor_ideal(self, square2):
         gvars = grid_variables(square2)
         order = default_grid_order(gvars)
-        gb = toric_ideal_elimination(square2, order)
+        gb = toric_ideal_elimination(build_interval_graph(square2), gvars, order)
         assert ideal_equal_paths(inner_minors(square2, gvars), gb, order) == (True, True)
 
     def test_no_auxiliary_variables_leak(self, square2):
         gvars = grid_variables(square2)
-        gb = toric_ideal_elimination(square2)
+        gb = toric_ideal_elimination(build_interval_graph(square2), gvars)
         assert all(len(b.plus) == len(gvars) for b in gb.elements)
 
     def test_elimination_basis_elements_are_balanced(self, annulus):
-        tmap = toric_map(annulus)
-        gb = toric_ideal_elimination(annulus)
+        graph, gvars = build_interval_graph(annulus), grid_variables(annulus)
+        tmap = toric_map(graph, gvars)
+        gb = toric_ideal_elimination(graph, gvars)
         assert all(tmap.balanced(b) for b in gb.elements)
 
     def test_explicit_reduction_matches_fast_path(self, tromino_l):
         gvars = grid_variables(tromino_l)
         order = default_grid_order(gvars)
-        fast = toric_ideal_elimination(tromino_l, None)
+        fast = toric_ideal_elimination(build_interval_graph(tromino_l), gvars, None)
         slow = buchberger(list(fast.elements), order)
         assert fast.elements == slow.elements
 
     def test_inner_minors_are_balanced(self, square2):
-        tmap = toric_map(square2)
+        tmap = toric_map(build_interval_graph(square2), grid_variables(square2))
         for minor in inner_minors(square2):
             assert tmap.balanced(minor)
 
@@ -348,8 +350,9 @@ class TestToricIdeal:
         poly = random_polyomino(seed % 7 + 2, random.Random(seed * 31 + 1))
         gvars = grid_variables(poly)
         order = default_grid_order(gvars)
-        tmap = toric_map(poly)
-        gb = toric_ideal_elimination(poly, order)
+        graph = build_interval_graph(poly)
+        tmap = toric_map(graph, gvars)
+        gb = toric_ideal_elimination(graph, gvars, order)
         for minor in inner_minors(poly, gvars):
             assert tmap.balanced(minor)
             assert ideal_member(minor, gb)
@@ -380,7 +383,7 @@ class TestToricCycles:
                 order = default_grid_order(gvars)
                 cyc = toric_ideal_cycles(poly, variables=gvars)
                 assert ideal_equal_paths(
-                    cyc, toric_ideal_elimination(poly, order), order) == (True, True)
+                    cyc, toric_ideal_elimination(build_interval_graph(poly), gvars, order), order) == (True, True)
 
 
 class TestQuadraticOrderSearch:
@@ -427,7 +430,7 @@ class TestWitnessGap:
         # confirmed by basis membership on both sides
         order = default_grid_order(gvars)
         gb_inner = buchberger(inner_minors(annulus, gvars), order)
-        gb_toric = toric_ideal_elimination(annulus, order)
+        gb_toric = toric_ideal_elimination(build_interval_graph(annulus), gvars, order)
         assert ideal_member(w, gb_toric)
         assert not ideal_member(w, gb_inner)
 

@@ -95,16 +95,31 @@ class TestChordlessCycles:
         with pytest.raises(LimitExceededError):
             list(chordless_cycles(k33(), min_len=4, budget=2))
 
-    def test_canonical_form_invariant_under_rotation_and_reflection(self):
+    def test_canonical_pairs_oracle(self):
         pairs = ((0, 0), (1, 1), (2, 2), (3, 3))
-        base = GraphCycle(pairs)
-        for k in range(4):
-            rotated = pairs[k:] + pairs[:k]
-            assert GraphCycle(rotated) == base
-        vs = [p[0] for p in pairs]
-        hs = [p[1] for p in pairs]
+        vs = [i for i, _ in pairs]
+        hs = [j for _, j in pairs]
         reflected = tuple((vs[-k % 4], hs[-k - 1]) for k in range(4))
-        assert GraphCycle(reflected) == base
+        assert reflected == ((0, 3), (3, 2), (2, 1), (1, 0))
+        for k in range(4):
+            assert oracles.canonical_cycle_pairs(pairs[k:] + pairs[:k]) == pairs
+            assert oracles.canonical_cycle_pairs(reflected[k:] + reflected[:k]) == pairs
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=2, max_value=4), st.integers(min_value=2, max_value=4),
+           st.integers(min_value=0, max_value=10 ** 9))
+    def test_yields_canonical_form_on_random_bipartite(self, m, n, seed):
+        # the cycle binomial's sign is read off the pairs, so it depends on this form
+        rng = random.Random(seed)
+        pairs = {pq for pq in itertools.product(range(m), range(n)) if rng.random() < 0.6}
+        for gc in chordless_cycles(SyntheticBipartite(m, n, pairs), min_len=4):
+            assert gc.pairs == oracles.canonical_cycle_pairs(gc.pairs)
+
+    def test_yields_canonical_form_on_small_shapes(self):
+        for n in range(1, 8):
+            for poly in enumerate_polyominoes(n):
+                for gc in chordless_cycles(build_interval_graph(poly), min_len=4):
+                    assert gc.pairs == oracles.canonical_cycle_pairs(gc.pairs), poly
 
 
 class TestWeaklyChordal:

@@ -1,7 +1,12 @@
+import importlib.util
 import json
 import random
+import re
+import shlex
+import shutil
 import subprocess
 import sys
+import sysconfig
 from collections import Counter
 from pathlib import Path
 
@@ -19,13 +24,13 @@ from polyprime.errors import BudgetExceededError, LimitExceededError
 PACKAGE_ROOT = str(Path(polyprime.__file__).resolve().parents[1])
 
 
-def run_child(code, *args, pure_kernel=False):
-    """Run ``code`` in a fresh interpreter that imports the same polyprime; return stdout.
+def run_child(code, *args, root=PACKAGE_ROOT, pure_kernel=False):
+    """Run ``code`` in a fresh interpreter that imports polyprime from ``root``; return stdout.
 
     With ``pure_kernel`` the child blocks ``polyprime._speedups`` before
     importing polyprime, so the import-time choice falls to ``_kernel_py``.
     """
-    prelude = f"import sys\nsys.path.insert(0, {PACKAGE_ROOT!r})\n"
+    prelude = f"import sys\nsys.path.insert(0, {str(root)!r})\n"
     if pure_kernel:
         prelude += "sys.modules['polyprime._speedups'] = None\n"
     done = subprocess.run([sys.executable, "-c", prelude + code, *args],
@@ -33,9 +38,71 @@ def run_child(code, *args, pure_kernel=False):
     return done.stdout
 
 
+def build_kernel(source, target):
+    """Compile ``source`` into the extension ``target`` with the compiler sysconfig names.
+
+    Skips when there is no compiler or no C source; a compiler that fails
+    on the source fails the test.
+    """
+    ldshared = shlex.split(sysconfig.get_config_var("LDSHARED") or "")
+    include = sysconfig.get_paths()["include"]
+    if not ldshared or shutil.which(ldshared[0]) is None or not Path(include, "Python.h").exists():
+        pytest.skip("no C compiler or Python headers named by sysconfig")
+    if not source.exists():
+        pytest.skip(f"no {source.name} next to the package")
+    cflags = shlex.split(sysconfig.get_config_var("CCSHARED") or "") + ["-O3", "-I" + include]
+    done = subprocess.run([*ldshared, *cflags, str(source), "-o", str(target)],
+                          capture_output=True, text=True, timeout=300)
+    if done.returncode != 0:
+        pytest.fail(f"compiling {source.name} failed:\n{done.stderr}")
+
+
 @pytest.fixture(scope="module")
-def fast():
-    return pytest.importorskip("polyprime._speedups")
+def compiled(tmp_path_factory):
+    """(compiled kernel module, root of a polyprime package that imports it).
+
+    Without a built ``polyprime._speedups``, ``_speedups.c`` is compiled into
+    a temporary copy of the package and loaded from there, leaving the
+    source tree, ``sys.modules`` and this process's kernel choice as they
+    are.
+    """
+    try:
+        from polyprime import _speedups
+        return _speedups, PACKAGE_ROOT
+    except ImportError:
+        pass
+    root = tmp_path_factory.mktemp("compiled")
+    package = root / "polyprime"
+    shutil.copytree(Path(PACKAGE_ROOT) / "polyprime", package,
+                    ignore=shutil.ignore_patterns("__pycache__", "_speedups.*"))
+    target = package / ("_speedups" + sysconfig.get_config_var("EXT_SUFFIX"))
+    build_kernel(Path(PACKAGE_ROOT) / "polyprime" / "_speedups.c", target)
+    spec = importlib.util.spec_from_file_location("polyprime._speedups", target)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module, root
+
+
+@pytest.fixture(scope="module")
+def fast(compiled):
+    return compiled[0]
+
+
+@pytest.fixture(params=["pure", "fast"])
+def kern(request):
+    return pure if request.param == "pure" else request.getfixturevalue("fast")
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type and message of the exception it raises."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+# outside the kernel limit 0..32767, except 32767 itself, which a rewrite can push past it
+EDGE_EXPONENTS = (-1, 32767, 32768, 2 ** 16, 2 ** 70)
 
 
 def test_python_backend_always_available():
@@ -184,23 +251,32 @@ def test_python_normal_form_matches_tuple_oracle(system):
         budget += 1
 
 
-def test_python_normal_form_exponent_limit():
-    limit = pure.MAX_EXPONENT
+def test_normal_form_exponent_limit(kern):
+    limit = kern.MAX_EXPONENT
     assert limit == 32767
-    basis = pure.Basis(2)
+    basis = kern.Basis(2)
     basis.append((1, 0), (0, 2))  # x -> y^2
     assert basis.normal_form((0, limit), 10) == (0, limit)
     assert basis.normal_form((1, limit - 2), 10) == (0, limit)
-    for bad in ((limit + 1, 0), (0, 2 ** 16), (-1, 0)):
-        with pytest.raises(LimitExceededError, match=str(limit)):
+    for bad in ((limit + 1, 0), (0, 2 ** 16), (-1, 0), (2 ** 70, 0)):
+        message = re.escape(f"exponent of {bad} outside the kernel limit 0..{limit}")
+        with pytest.raises(LimitExceededError, match=message):
             basis.normal_form(bad, 10)
-        with pytest.raises(LimitExceededError, match=str(limit)):
-            pure.Basis(2).append(bad, (0, 0))
-    # the rewrite sets the guard bit of y's field: raise, never wrap
-    with pytest.raises(LimitExceededError, match=str(limit)):
+        with pytest.raises(LimitExceededError, match=message):
+            kern.Basis(2).append(bad, (0, 0))
+        with pytest.raises(LimitExceededError, match=message):
+            kern.Basis(2).append((0, 0), bad)
+    # the rewrite takes y past the limit (in the packed kernel, into the
+    # guard bit of y's field): raise, never wrap
+    with pytest.raises(LimitExceededError, match=re.escape(
+            f"rewriting (1, {limit - 1}) pushed an exponent past the kernel limit {limit}")):
         basis.normal_form((1, limit - 1), 10)
-    with pytest.raises(ValueError):
-        basis.normal_form((1, 0, 0), 10)
+    for wrong in ((1, 0, 0), (1,)):
+        with pytest.raises(ValueError, match="exponent tuple has wrong length"):
+            basis.normal_form(wrong, 10)
+        with pytest.raises(ValueError, match="exponent tuple has wrong length"):
+            basis.append(wrong, (0, 0))
+    assert len(basis) == 1
 
 
 def test_python_compare_rejects_wrong_width():
@@ -212,23 +288,21 @@ def test_python_compare_rejects_wrong_width():
 
 
 def compare_or_error(kern, rows, a, b):
-    try:
-        return kern.compare(kern.Order(rows), a, b)
-    except ValueError as exc:
-        return str(exc)
+    return outcome(lambda: kern.compare(kern.Order(rows), a, b))
 
 
 def exponent_tuples(n):
-    """Mostly n entries, sometimes n - 1 or n + 1."""
+    """Mostly n entries, sometimes n - 1 or n + 1; exponents mostly 0-5, sometimes at the edges."""
+    exponents = st.sampled_from(tuple(range(6)) * 4 + EDGE_EXPONENTS)
     return st.sampled_from((n,) * 5 + (n - 1, n + 1)).flatmap(
-        lambda width: st.tuples(*[st.integers(0, 5)] * width))
+        lambda width: st.tuples(*[exponents] * width))
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.integers(min_value=1, max_value=6).flatmap(
     lambda n: st.tuples(monomial_orders(n), st.tuples(exponent_tuples(n), exponent_tuples(n)))))
 def test_compare_identical_across_kernels(fast, data):
-    # a wrong width must raise the same error in both kernels
+    # the same result for every exponent, and the same error for a wrong width
     order, (a, b) = data
     rows = order.weight_rows()
     assert compare_or_error(pure, rows, a, b) == compare_or_error(fast, rows, a, b)
@@ -237,24 +311,32 @@ def test_compare_identical_across_kernels(fast, data):
 @settings(max_examples=100, deadline=None)
 @given(st.integers(min_value=0, max_value=10 ** 9))
 def test_normal_form_identical_across_kernels(fast, seed):
+    # an exponent outside 0..32767, given or made by a rewrite, must raise
+    # the same error in both kernels
     rng = random.Random(seed)
     n = rng.randint(2, 6)
     order = degrevlex_order(n)
     rows = order.weight_rows()
     po, fo = pure.Order(rows), fast.Order(rows)
     pb, fb = pure.Basis(n), fast.Basis(n)
+
+    def monomial(low, high):
+        mono = list(mono_from_indices(n, [rng.randrange(n) for _ in range(rng.randint(low, high))]))
+        if rng.random() < 0.1:
+            mono[rng.randrange(n)] = rng.choice(EDGE_EXPONENTS)
+        return tuple(mono)
+
     for _ in range(rng.randint(1, 6)):
-        a = mono_from_indices(n, [rng.randrange(n) for _ in range(rng.randint(1, 3))])
-        b = mono_from_indices(n, [rng.randrange(n) for _ in range(rng.randint(1, 3))])
+        a, b = monomial(1, 3), monomial(1, 3)
         if a == b:
             continue
-        c = pure.compare(po, a, b)
-        assert c == fast.compare(fo, a, b)
-        lead, tail = (a, b) if c > 0 else (b, a)
-        pb.append(lead, tail)
-        fb.append(lead, tail)
-    mono = mono_from_indices(n, [rng.randrange(n) for _ in range(rng.randint(0, 6))])
-    assert pb.normal_form(mono, 10 ** 6) == fb.normal_form(mono, 10 ** 6)
+        c = outcome(pure.compare, po, a, b)
+        assert c == outcome(fast.compare, fo, a, b)
+        lead, tail = (a, b) if c == 1 else (b, a)
+        assert outcome(pb.append, lead, tail) == outcome(fb.append, lead, tail)
+    assert len(pb) == len(fb)
+    mono = monomial(0, 6)
+    assert outcome(pb.normal_form, mono, 10 ** 5) == outcome(fb.normal_form, mono, 10 ** 5)
 
 
 def test_normal_form_budget_sentinel(fast):
@@ -269,8 +351,8 @@ PIPELINE_SHAPES = ["#", "##", "#.\n##", "##\n##", "###\n#.#\n###", "####\n#..#\n
 
 PIPELINE_DIGESTS = """
 import hashlib, json
-from polyprime import backend_name, buchberger, grid_variables, inner_minors, parse_grid
-from polyprime import toric_ideal_elimination
+from polyprime import backend_name, buchberger, build_interval_graph, grid_variables, inner_minors
+from polyprime import parse_grid, toric_ideal_elimination
 from polyprime.algebra import default_grid_order
 out = {"backend": backend_name()}
 for text in json.loads(sys.argv[1]):
@@ -278,19 +360,20 @@ for text in json.loads(sys.argv[1]):
     gvars = grid_variables(poly)
     order = default_grid_order(gvars)
     bases = (buchberger(inner_minors(poly, gvars), order).elements,
-             toric_ideal_elimination(poly, order).elements)
+             toric_ideal_elimination(build_interval_graph(poly), gvars, order).elements)
     out[text] = hashlib.sha256(repr(bases).encode()).hexdigest()
 print(json.dumps(out))
 """
 
 
 @pytest.fixture(scope="module")
-def pipeline_digests(fast):
+def pipeline_digests(compiled):
     shapes = json.dumps(PIPELINE_SHAPES)
-    compiled = json.loads(run_child(PIPELINE_DIGESTS, shapes))
+    _, root = compiled
+    c_digests = json.loads(run_child(PIPELINE_DIGESTS, shapes, root=root))
     python = json.loads(run_child(PIPELINE_DIGESTS, shapes, pure_kernel=True))
-    assert (compiled["backend"], python["backend"]) == ("c", "python")
-    return compiled, python
+    assert (c_digests["backend"], python["backend"]) == ("c", "python")
+    return c_digests, python
 
 
 @pytest.mark.parametrize("text", PIPELINE_SHAPES)

@@ -1,9 +1,11 @@
 import json
+import sys
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
-from polyprime import verify
+from polyprime import grid, intervals, verify
 from polyprime.errors import BudgetExceededError, InvariantViolationError
 from polyprime.algebra import EngineBudgets
 from polyprime.grid import enumerate_polyominoes
@@ -32,6 +34,22 @@ class TestVerifyPolyomino:
         assert report.simple is False
         assert report.ideals_equal is False
         assert report.gap_witness_text == "x(1,1)*x(2,2) - x(1,2)*x(2,1)"
+
+    def test_graph_and_variables_built_once(self, monkeypatch, annulus):
+        # the toric stage takes the interval graph and the grid variables
+        # that verify_polyomino built, instead of building its own
+        counts = Counter()
+        for original in (intervals.build_interval_graph, grid.grid_variables):
+            def counted(*args, _original=original):
+                counts[_original.__name__] += 1
+                return _original(*args)
+            for name, module in list(sys.modules.items()):
+                if name == "polyprime" or name.startswith("polyprime."):
+                    for attr, value in list(vars(module).items()):
+                        if value is original:
+                            monkeypatch.setattr(module, attr, counted)
+        assert verify_polyomino(annulus).gap_witness_text == "x(1,1)*x(2,2) - x(1,2)*x(2,1)"
+        assert counts == {"build_interval_graph": 1, "grid_variables": 1}
 
     def test_l_tromino_with_quadratic_search(self, tromino_l):
         report = verify_polyomino(tromino_l, VerifyConfig(search_quadratic=True))
