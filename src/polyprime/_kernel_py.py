@@ -32,6 +32,7 @@ from polyprime.errors import LimitExceededError
 BACKEND = "python"
 
 MAX_EXPONENT = 0x7FFF  # 15 exponent bits under the guard bit of a 16-bit field
+MAX_NVARS = 2 ** 28 - 1  # the compiled kernel's bound, checked before the guard int is built
 
 _BYTEORDER = sys.byteorder
 
@@ -67,6 +68,8 @@ class Basis:
     __slots__ = ("nvars", "rules", "guard", "nbytes")
 
     def __init__(self, nvars):
+        if not 0 <= nvars <= MAX_NVARS:
+            raise ValueError(f"nvars must be in 0..{MAX_NVARS}")
         self.nvars = nvars
         self.rules = []
         self.nbytes = 2 * nvars

@@ -11,6 +11,7 @@
 #include <Python.h>
 #include <limits.h>
 #define MAX_EXPONENT 0x7FFF
+#define MAX_NVARS (INT_MAX / 8)  /* 2**28 - 1, the bound _kernel_py checks too */
 #define FASTCALL(f) (PyCFunction)(void (*)(void))(f), METH_FASTCALL
 
 static const char WIDTH_MESSAGE[] = "exponent tuple has wrong length";
@@ -130,7 +131,8 @@ typedef struct {
 static PyObject *Basis_new(PyTypeObject *type, PyObject *args, PyObject *kwds) {
     Py_ssize_t nvars;
     if (!PyArg_ParseTuple(args, "n:Basis", &nvars)) return NULL;
-    if (nvars < 0 || nvars > INT_MAX / 8) return error(PyExc_ValueError, "nvars must be in 0..2**28");
+    if (nvars < 0 || nvars > MAX_NVARS)
+        return PyErr_Format(PyExc_ValueError, "nvars must be in 0..%d", MAX_NVARS);
     BasisObject *self = (BasisObject *)type->tp_alloc(type, 0);
     if (self != NULL) self->nvars = nvars;
     return (PyObject *)self;
@@ -240,7 +242,8 @@ static int exec_module(PyObject *module) {
     return LimitExceededError == NULL || PyType_Ready(&OrderType) < 0 || PyType_Ready(&BasisType) < 0 ||
            PyModule_AddType(module, &OrderType) < 0 || PyModule_AddType(module, &BasisType) < 0 ||
            PyModule_AddStringConstant(module, "BACKEND", "c") < 0 ||
-           PyModule_AddIntConstant(module, "MAX_EXPONENT", MAX_EXPONENT) < 0 ? -1 : 0;
+           PyModule_AddIntConstant(module, "MAX_EXPONENT", MAX_EXPONENT) < 0 ||
+           PyModule_AddIntConstant(module, "MAX_NVARS", MAX_NVARS) < 0 ? -1 : 0;
 }
 
 static PyMethodDef module_methods[] = {

@@ -192,27 +192,14 @@ def ideal_member(f, gb, budgets=DEFAULT_BUDGETS):
     return f is ZERO or Reducer(gb.elements, gb.order, budgets=budgets).binomial(f) is ZERO
 
 
-def _as_generators(side):
-    if isinstance(side, GroebnerBasis):
-        return list(side.elements)
-    return list(side)
-
-
-def _ensure_gb(side, order, budgets):
-    if isinstance(side, GroebnerBasis) and side.order == order:
-        return side
-    return buchberger(_as_generators(side), order, budgets=budgets)
-
-
-def ideal_equal_paths(gens_a, gens_b, order, budgets=DEFAULT_BUDGETS):
-    """(mutual-reduction verdict, reduced-basis-identity verdict)."""
-    gb_a = _ensure_gb(gens_a, order, budgets)
-    gb_b = _ensure_gb(gens_b, order, budgets)
-    red_a = Reducer(gb_a.elements, order, budgets=budgets)
-    red_b = Reducer(gb_b.elements, order, budgets=budgets)
-    mutual = all(red_b.binomial(g) is ZERO for g in _as_generators(gens_a)) and all(
-        red_a.binomial(g) is ZERO for g in _as_generators(gens_b)
-    )
+def ideal_equal_paths(gb_a, gb_b, budgets=DEFAULT_BUDGETS):
+    """(mutual-reduction verdict, reduced-basis-identity verdict) for two reduced bases."""
+    if gb_a.order != gb_b.order:
+        raise ValueError("the two bases are under different orders")
+    red_a = Reducer(gb_a.elements, gb_a.order, budgets=budgets)
+    red_b = Reducer(gb_b.elements, gb_b.order, budgets=budgets)
+    mutual = all(red_b.binomial(g) is ZERO for g in gb_a.elements) and all(
+        red_a.binomial(g) is ZERO for g in gb_b.elements)
     identity = gb_a.elements == gb_b.elements
     return mutual, identity
 
@@ -255,17 +242,22 @@ def toric_ideal_elimination(graph, variables, grid_order=None, budgets=DEFAULT_B
     """Kernel of the edge-ring parametrization, computed by block elimination.
 
     ``graph`` is the polyomino's interval graph and ``variables`` its grid
-    variables. Builds <x_a - v_p h_q> in the combined ring with auxiliary
-    variables ranked above all grid variables, eliminates, and returns the
-    reduced basis re-expressed under the requested grid-variable order. A
-    monomial parametrization needs no saturation step.
+    variables. Builds <x_a - v_p h_q> in the combined ring, under the block
+    order that ranks the auxiliary variables above all grid variables and
+    compares grid monomials by ``grid_order`` (``default_grid_order`` when
+    None). The basis elements free of auxiliary variables are then the
+    reduced basis of the toric ideal under ``grid_order``, already sorted by
+    lead (elimination theorem). A monomial parametrization needs no
+    saturation step.
     """
+    if grid_order is None:
+        grid_order = default_grid_order(variables)
     tmap = toric_map(graph, variables)
     # the auxiliary variables v_1..v_m, h_1..h_n come first, as one block
     aux_count = graph.m + graph.n
     total = aux_count + len(variables)
-    elim_order = block_order(
-        total, [("degrevlex", range(aux_count)), ("degrevlex", range(aux_count, total))])
+    elim_order = block_order(total, [("degrevlex", range(aux_count))] + [
+        (kind, [aux_count + i for i in ranking]) for kind, ranking in grid_order.parts])
     gens = []
     for idx in range(len(variables)):
         p, q = tmap.images[idx]
@@ -273,21 +265,9 @@ def toric_ideal_elimination(graph, variables, grid_order=None, budgets=DEFAULT_B
         minus = mono_from_indices(total, (aux_count + idx,))
         gens.append(Binomial(plus, minus))
     gb = buchberger(gens, elim_order, budgets=budgets)
-    eliminated = []
-    for b in gb.elements:
-        if any(b.plus[:aux_count]) or any(b.minus[:aux_count]):
-            continue
-        eliminated.append(Binomial(b.plus[aux_count:], b.minus[aux_count:]))
-    base_order = default_grid_order(variables)
-    if grid_order is None or grid_order == base_order:
-        # the eliminated slice of the reduced block basis is already the
-        # reduced basis under the grid block's own degrevlex
-        kern = _kernel.get_kernel()
-        ko = kernel_order(base_order)
-        elements = sorted(
-            eliminated, key=functools.cmp_to_key(lambda a, b: kern.compare(ko, a.plus, b.plus)))
-        return GroebnerBasis(base_order, tuple(elements))
-    return buchberger(eliminated, grid_order, budgets=budgets)
+    # a lead free of auxiliary variables has a tail free of them too
+    return GroebnerBasis(grid_order, tuple(Binomial(b.plus[aux_count:], b.minus[aux_count:])
+                                           for b in gb.elements if not any(b.plus[:aux_count])))
 
 
 def toric_ideal_cycles(poly, max_len=None, variables=None):

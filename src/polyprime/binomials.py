@@ -160,18 +160,19 @@ class MonomialOrder:
     blocks: tuple = ()
 
     def __post_init__(self):
-        parts = self.blocks if self.kind == "block" else ((self.kind, self.ranking),)
-        for kind, _ in parts:
+        for kind, _ in self.parts:
             if kind not in _KINDS:
                 raise ValueError(f"unknown order kind {kind!r}")
-        if sorted(i for _, ranking in parts for i in ranking) != list(range(self.nvars)):
+        if sorted(i for _, ranking in self.parts for i in ranking) != list(range(self.nvars)):
             raise ValueError("the rankings must partition the variables")
 
+    @property
+    def parts(self):
+        """The ``(kind, ranking)`` pair of each block; a plain order is one block."""
+        return self.blocks if self.kind == "block" else ((self.kind, self.ranking),)
+
     def weight_rows(self):
-        if self.kind == "block":
-            return tuple(row for kind, ranking in self.blocks
-                         for row in _rows_for(kind, ranking, self.nvars))
-        return tuple(_rows_for(self.kind, self.ranking, self.nvars))
+        return tuple(row for kind, ranking in self.parts for row in _rows_for(kind, ranking, self.nvars))
 
     def to_json(self, variables=None):
         def names(ranking):

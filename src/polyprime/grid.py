@@ -280,13 +280,18 @@ def _level(n):
     return tuple(out)
 
 
-def enumerate_polyominoes(n):
-    """Yield every fixed polyomino with n cells once, in sorted canonical order."""
+def check_cell_count(n):
+    """Raise unless shapes of n cells may be enumerated: 1 <= n <= the cap."""
     cap = enumeration_cap()
     if n < 1:
         raise ValueError("cell count must be positive")
     if n > cap:
         raise CapExceededError(f"n={n} exceeds the enumeration cap {cap}")
+
+
+def enumerate_polyominoes(n):
+    """Yield every fixed polyomino with n cells once, in sorted canonical order."""
+    check_cell_count(n)
     for shape in _level(n):
         yield Polyomino._trusted(shape)
 

@@ -33,7 +33,8 @@ from polyprime.errors import (
     LimitExceededError,
 )
 from polyprime.graph import graph_is_connected, is_weakly_chordal
-from polyprime.grid import Polyomino, enumerate_polyominoes, grid_variables, inner_minors, is_simple
+from polyprime.grid import (
+    Polyomino, check_cell_count, enumerate_polyominoes, grid_variables, inner_minors, is_simple)
 from polyprime.intervals import build_interval_graph
 
 REPORT_SCHEMA = "polyprime.report/1"
@@ -111,7 +112,7 @@ def verify_polyomino(poly, config=VerifyConfig()):
             "gb_toric", lambda: toric_ideal_elimination(graph, gvars, order, budgets=config.budgets))
 
         def decide():
-            mutual, identity = ideal_equal_paths(gb_inner, gb_toric, order, budgets=config.budgets)
+            mutual, identity = ideal_equal_paths(gb_inner, gb_toric, budgets=config.budgets)
             if mutual != identity:
                 raise InternalInconsistencyError(
                     f"ideal equality paths disagree on {list(poly.cells_sorted)}")
@@ -195,6 +196,8 @@ def sweep(n_max, config=VerifyConfig()):
     exhausts a budget keeps its incomplete report and is listed in
     ``budget_errors``; the sweep carries on.
     """
+    # a bad size fails before any shape is verified, not after the sizes below it
+    check_cell_count(n_max)
     t0 = time.perf_counter()
     reports = []
     per_size = {}

@@ -27,6 +27,7 @@ from polyprime import (
 )
 from polyprime.algebra import (
     EngineBudgets,
+    OrderSearchConfig,
     Reducer,
     default_grid_order,
     gb_to_json,
@@ -284,28 +285,51 @@ class TestIdealEqual:
 
     def test_same_generators(self, cell):
         gvars = grid_variables(cell)
-        gens = inner_minors(cell, gvars)
-        assert ideal_equal_paths(gens, gens, default_grid_order(gvars)) == (True, True)
+        gb = buchberger(inner_minors(cell, gvars), default_grid_order(gvars))
+        assert ideal_equal_paths(gb, gb) == (True, True)
 
     def test_domino_inner_equals_toric(self, domino):
         gvars = grid_variables(domino)
         order = default_grid_order(gvars)
         toric = toric_ideal_elimination(build_interval_graph(domino), gvars, order)
-        assert ideal_equal_paths(inner_minors(domino, gvars), toric, order) == (True, True)
+        assert ideal_equal_paths(buchberger(inner_minors(domino, gvars), order), toric) == (True, True)
 
     def test_annulus_ideals_differ(self, annulus):
         gvars = grid_variables(annulus)
         order = default_grid_order(gvars)
         toric = toric_ideal_elimination(build_interval_graph(annulus), gvars, order)
-        assert ideal_equal_paths(inner_minors(annulus, gvars), toric, order) == (False, False)
+        assert ideal_equal_paths(buchberger(inner_minors(annulus, gvars), order), toric) == (False, False)
 
     def test_both_paths_agree(self, tromino_l, annulus):
         for poly in (tromino_l, annulus):
             gvars = grid_variables(poly)
             order = default_grid_order(gvars)
             toric = toric_ideal_elimination(build_interval_graph(poly), gvars, order)
-            mutual, identity = ideal_equal_paths(inner_minors(poly, gvars), toric, order)
+            mutual, identity = ideal_equal_paths(buchberger(inner_minors(poly, gvars), order), toric)
             assert mutual == identity
+
+    def test_bases_under_different_orders_rejected(self, square2):
+        gvars = grid_variables(square2)
+        gens = inner_minors(square2, gvars)
+        gb_a = buchberger(gens, default_grid_order(gvars))
+        gb_b = buchberger(gens, lex_order(len(gvars)))
+        with pytest.raises(ValueError, match="different orders"):
+            ideal_equal_paths(gb_a, gb_b)
+
+
+GRID_ORDER_SPECS = [(kind, name) for name in OrderSearchConfig().rankings
+                    for kind in OrderSearchConfig().kinds] + ["two-block"]
+
+
+def grid_order(spec, gvars):
+    """A named order ``(kind, ranking name)``, or "two-block": the first half
+    of the row-major ranking under lex, then the rest under degrevlex."""
+    if spec == "two-block":
+        ranking = named_ranking("row-major", gvars)
+        half = len(ranking) // 2
+        return block_order(len(gvars), [("lex", ranking[:half]), ("degrevlex", ranking[half:])])
+    kind, name = spec
+    return MonomialOrder(kind, len(gvars), named_ranking(name, gvars))
 
 
 class TestToricIdeal:
@@ -320,7 +344,7 @@ class TestToricIdeal:
         gvars = grid_variables(square2)
         order = default_grid_order(gvars)
         gb = toric_ideal_elimination(build_interval_graph(square2), gvars, order)
-        assert ideal_equal_paths(inner_minors(square2, gvars), gb, order) == (True, True)
+        assert ideal_equal_paths(buchberger(inner_minors(square2, gvars), order), gb) == (True, True)
 
     def test_no_auxiliary_variables_leak(self, square2):
         gvars = grid_variables(square2)
@@ -333,12 +357,19 @@ class TestToricIdeal:
         gb = toric_ideal_elimination(graph, gvars)
         assert all(tmap.balanced(b) for b in gb.elements)
 
-    def test_explicit_reduction_matches_fast_path(self, tromino_l):
-        gvars = grid_variables(tromino_l)
-        order = default_grid_order(gvars)
-        fast = toric_ideal_elimination(build_interval_graph(tromino_l), gvars, None)
-        slow = buchberger(list(fast.elements), order)
-        assert fast.elements == slow.elements
+    @pytest.mark.parametrize("shape", ["tromino_l", "annulus"])
+    @pytest.mark.parametrize("spec", GRID_ORDER_SPECS,
+                             ids=lambda spec: spec if isinstance(spec, str) else "-".join(spec))
+    def test_explicit_reduction_matches_fast_path(self, request, shape, spec):
+        # one elimination under any grid order gives the reduced basis that
+        # Buchberger finds from the default order's basis
+        poly = request.getfixturevalue(shape)
+        graph, gvars = build_interval_graph(poly), grid_variables(poly)
+        order = grid_order(spec, gvars)
+        default_basis = toric_ideal_elimination(graph, gvars)
+        gb = toric_ideal_elimination(graph, gvars, order)
+        assert gb.order == order
+        assert gb.elements == buchberger(list(default_basis.elements), order).elements
 
     def test_inner_minors_are_balanced(self, square2):
         tmap = toric_map(build_interval_graph(square2), grid_variables(square2))
@@ -381,9 +412,9 @@ class TestToricCycles:
             for poly in enumerate_polyominoes(n):
                 gvars = grid_variables(poly)
                 order = default_grid_order(gvars)
-                cyc = toric_ideal_cycles(poly, variables=gvars)
+                cyc = buchberger(toric_ideal_cycles(poly, variables=gvars), order)
                 assert ideal_equal_paths(
-                    cyc, toric_ideal_elimination(build_interval_graph(poly), gvars, order), order) == (True, True)
+                    cyc, toric_ideal_elimination(build_interval_graph(poly), gvars, order)) == (True, True)
 
 
 class TestQuadraticOrderSearch:

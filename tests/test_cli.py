@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from polyprime import cli
+from polyprime import cli, verify
 
 
 def run(capsys, *argv):
@@ -186,9 +186,21 @@ class TestSweep:
         assert "budget exhausted on 2 shapes" in err
 
     def test_sweep_beyond_cap_is_usage_error(self, capsys, monkeypatch):
+        # the size is checked before any shape of the sizes below the cap is verified
+        calls = []
+        monkeypatch.setattr(verify, "verify_polyomino", lambda *args: calls.append(args))
         monkeypatch.setenv("POLYPRIME_CAP", "3")
         code, _, err = run(capsys, "sweep", "5")
         assert code == 2
+        assert "exceeds the enumeration cap 3" in err
+        assert calls == []
+
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_sweep_of_no_cells_is_usage_error(self, capsys, n):
+        code, out, err = run(capsys, "sweep", "--", n)
+        assert code == 2
+        assert out == ""
+        assert "cell count must be positive" in err
 
     def test_cap_env_override_allows(self, capsys, monkeypatch):
         monkeypatch.setenv("POLYPRIME_CAP", "4")

@@ -8,6 +8,7 @@ digest together with the reason.
 import contextlib
 import hashlib
 import io
+import json
 
 import pytest
 
@@ -61,12 +62,34 @@ ANNULUS_DIGESTS = [
     (("cycles",),
      "56cfdb82af034a47b457c94cff5c9bec3a4b2ab400b3376fc3c49cbb3143899f",
      "9c3db56f55cabf690d93b6ecd05a75ae5aa664889aa7c80194019415d504a744"),
+    # elimination under grid orders other than the default
+    (("toric", "--order", '{"kind":"lex","ranking":"column-major"}'),
+     "2f048186f82cdd5847bddbaed3b2e71e3ed1fea58be1db816b5ea4bf4e012b43",
+     "176292cfd64b56a2e80a1cb68bb54ec0c97ec2acc55d3b9d13487c908b405cff"),
+    (("toric", "--order", '{"kind":"deglex","ranking":"diagonal"}'),
+     "5790d0431320d85796e26328e3f2d141ff4c592f37800a0bcdd3837c05c45e14",
+     "f6d531ef777684d58703d81aab154f04d27debcd790649adf45b6a063cc21e31"),
+    (("toric", "--order",
+      '{"kind":"block","blocks":['
+      '{"kind":"lex","ranking":["x(0,3)","x(1,3)","x(2,3)","x(3,3)","x(0,2)","x(1,2)","x(2,2)","x(3,2)"]},'
+      '{"kind":"degrevlex","ranking":["x(0,1)","x(1,1)","x(2,1)","x(3,1)","x(0,0)","x(1,0)","x(2,0)","x(3,0)"]}]}'),
+     "19a1d287a0811a9b01314992e62ced7504eeb422e6f24c7f02181bbe6762b56e",
+     "7aeb54e29ed75e242e6c0910bac04882ca97385b3efb5c99a93906eb68d6b1f9"),
 ]
+
+
+def annulus_id(command):
+    """The subcommand, then the kind and the ranking name of its --order, if any."""
+    name, *rest = command
+    if not rest:
+        return name
+    spec = json.loads(rest[1])
+    return "-".join([name, spec["kind"]] + ([spec["ranking"]] if "ranking" in spec else []))
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
 @pytest.mark.parametrize("command, text_digest, json_digest", ANNULUS_DIGESTS,
-                         ids=["-".join(c[0]) for c in ANNULUS_DIGESTS])
+                         ids=[annulus_id(c[0]) for c in ANNULUS_DIGESTS])
 def test_annulus_subcommand_digest(command, text_digest, json_digest, fmt):
     name, *rest = command
     out = cli_output(name, "--grid", ANNULUS, *rest, "--format", fmt)

@@ -279,6 +279,14 @@ def test_normal_form_exponent_limit(kern):
     assert len(basis) == 1
 
 
+@pytest.mark.parametrize("nvars", [-1, 2 ** 28, 2 ** 40], ids=["-1", "2**28", "2**40"])
+def test_basis_nvars_out_of_range(kern, nvars):
+    # checked before anything is allocated: the pure kernel would otherwise
+    # build a 512 MB guard int for 2**28 variables
+    assert kern.MAX_NVARS == 2 ** 28 - 1
+    assert outcome(kern.Basis, nvars) == (ValueError, "nvars must be in 0..268435455")
+
+
 def test_python_compare_rejects_wrong_width():
     order = pure.Order(degrevlex_order(2).weight_rows())
     assert pure.compare(order, (1, 0), (0, 1)) == 1
