@@ -7,7 +7,8 @@ its own interpreter that runs this script: the pure-Python one blocks
 when the extension does not load.
 
 Three granularities:
-  * micro: raw normal-form rewrites against a packed basis;
+  * micro: raw normal-form rewrites against a packed basis, in full and
+    up to a known target, as the second half of a zero S-pair is rewritten;
   * macro: Groebner bases of the inner-minor ideal and the elimination-order
     toric ideal, and their equality;
   * sweep: sequential ``verify.sweep``, the whole pipeline on every shape;
@@ -47,19 +48,35 @@ def timed(fn, repeat):
     return best
 
 
-def micro(rewrites):
+def chained_basis():
+    """(basis, start): x_i^2 -> x_{i+1} rules, so rewriting x_0^8 walks down the chain."""
     n = 24
     basis = kernel.get_kernel().Basis(n)
-    # chain x_i^2 -> x_{i+1} * x_i-ish rules so rewriting walks down the chain
     for i in range(n - 1):
         lead = mono_from_indices(n, (i, i))
         tail = mono_from_indices(n, (i + 1,))
         basis.append(lead, tail)
-    start = mono_from_indices(n, (0,) * 8)
+    return basis, mono_from_indices(n, (0,) * 8)
+
+
+def micro(rewrites):
+    basis, start = chained_basis()
 
     def run():
         for _ in range(rewrites):
             basis.normal_form(start, 10 ** 6)
+
+    return run
+
+
+def micro_until(rewrites):
+    # a zero pair: the target is the normal form, at the end of the chain
+    basis, start = chained_basis()
+    target = basis.normal_form(start, 10 ** 6)
+
+    def run():
+        for _ in range(rewrites):
+            basis.normal_form_until(start, 10 ** 6, target)
 
     return run
 
@@ -104,6 +121,7 @@ def workloads(quick):
     sweep_n = 5 if quick else 6
     rows = [
         (f"micro: {rewrites} chained normal forms", micro, rewrites, repeat),
+        (f"micro: {rewrites} chained normal forms up to their target", micro_until, rewrites, repeat),
         ("macro: ideal equality on 4 shapes", macro, list(SHAPES.values()), repeat),
         (f"macro: inner-minor bases, all shapes <= {bases_n}", inner_bases, bases_n, repeat),
         (f"sweep({sweep_n}), sequential", sweep, sweep_n, 1),

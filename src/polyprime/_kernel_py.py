@@ -5,8 +5,13 @@ tuples of non-negative ints (dense exponent vectors), an Order is built
 from the weight-matrix rows of a monomial order, and a Basis holds oriented
 rewrite rules lead -> tail with lead > tail. ``normal_form`` rewrites a
 monomial with the first divisible lead in append order, restarting the
-scan after every hit, until no lead divides. Both kernels must produce
-bit-identical results; the engine picks whichever is available.
+scan after every hit, until no lead divides. ``normal_form_until``
+rewrites the same chain but returns a given target as soon as the chain
+reaches it, so a caller holding an irreducible monomial learns whether
+another one reduces to it without the final scan that proves
+irreducibility. With budget 0, ``normal_form`` returns None exactly when
+some lead divides the monomial. Both kernels must produce bit-identical
+results; the engine picks whichever is available.
 
 An Order keeps each row sparse, as ``((index, weight), ...)`` over its
 nonzero weights only, so ``compare`` never touches a zero weight. Every
@@ -22,6 +27,8 @@ borrows its guard), and a rewrite is ``m - lead + tail``. An exponent
 outside 0..``MAX_EXPONENT`` (32767), whether given or produced by a
 rewrite (which sets a guard bit), raises LimitExceededError; nothing
 wraps. The compiled kernel raises the same errors with the same messages.
+``G`` takes two bytes per variable, so the first call that packs a
+monomial builds it, not the constructor.
 """
 
 import sys
@@ -32,7 +39,7 @@ from polyprime.errors import LimitExceededError
 BACKEND = "python"
 
 MAX_EXPONENT = 0x7FFF  # 15 exponent bits under the guard bit of a 16-bit field
-MAX_NVARS = 2 ** 28 - 1  # the compiled kernel's bound, checked before the guard int is built
+MAX_NVARS = 2 ** 28 - 1  # the compiled kernel's bound
 
 _BYTEORDER = sys.byteorder
 
@@ -73,7 +80,7 @@ class Basis:
         self.nvars = nvars
         self.rules = []
         self.nbytes = 2 * nvars
-        self.guard = int.from_bytes(array("H", [MAX_EXPONENT + 1] * nvars).tobytes(), _BYTEORDER)
+        self.guard = None  # built by the first _pack
 
     def __len__(self):
         return len(self.rules)
@@ -81,11 +88,15 @@ class Basis:
     def _pack(self, mono):
         if len(mono) != self.nvars:
             raise ValueError("exponent tuple has wrong length")
+        g = self.guard
+        if g is None:
+            g = self.guard = int.from_bytes(
+                array("H", [MAX_EXPONENT + 1]).tobytes() * self.nvars, _BYTEORDER)
         try:
             packed = int.from_bytes(array("H", mono).tobytes(), _BYTEORDER)
         except OverflowError:  # an exponent outside 0..65535
-            packed = self.guard
-        if packed & self.guard:
+            packed = g
+        if packed & g:
             raise LimitExceededError(
                 f"exponent of {tuple(mono)} outside the kernel limit 0..{MAX_EXPONENT}")
         return packed
@@ -95,11 +106,17 @@ class Basis:
 
     def normal_form(self, mono, budget):
         """Fully rewrite ``mono``; returns None if ``budget`` steps were not enough."""
+        return self._rewrite(self._pack(mono), budget, -1, mono, None)  # no packed monomial is -1
+
+    def normal_form_until(self, mono, budget, target):
+        """``normal_form(mono, budget)``, but returns ``target`` once the chain reaches it."""
+        return self._rewrite(self._pack(mono), budget, self._pack(target), mono, target)
+
+    def _rewrite(self, m, budget, t, mono, target):
         rules = self.rules
         g = self.guard
-        m = self._pack(mono)
         steps = 0
-        while True:
+        while m != t:
             mg = m | g
             for lead, tail in rules:
                 if (mg - lead) & g == g:
@@ -113,3 +130,4 @@ class Basis:
             if m & g:
                 raise LimitExceededError(
                     f"rewriting {tuple(mono)} pushed an exponent past the kernel limit {MAX_EXPONENT}")
+        return target

@@ -2,14 +2,17 @@
    _kernel_py: an Order holds the weight matrix of a monomial order; a Basis
    holds rules lead -> tail in one flat C array, and normal_form rewrites with
    the first divisible lead in append order, restarting after every hit,
-   until no lead divides or the step budget is spent (None). An exponent
-   outside 0..MAX_EXPONENT, given or made by a rewrite, raises
-   LimitExceededError and a wrong width raises ValueError, with the pure
-   kernel's messages. */
+   until no lead divides or the step budget is spent (None).
+   normal_form_until walks the same chain and returns its target once the
+   chain reaches it. An exponent outside 0..MAX_EXPONENT, given or made by a
+   rewrite, raises LimitExceededError and a wrong width raises ValueError,
+   with the pure kernel's messages; the monomial is checked before the
+   target. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <limits.h>
+#include <string.h>
 #define MAX_EXPONENT 0x7FFF
 #define MAX_NVARS (INT_MAX / 8)  /* 2**28 - 1, the bound _kernel_py checks too */
 #define FASTCALL(f) (PyCFunction)(void (*)(void))(f), METH_FASTCALL
@@ -181,10 +184,13 @@ static PyObject *Basis_append(BasisObject *self, PyObject *const *args, Py_ssize
     Py_RETURN_NONE;
 }
 
-/* Rewrite m in place: the normal form as a tuple, or None past the budget. */
-static PyObject *rewrite(BasisObject *self, int *m, long long budget, PyObject *mono) {
+/* Rewrite m in place: the normal form as a tuple, None past the budget, or
+   target (new reference) once m equals t, when t is not NULL. */
+static PyObject *rewrite(BasisObject *self, int *m, long long budget, PyObject *mono,
+                         const int *t, PyObject *target) {
     Py_ssize_t n = self->nvars, k;
     long long steps = 0;
+    if (t != NULL && memcmp(m, t, n * sizeof(int)) == 0) goto reached;
     for (Py_ssize_t i = 0; i < self->count; i++) {
         const int *lead = self->rules + i * 2 * n, *tail = lead + n;
         for (k = 0; k < n && lead[k] <= m[k]; k++) {}
@@ -196,6 +202,7 @@ static PyObject *rewrite(BasisObject *self, int *m, long long budget, PyObject *
             over |= m[k] > MAX_EXPONENT;
         }
         if (over) return limit_error("rewriting %R pushed an exponent past the kernel limit %d", mono);
+        if (t != NULL && memcmp(m, t, n * sizeof(int)) == 0) goto reached;
         i = -1;  /* restart the scan */
     }
     PyObject *out = PyTuple_New(n);
@@ -204,24 +211,42 @@ static PyObject *rewrite(BasisObject *self, int *m, long long budget, PyObject *
         if (PyTuple_GET_ITEM(out, k) == NULL) Py_CLEAR(out);
     }
     return out;
+reached:
+    Py_INCREF(target);
+    return target;
 }
 
-static PyObject *Basis_normal_form(BasisObject *self, PyObject *const *args, Py_ssize_t nargs) {
-    if (nargs != 2) return error(PyExc_TypeError, "normal_form(mono, budget) takes two arguments");
+/* normal_form(mono, budget) for nargs == 2, normal_form_until(mono, budget,
+   target) for nargs == 3: m and, after it, t share one buffer. */
+static PyObject *normal_form(BasisObject *self, PyObject *const *args, Py_ssize_t nargs) {
     int overflow;
     long long budget = PyLong_AsLongLongAndOverflow(args[1], &overflow);
     if (budget == -1 && PyErr_Occurred()) return NULL;
     if (overflow) budget = overflow > 0 ? LLONG_MAX : LLONG_MIN;
-    int *m = PyMem_Malloc(self->nvars * sizeof(int) + 1);
+    Py_ssize_t n = self->nvars;
+    int *m = PyMem_Malloc((nargs - 1) * n * sizeof(int) + 1), *t = nargs == 3 ? m + n : NULL;
     if (m == NULL) return PyErr_NoMemory();
-    PyObject *out = fill(m, args[0], self->nvars) < 0 ? NULL : rewrite(self, m, budget, args[0]);
+    PyObject *out = fill(m, args[0], n) < 0 || (t != NULL && fill(t, args[2], n) < 0) ? NULL
+        : rewrite(self, m, budget, args[0], t, t != NULL ? args[2] : NULL);
     PyMem_Free(m);
     return out;
+}
+
+static PyObject *Basis_normal_form(BasisObject *self, PyObject *const *args, Py_ssize_t nargs) {
+    if (nargs != 2) return error(PyExc_TypeError, "normal_form(mono, budget) takes two arguments");
+    return normal_form(self, args, nargs);
+}
+
+static PyObject *Basis_normal_form_until(BasisObject *self, PyObject *const *args, Py_ssize_t nargs) {
+    if (nargs != 3) return error(PyExc_TypeError, "normal_form_until(mono, budget, target) takes three arguments");
+    return normal_form(self, args, nargs);
 }
 
 static PyMethodDef Basis_methods[] = {
     {"append", FASTCALL(Basis_append), "append(lead, tail): add the rule lead -> tail."},
     {"normal_form", FASTCALL(Basis_normal_form), "normal_form(mono, budget): the normal form, or None."},
+    {"normal_form_until", FASTCALL(Basis_normal_form_until),
+     "normal_form_until(mono, budget, target): target once the rewrite chain reaches it, else as normal_form."},
     {NULL},
 };
 

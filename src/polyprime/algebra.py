@@ -83,9 +83,24 @@ class Reducer:
             raise BudgetExceededError(f"reduction step budget {self.steps} exhausted")
         return out
 
+    def monomial_until(self, mono, target):
+        """The normal form of ``mono``, or ``target`` once its rewrite chain reaches it.
+
+        With ``target`` irreducible, that is the normal form too: rewriting
+        is deterministic, so a chain through ``target`` ends there.
+        """
+        out = self.kb.normal_form_until(tuple(mono), self.steps, target)
+        if out is None:
+            raise BudgetExceededError(f"reduction step budget {self.steps} exhausted")
+        return out
+
+    def divisible(self, mono):
+        """True iff some lead divides ``mono``: budget 0 stops at the first rewrite."""
+        return self.kb.normal_form(mono, 0) is None
+
     def binomial(self, b):
         plus = self.monomial(b.plus)
-        minus = self.monomial(b.minus)
+        minus = self.monomial_until(b.minus, plus)
         if plus == minus:
             return ZERO
         return Binomial(plus, minus)
@@ -159,7 +174,9 @@ def buchberger(gens, order, budgets=DEFAULT_BUDGETS):
         lead_j, tail_j = basis[j]
         # S-binomial of (lead_i - tail_i, lead_j - tail_j): both lcm cofactors applied
         a = red.monomial(cofactor_times(tail_i, lead_i, lead_j, supports[j]))
-        b = red.monomial(cofactor_times(tail_j, lead_j, lead_i, supports[i]))
+        # a zero pair stops where the second chain meets a, without a
+        # second scan proving irreducibility
+        b = red.monomial_until(cofactor_times(tail_j, lead_j, lead_i, supports[i]), a)
         # a and b are normal forms modulo every lead so far, so the new lead
         # is divisible by none of them and cannot repeat an element
         if a != b:
@@ -173,17 +190,14 @@ def _inter_reduce(basis, order, budgets):
     kern = _kernel.get_kernel()
     ko = kernel_order(order)
     by_lead = sorted(basis, key=functools.cmp_to_key(lambda a, b: kern.compare(ko, a[0], b[0])))
-    kept = []
-    supports = []  # (lead, support) of each kept element
-    for lead, tail in by_lead:
-        # a kept lead divides this one iff it is no larger on its own support
-        if any(all(kl[v] <= lead[v] for v in ks) for kl, ks in supports):
-            continue
-        kept.append((lead, tail))
-        supports.append((lead, tuple(v for v, e in enumerate(lead) if e)))
     red = Reducer((), order, budgets=budgets)
-    for lead, tail in kept:
-        red.append(lead, tail)
+    kept = []
+    for lead, tail in by_lead:
+        # only a smaller lead can divide this one, and every smaller one that
+        # is not itself redundant is already kept
+        if not red.divisible(lead):
+            red.append(lead, tail)
+            kept.append((lead, tail))
     return GroebnerBasis(order, tuple(Binomial(lead, red.monomial(tail)) for lead, tail in kept))
 
 

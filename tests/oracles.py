@@ -342,16 +342,17 @@ def direct_block(a, b, blocks):
 # ---------------------------------------------------------------------------
 # normal form on exponent tuples
 
-def tuple_normal_form(rules, mono, budget):
+def tuple_normal_form(rules, mono, budget, target=None):
     """Rewrite ``mono`` by the first divisible lead of ``rules`` [(lead, tail)].
 
     The scan restarts after every hit; returns None when ``budget`` steps
-    were not enough. This is the kernel contract on plain tuples.
+    were not enough, and stops early once the chain reaches ``target``.
+    This is the kernel contract on plain tuples.
     """
     m = tuple(mono)
     steps = 0
     changed = True
-    while changed:
+    while changed and m != target:
         changed = False
         for lead, tail in rules:
             if all(le <= me for le, me in zip(lead, m)):
@@ -362,6 +363,18 @@ def tuple_normal_form(rules, mono, budget):
                 changed = True
                 break
     return m
+
+
+def tuple_rewrite_chain(rules, mono):
+    """Every monomial the rewrite of ``mono`` passes through, ``mono`` first, its normal form last."""
+    chain = [tuple(mono)]
+    while True:
+        for lead, tail in rules:
+            if mono_divides(lead, chain[-1]):
+                chain.append(tuple(me - le + te for me, le, te in zip(chain[-1], lead, tail)))
+                break
+        else:
+            return chain
 
 
 # ---------------------------------------------------------------------------
@@ -396,10 +409,11 @@ def dense_buchberger(gens, order, budgets=DEFAULT_BUDGETS):
             if not coprime:
                 heapq.heappush(pairs, (lcm_deg, i, k))
 
-    def nf(mono):
-        out = kb.normal_form(mono, budgets.reduction_steps)
+    def nf(mono, target=None):
+        steps = budgets.reduction_steps
+        out = kb.normal_form(mono, steps) if target is None else kb.normal_form_until(mono, steps, target)
         if out is None:
-            raise BudgetExceededError(f"reduction step budget {budgets.reduction_steps} exhausted")
+            raise BudgetExceededError(f"reduction step budget {steps} exhausted")
         return out
 
     pairs = []
@@ -423,7 +437,7 @@ def dense_buchberger(gens, order, budgets=DEFAULT_BUDGETS):
         lead_j, tail_j = basis[j]
         # S-binomial of (lead_i - tail_i, lead_j - tail_j): both lcm cofactors applied
         a = nf(tuple((y if y > x else x) - x + t for x, y, t in zip(lead_i, lead_j, tail_i)))
-        b = nf(tuple((y if y > x else x) - y + t for x, y, t in zip(lead_i, lead_j, tail_j)))
+        b = nf(tuple((y if y > x else x) - y + t for x, y, t in zip(lead_i, lead_j, tail_j)), a)
         if a == b:
             continue
         c = kern.compare(ko, a, b)
@@ -441,13 +455,15 @@ def dense_inter_reduce(basis, order, budgets):
     kern = _kernel.get_kernel()
     ko = kernel_order(order)
     by_lead = sorted(basis, key=functools.cmp_to_key(lambda a, b: kern.compare(ko, a[0], b[0])))
+    kb = kern.Basis(order.nvars)
     kept = []
     for lead, tail in by_lead:
-        if not any(mono_divides(kl, lead) for kl, _ in kept):
+        # the kernel's budget-0 test, as the engine asks it, checked against a dense scan
+        divisible = kb.normal_form(lead, 0) is None
+        assert divisible == any(mono_divides(kl, lead) for kl, _ in kept)
+        if not divisible:
+            kb.append(lead, tail)
             kept.append((lead, tail))
-    kb = kern.Basis(order.nvars)
-    for lead, tail in kept:
-        kb.append(lead, tail)
     elements = []
     for lead, tail in kept:
         nf_tail = kb.normal_form(tail, budgets.reduction_steps)

@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import sysconfig
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -133,14 +134,16 @@ def test_engine_calls_kernel_through_module_attributes(monkeypatch, annulus):
         return wrapper
 
     monkeypatch.setattr(kern, "compare", counted("compare", kern.compare))
+    methods = ("normal_form", "normal_form_until")
     if kern is pure:
         # a compiled extension type's methods cannot be replaced
-        monkeypatch.setattr(kern.Basis, "normal_form", counted("normal_form", kern.Basis.normal_form))
+        for name in methods:
+            monkeypatch.setattr(kern.Basis, name, counted(name, getattr(kern.Basis, name)))
     gvars = grid_variables(annulus)
     buchberger(inner_minors(annulus, gvars), default_grid_order(gvars))
     assert counts["compare"] > 0
     if kern is pure:
-        assert counts["normal_form"] > 0
+        assert all(counts[name] > 0 for name in methods)
 
 
 KINDS = ("lex", "deglex", "degrevlex")
@@ -186,8 +189,8 @@ def traced_engine(engine, gens, order, budgets):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kern, "compare", logged("compare", kern.compare))
         if kern is pure:
-            mp.setattr(kern.Basis, "append", logged("append", kern.Basis.append))
-            mp.setattr(kern.Basis, "normal_form", logged("normal_form", kern.Basis.normal_form))
+            for name in ("append", "normal_form", "normal_form_until"):
+                mp.setattr(kern.Basis, name, logged(name, getattr(kern.Basis, name)))
         try:
             out = engine(gens, order, budgets=budgets).elements
         except BudgetExceededError as exc:
@@ -281,10 +284,21 @@ def test_normal_form_exponent_limit(kern):
 
 @pytest.mark.parametrize("nvars", [-1, 2 ** 28, 2 ** 40], ids=["-1", "2**28", "2**40"])
 def test_basis_nvars_out_of_range(kern, nvars):
-    # checked before anything is allocated: the pure kernel would otherwise
-    # build a 512 MB guard int for 2**28 variables
     assert kern.MAX_NVARS == 2 ** 28 - 1
     assert outcome(kern.Basis, nvars) == (ValueError, "nvars must be in 0..268435455")
+
+
+def test_basis_allocates_nothing_up_front(kern):
+    # the pure kernel's guard int takes two bytes per variable, 512 MB at
+    # the top of the range, so only the first packed monomial builds it
+    tracemalloc.start()
+    try:
+        basis = kern.Basis(kern.MAX_NVARS)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    assert len(basis) == 0
 
 
 def test_python_compare_rejects_wrong_width():
@@ -355,21 +369,80 @@ def test_normal_form_budget_sentinel(fast):
         assert basis.normal_form((3, 0), 10) == (0, 3)
 
 
+def built(kern, rules, nvars):
+    basis = kern.Basis(nvars)
+    for lead, tail in rules:
+        basis.append(lead, tail)
+    return basis
+
+
+@settings(max_examples=200, deadline=None)
+@given(rewrite_systems())
+def test_budget_zero_tests_lead_divisibility(fast, system):
+    # inter-reduction relies on this: budget 0 returns None exactly when
+    # some appended lead divides the monomial, and the monomial otherwise
+    rules, mono = system
+    for m in [mono] + [lead for lead, _ in rules]:
+        divisible = any(oracles.mono_divides(lead, m) for lead, _ in rules)
+        assert (oracles.tuple_normal_form(rules, m, 0) is None) == divisible
+        for kern in (pure, fast):
+            assert built(kern, rules, len(mono)).normal_form(m, 0) == (None if divisible else m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rewrite_systems(), st.data())
+def test_normal_form_until_identical_across_kernels(fast, system, data):
+    rules, mono = system
+    n = len(mono)
+    pb, fb = built(pure, rules, n), built(fast, rules, n)
+    chain = oracles.tuple_rewrite_chain(rules, mono)
+    steps, nf = len(chain) - 1, chain[-1]
+    for k, target in enumerate(chain):
+        # early return: k steps reach chain[k], where the full normal form
+        # needs all of them
+        assert pb.normal_form_until(mono, k, target) == target
+        if k < steps:
+            assert pb.normal_form(mono, k) is None
+    unrelated = data.draw(st.tuples(*[st.integers(0, 5)] * n))
+    for target in (nf, unrelated):
+        # at the end of the chain or off it: exactly normal_form, budget errors included
+        if target not in chain[:-1]:
+            for budget in range(steps + 1):
+                assert pb.normal_form_until(mono, budget, target) == pb.normal_form(mono, budget)
+    bad_exponent = data.draw(st.sampled_from(EDGE_EXPONENTS))
+    targets = chain + [unrelated, nf + (0,), nf[:-1], nf[:-1] + (bad_exponent,)]
+    for target in targets:
+        for budget in range(steps + 1):
+            got = outcome(pb.normal_form_until, mono, budget, target)
+            assert got == outcome(fb.normal_form_until, mono, budget, target)
+            if len(target) == n and all(0 <= e <= pure.MAX_EXPONENT for e in target):
+                assert got == oracles.tuple_normal_form(rules, mono, budget, target)
+    # the monomial is checked before the target
+    bad_mono = mono[:-1] + (bad_exponent,)
+    for target in (nf, nf[:-1]):
+        got = outcome(pb.normal_form_until, bad_mono, steps, target)
+        assert got == outcome(fb.normal_form_until, bad_mono, steps, target)
+
+
 PIPELINE_SHAPES = ["#", "##", "#.\n##", "##\n##", "###\n#.#\n###", "####\n#..#\n####"]
 
 PIPELINE_DIGESTS = """
 import hashlib, json
 from polyprime import backend_name, buchberger, build_interval_graph, grid_variables, inner_minors
 from polyprime import parse_grid, toric_ideal_elimination
-from polyprime.algebra import default_grid_order
+from polyprime.algebra import default_grid_order, ideal_equal_paths, witness_from_bases
+from polyprime.binomials import render_binomial
 out = {"backend": backend_name()}
 for text in json.loads(sys.argv[1]):
     poly = parse_grid(text)
     gvars = grid_variables(poly)
     order = default_grid_order(gvars)
-    bases = (buchberger(inner_minors(poly, gvars), order).elements,
-             toric_ideal_elimination(build_interval_graph(poly), gvars, order).elements)
-    out[text] = hashlib.sha256(repr(bases).encode()).hexdigest()
+    inner = buchberger(inner_minors(poly, gvars), order)
+    toric = toric_ideal_elimination(build_interval_graph(poly), gvars, order)
+    witness = witness_from_bases(inner, toric, gvars)
+    results = (inner.elements, toric.elements, ideal_equal_paths(inner, toric),
+               witness and render_binomial(witness, gvars))
+    out[text] = hashlib.sha256(repr(results).encode()).hexdigest()
 print(json.dumps(out))
 """
 
