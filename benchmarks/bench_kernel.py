@@ -127,7 +127,7 @@ def workloads(quick):
         (f"sweep({sweep_n}), sequential", sweep, sweep_n, 1),
     ]
     if not quick:
-        # the row that decides whether the compiled kernel stays (ROADMAP item 4)
+        # the row that decides whether the compiled kernel stays (ROADMAP item 7)
         rows.append(("sweep(8), sequential", sweep, 8, 1))
     return rows
 

@@ -29,6 +29,16 @@ rewrite (which sets a guard bit), raises LimitExceededError; nothing
 wraps. The compiled kernel raises the same errors with the same messages.
 ``G`` takes two bytes per variable, so the first call that packs a
 monomial builds it, not the constructor.
+
+A lead divides ``m`` only if ``m`` uses every variable of the lead, so a
+Basis files each rule, with its append index, in a bucket keyed by the
+lowest variable of its lead. ``((m | G) - ONES) & K``, with ``ONES`` a 1
+in every field and ``K`` the guard bits of the keyed variables, gives the
+buckets a rewrite step must scan. Each bucket is in append order, so its
+scan stops at its first divisor or past the best index found so far; the
+smallest index found is the first divisible lead in append order, as
+before. The first rule whose lead is 1 divides everything; every step
+starts from it.
 """
 
 import sys
@@ -72,18 +82,21 @@ def compare(order, a, b):
 
 
 class Basis:
-    __slots__ = ("nvars", "rules", "guard", "nbytes")
+    __slots__ = ("nvars", "size", "buckets", "keys", "unit", "guard", "ones", "nbytes")
 
     def __init__(self, nvars):
         if not 0 <= nvars <= MAX_NVARS:
             raise ValueError(f"nvars must be in 0..{MAX_NVARS}")
         self.nvars = nvars
-        self.rules = []
+        self.size = 0
+        self.buckets = {}  # key -> [(append index, lead, tail), ...] in append order
+        self.keys = 0  # the guard bits of the keys that have a bucket
+        self.unit = None  # (append index, lead, tail) of the first rule whose lead is 1
         self.nbytes = 2 * nvars
-        self.guard = None  # built by the first _pack
+        self.guard = self.ones = None  # built by the first _pack
 
     def __len__(self):
-        return len(self.rules)
+        return self.size
 
     def _pack(self, mono):
         if len(mono) != self.nvars:
@@ -92,6 +105,7 @@ class Basis:
         if g is None:
             g = self.guard = int.from_bytes(
                 array("H", [MAX_EXPONENT + 1]).tobytes() * self.nvars, _BYTEORDER)
+            self.ones = g >> 15
         try:
             packed = int.from_bytes(array("H", mono).tobytes(), _BYTEORDER)
         except OverflowError:  # an exponent outside 0..65535
@@ -102,7 +116,16 @@ class Basis:
         return packed
 
     def append(self, lead, tail):
-        self.rules.append((self._pack(lead), self._pack(tail)))
+        rule = (self.size, self._pack(lead), self._pack(tail))
+        g = self.guard
+        support = ((rule[1] | g) - self.ones) & g  # the guard bits of the lead's nonzero fields
+        if support:
+            low = support & -support  # the guard bit of the lead's lowest variable
+            self.keys |= low
+            self.buckets.setdefault(low.bit_length(), []).append(rule)
+        elif self.unit is None:
+            self.unit = rule
+        self.size += 1
 
     def normal_form(self, mono, budget):
         """Fully rewrite ``mono``; returns None if ``budget`` steps were not enough."""
@@ -113,15 +136,26 @@ class Basis:
         return self._rewrite(self._pack(mono), budget, self._pack(target), mono, target)
 
     def _rewrite(self, m, budget, t, mono, target):
-        rules = self.rules
+        buckets = self.buckets
         g = self.guard
+        ones = self.ones
+        keys = self.keys
+        first = self.unit or (self.size, None, None)  # no index reaches self.size
         steps = 0
         while m != t:
             mg = m | g
-            for lead, tail in rules:
-                if (mg - lead) & g == g:
-                    break
-            else:
+            best, lead, tail = first
+            nz = (mg - ones) & keys  # the keys of m's nonzero fields
+            while nz:
+                key = nz.bit_length()
+                nz ^= 1 << (key - 1)
+                for i, bl, bt in buckets[key]:
+                    if i >= best:
+                        break
+                    if (mg - bl) & g == g:
+                        best, lead, tail = i, bl, bt
+                        break
+            if lead is None:
                 return tuple(memoryview(m.to_bytes(self.nbytes, _BYTEORDER)).cast("H"))
             if steps >= budget:
                 return None

@@ -148,6 +148,14 @@ static void Basis_dealloc(BasisObject *self) {
 
 static Py_ssize_t Basis_len(BasisObject *self) { return self->count; }
 
+/* 0 if mono has n entries, else -1 with the pure kernel's error; callers
+   check this before they allocate for mono. */
+static int width(PyObject *mono, Py_ssize_t n) {
+    Py_ssize_t len = PyObject_Length(mono);
+    if (len >= 0 && len != n) error(PyExc_ValueError, WIDTH_MESSAGE);
+    return len == n ? 0 : -1;
+}
+
 /* Copy the exponents of mono into dst; -1 with the pure kernel's error if
    mono has the wrong width or an exponent outside 0..MAX_EXPONENT. */
 static int fill(int *dst, PyObject *mono, Py_ssize_t n) {
@@ -171,6 +179,7 @@ static int fill(int *dst, PyObject *mono, Py_ssize_t n) {
 static PyObject *Basis_append(BasisObject *self, PyObject *const *args, Py_ssize_t nargs) {
     Py_ssize_t n = self->nvars;
     if (nargs != 2) return error(PyExc_TypeError, "append(lead, tail) takes two tuples");
+    if (width(args[0], n) < 0) return NULL;
     if (self->count == self->cap) {
         Py_ssize_t cap = self->cap ? 2 * self->cap : 16;
         int *rules = PyMem_Realloc(self->rules, cap * 2 * n * sizeof(int) + 1);
@@ -216,19 +225,33 @@ reached:
     return target;
 }
 
+/* A new buffer holding the exponents of mono, or NULL with the pure kernel's
+   error; the width is checked before anything is allocated. */
+static int *exponents(PyObject *mono, Py_ssize_t n) {
+    if (width(mono, n) < 0) return NULL;
+    int *dst = PyMem_Malloc(n * sizeof(int) + 1);
+    if (dst == NULL) {
+        PyErr_NoMemory();
+    } else if (fill(dst, mono, n) < 0) {
+        PyMem_Free(dst);
+        dst = NULL;
+    }
+    return dst;
+}
+
 /* normal_form(mono, budget) for nargs == 2, normal_form_until(mono, budget,
-   target) for nargs == 3: m and, after it, t share one buffer. */
+   target) for nargs == 3; the monomial is checked before the target. */
 static PyObject *normal_form(BasisObject *self, PyObject *const *args, Py_ssize_t nargs) {
     int overflow;
     long long budget = PyLong_AsLongLongAndOverflow(args[1], &overflow);
     if (budget == -1 && PyErr_Occurred()) return NULL;
     if (overflow) budget = overflow > 0 ? LLONG_MAX : LLONG_MIN;
     Py_ssize_t n = self->nvars;
-    int *m = PyMem_Malloc((nargs - 1) * n * sizeof(int) + 1), *t = nargs == 3 ? m + n : NULL;
-    if (m == NULL) return PyErr_NoMemory();
-    PyObject *out = fill(m, args[0], n) < 0 || (t != NULL && fill(t, args[2], n) < 0) ? NULL
-        : rewrite(self, m, budget, args[0], t, t != NULL ? args[2] : NULL);
+    PyObject *target = nargs == 3 ? args[2] : NULL, *out = NULL;
+    int *m = exponents(args[0], n), *t = m != NULL && target != NULL ? exponents(target, n) : NULL;
+    if (m != NULL && (target == NULL || t != NULL)) out = rewrite(self, m, budget, args[0], t, target);
     PyMem_Free(m);
+    PyMem_Free(t);
     return out;
 }
 

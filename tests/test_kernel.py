@@ -16,8 +16,9 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 import polyprime
-from polyprime import _kernel_py as pure, buchberger, grid_variables, inner_minors, kernel
-from polyprime.algebra import EngineBudgets, default_grid_order, named_ranking
+from polyprime import _kernel_py as pure, buchberger, build_interval_graph, grid_variables, inner_minors, kernel
+from polyprime import parse_grid
+from polyprime.algebra import EngineBudgets, default_grid_order, named_ranking, toric_ideal_elimination
 from polyprime.binomials import Binomial, MonomialOrder, block_order, degrevlex_order, mono_from_indices
 from polyprime.errors import BudgetExceededError, LimitExceededError
 
@@ -301,6 +302,23 @@ def test_basis_allocates_nothing_up_front(kern):
     assert len(basis) == 0
 
 
+def test_wrong_width_raises_before_allocating(kern):
+    # a wide basis must not allocate for a monomial it is about to reject
+    basis = kern.Basis(10 ** 6)
+    calls = (lambda: basis.normal_form((0,), 1),
+             lambda: basis.normal_form_until((0,), 1, (0,)),
+             lambda: basis.append((0,), (0,)))
+    tracemalloc.start()
+    try:
+        for call in calls:
+            assert outcome(call) == (ValueError, "exponent tuple has wrong length")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    assert len(basis) == 0
+
+
 def test_python_compare_rejects_wrong_width():
     order = pure.Order(degrevlex_order(2).weight_rows())
     assert pure.compare(order, (1, 0), (0, 1)) == 1
@@ -422,6 +440,125 @@ def test_normal_form_until_identical_across_kernels(fast, system, data):
     for target in (nf, nf[:-1]):
         got = outcome(pb.normal_form_until, bad_mono, steps, target)
         assert got == outcome(fb.normal_form_until, bad_mono, steps, target)
+
+
+def test_earliest_divisor_wins_across_buckets(kern):
+    # the pure kernel files a rule under its lead's lowest variable and
+    # scans x2's bucket before x0's: rules 0 and 1 share x0's bucket, rule 2
+    # alone is in x2's, and both 1 and 2 divide m, so rule 1 must rewrite
+    rules = [((3, 0, 0), (0, 0, 0)), ((1, 0, 0), (0, 0, 2)), ((0, 0, 1), (0, 0, 0))]
+    mono = (1, 1, 1)
+    basis = built(kern, rules, 3)
+    assert basis.normal_form_until(mono, 1, (0, 1, 3)) == (0, 1, 3)
+    assert basis.normal_form_until(mono, 1, (1, 1, 0)) is None
+    chain = oracles.tuple_rewrite_chain(rules, mono)
+    assert chain == [(1, 1, 1), (0, 1, 3), (0, 1, 2), (0, 1, 1), (0, 1, 0)]
+    for budget in range(len(chain) + 1):
+        assert basis.normal_form(mono, budget) == oracles.tuple_normal_form(rules, mono, budget)
+
+
+def test_unit_lead_divides_everything(kern):
+    # a lead of all zeros divides every monomial, so only the budget ends
+    # the rewrite; of two such leads the first rewrites, and an earlier
+    # rule that divides still comes first
+    rules = [((1, 0), (0, 1)), ((0, 0), (2, 0)), ((0, 0), (0, 2))]
+    basis = built(kern, rules, 2)
+    for mono in ((0, 0), (1, 0), (0, 3)):
+        for budget in range(6):
+            assert oracles.tuple_normal_form(rules, mono, budget) is None
+            assert basis.normal_form(mono, budget) is None
+        for target in ((0, 1), (2, 0), (0, 2), (1, 1)):
+            for budget in range(4):
+                assert (basis.normal_form_until(mono, budget, target)
+                        == oracles.tuple_normal_form(rules, mono, budget, target))
+    assert basis.normal_form_until((1, 0), 2, (2, 1)) == (2, 1)  # x -> y, then 1 -> x^2
+
+
+def test_basis_without_variables(kern):
+    basis = kern.Basis(0)
+    assert basis.normal_form((), 5) == ()
+    assert basis.normal_form_until((), 0, ()) == ()
+    basis.append((), ())
+    assert len(basis) == 1
+    for budget in (0, 1, 7):
+        assert basis.normal_form((), budget) is None
+        assert oracles.tuple_normal_form([((), ())], (), budget) is None
+    assert basis.normal_form_until((), 0, ()) == ()
+
+
+# shapes whose elimination rings have 29 to 32 variables and 96 to 135 rules
+WIDE_SHAPES = ["#..\n##.\n.##\n..##\n...#", "##.\n.##\n..#\n.##\n##.", "####\n#..#\n#.##"]
+
+
+@pytest.fixture(scope="module")
+def wide_cases():
+    """Per shape: (nvars, rules, cases) for the largest rule system that
+    ``toric_ideal_elimination`` appends, in append order.
+
+    Each case is (method, args, expected), expected from
+    ``oracles.tuple_normal_form``, over a sample of the monomials the engine
+    rewrote with that system and products of two of its leads, whose
+    supports span several variables and so several of the pure kernel's
+    lead buckets at once.
+    """
+    kern = kernel.get_kernel()
+    real = kern.Basis
+    out = {}
+
+    class Recording:
+        def __init__(self, nvars):
+            self.basis = real(nvars)
+            self.rules, self.monos = [], []
+            systems.append((nvars, self.rules, self.monos))
+
+        def append(self, lead, tail):
+            self.rules.append((lead, tail))
+            self.basis.append(lead, tail)
+
+        def normal_form(self, mono, budget):
+            self.monos.append(mono)
+            return self.basis.normal_form(mono, budget)
+
+        def normal_form_until(self, mono, budget, target):
+            self.monos.append(mono)
+            return self.basis.normal_form_until(mono, budget, target)
+
+    for text in WIDE_SHAPES:
+        systems = []
+        poly = parse_grid(text)
+        gvars = grid_variables(poly)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kern, "Basis", Recording)
+            toric_ideal_elimination(build_interval_graph(poly), gvars)
+        nvars, rules, monos = max(systems, key=lambda s: len(s[1]))
+        rng = random.Random(text)
+        distinct = sorted(set(monos))
+        sample = rng.sample(distinct, min(25, len(distinct)))
+        leads = [lead for lead, _ in rules]
+        sample += [tuple(x + y for x, y in zip(*rng.sample(leads, 2))) for _ in range(15)]
+        cases = []
+        for mono in sample:
+            chain = oracles.tuple_rewrite_chain(rules, mono)
+            steps = len(chain) - 1
+            for budget in sorted({0, 1, steps, 10 ** 6}):
+                cases.append(("normal_form", (mono, budget),
+                              oracles.tuple_normal_form(rules, mono, budget)))
+            unrelated = rng.choice(sample)
+            for k, target in enumerate(chain + [unrelated]):
+                for budget in sorted({max(k - 1, 0), k, steps}):
+                    cases.append(("normal_form_until", (mono, budget, target),
+                                  oracles.tuple_normal_form(rules, mono, budget, target)))
+        out[text] = nvars, rules, cases
+    return out
+
+
+@pytest.mark.parametrize("text", WIDE_SHAPES)
+def test_wide_ring_normal_form_matches_tuple_oracle(kern, wide_cases, text):
+    nvars, rules, cases = wide_cases[text]
+    assert 29 <= nvars and len(rules) >= 90
+    basis = built(kern, rules, nvars)
+    for method, args, want in cases:
+        assert getattr(basis, method)(*args) == want, (method, args)
 
 
 PIPELINE_SHAPES = ["#", "##", "#.\n##", "##\n##", "###\n#.#\n###", "####\n#..#\n####"]
