@@ -10,7 +10,7 @@ Three granularities:
   * micro: raw normal-form rewrites against a packed basis, in full and
     up to a known target, as the second half of a zero S-pair is rewritten;
   * macro: Groebner bases of the inner-minor ideal and the elimination-order
-    toric ideal, and their equality;
+    toric ideal, and their equality; the quadratic-order search;
   * sweep: sequential ``verify.sweep``, the whole pipeline on every shape;
     the full run adds ``sweep(8)``.
 
@@ -24,8 +24,8 @@ import sys
 import time
 
 import polyprime
-from polyprime import buchberger, build_interval_graph, enumerate_polyominoes, grid_variables, inner_minors, kernel
-from polyprime import parse_grid, verify
+from polyprime import buchberger, build_interval_graph, enumerate_polyominoes, find_quadratic_order, grid_variables
+from polyprime import inner_minors, is_simple, kernel, parse_grid, verify
 from polyprime.algebra import default_grid_order, ideal_equal_paths, toric_ideal_elimination
 from polyprime.binomials import mono_from_indices
 
@@ -106,6 +106,18 @@ def inner_bases(n_max):
     return run
 
 
+def order_search(n_cells):
+    """find_quadratic_order on every n-cell shape with a hole."""
+    polys = [p for p in enumerate_polyominoes(n_cells) if not is_simple(p)]
+
+    def run():
+        for poly in polys:
+            gvars = grid_variables(poly)
+            find_quadratic_order(inner_minors(poly, gvars), gvars)
+
+    return run
+
+
 def sweep(n_max):
     def run():
         verify.sweep(n_max, verify.VerifyConfig(collect_timings=False))
@@ -124,6 +136,7 @@ def workloads(quick):
         (f"micro: {rewrites} chained normal forms up to their target", micro_until, rewrites, repeat),
         ("macro: ideal equality on 4 shapes", macro, list(SHAPES.values()), repeat),
         (f"macro: inner-minor bases, all shapes <= {bases_n}", inner_bases, bases_n, repeat),
+        ("macro: quadratic-order search, 41 holed octominoes", order_search, 8, repeat),
         (f"sweep({sweep_n}), sequential", sweep, sweep_n, 1),
     ]
     if not quick:

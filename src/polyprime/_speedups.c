@@ -181,7 +181,7 @@ static PyObject *Basis_append(BasisObject *self, PyObject *const *args, Py_ssize
     if (nargs != 2) return error(PyExc_TypeError, "append(lead, tail) takes two tuples");
     if (width(args[0], n) < 0) return NULL;
     if (self->count == self->cap) {
-        Py_ssize_t cap = self->cap ? 2 * self->cap : 16;
+        Py_ssize_t cap = self->cap ? 2 * self->cap : 1;
         int *rules = PyMem_Realloc(self->rules, cap * 2 * n * sizeof(int) + 1);
         if (rules == NULL) return PyErr_NoMemory();
         self->rules = rules;

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from polyprime import kernel as _kernel
 from polyprime.binomials import (
@@ -27,7 +27,7 @@ from polyprime.binomials import (
     mono_from_indices,
     render_binomial,
 )
-from polyprime.errors import BudgetExceededError
+from polyprime.errors import BudgetExceededError, DegreeExceededError
 from polyprime.graph import chordless_cycles, cycle_binomial
 from polyprime.grid import grid_variables
 from polyprime.intervals import build_interval_graph
@@ -38,6 +38,12 @@ class EngineBudgets:
     pairs: int = 100_000
     elements: int = 10_000
     reduction_steps: int = 10_000_000
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value < 0:
+                raise ValueError(f"{f.name} budget must be >= 0, got {value}")
 
 
 DEFAULT_BUDGETS = EngineBudgets()
@@ -106,8 +112,12 @@ class Reducer:
         return Binomial(plus, minus)
 
 
-def buchberger(gens, order, budgets=DEFAULT_BUDGETS):
-    """Canonical reduced Groebner basis of a pure-difference binomial ideal."""
+def buchberger(gens, order, budgets=DEFAULT_BUDGETS, max_degree=None):
+    """Canonical reduced Groebner basis of a pure-difference binomial ideal.
+
+    With ``max_degree`` set, raises DegreeExceededError as soon as an S-pair
+    leaves a nonzero remainder of higher degree.
+    """
     ko = kernel_order(order)
     red = Reducer((), order, budgets=budgets)
     basis = []
@@ -180,6 +190,10 @@ def buchberger(gens, order, budgets=DEFAULT_BUDGETS):
         # a and b are normal forms modulo every lead so far, so the new lead
         # is divisible by none of them and cannot repeat an element
         if a != b:
+            if max_degree is not None:
+                degree = max(sum(a), sum(b))
+                if degree > max_degree:
+                    raise DegreeExceededError(f"an S-pair left a remainder of degree {degree} > {max_degree}")
             push_element(*_orient(ko, a, b))
 
     return _inter_reduce(basis, order, budgets)
@@ -321,7 +335,17 @@ def named_ranking(name, variables):
 
 
 def find_quadratic_order(gens, variables, budgets=DEFAULT_BUDGETS):
-    """First order of the OrderSearchConfig family whose reduced basis is quadratic and squarefree."""
+    """First order of the OrderSearchConfig family whose reduced basis is quadratic and squarefree.
+
+    An order fails at the first S-pair that leaves a cubic or higher
+    remainder. For homogeneous generators that verdict is final: pairs pop
+    in nondecreasing lcm degree, so every later element has at least that
+    degree and none can divide the new lead, which stays in the reduced
+    basis. Inhomogeneous generators raise ValueError.
+    """
+    for g in gens:
+        if g is not ZERO and sum(g.plus) != sum(g.minus):
+            raise ValueError(f"order search needs homogeneous generators, got {g}")
     nvars = len(variables)
     family = OrderSearchConfig()
     candidates = []
@@ -330,7 +354,10 @@ def find_quadratic_order(gens, variables, budgets=DEFAULT_BUDGETS):
         for kind in family.kinds:
             candidates.append(MonomialOrder(kind, nvars, ranking))
     for order in candidates:
-        gb = buchberger(gens, order, budgets=budgets)
+        try:
+            gb = buchberger(gens, order, budgets=budgets, max_degree=2)
+        except DegreeExceededError:
+            continue
         if all(b.is_quadratic() and b.is_squarefree() for b in gb.elements):
             return order
     return None

@@ -33,6 +33,10 @@ class BudgetExceededError(PolyprimeError):
     """Groebner engine budget (S-pairs, basis size, or reduction steps) exhausted."""
 
 
+class DegreeExceededError(PolyprimeError):
+    """An S-pair left a remainder above ``buchberger``'s ``max_degree``."""
+
+
 class InternalInconsistencyError(PolyprimeError):
     """Two independent decision paths disagreed; indicates an engine bug."""
 

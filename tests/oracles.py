@@ -8,11 +8,13 @@ segments, dense linear algebra for degree-bounded ideal membership,
 textbook monomial-order comparators, a dense weight-row comparator,
 and normal forms rewritten on exponent tuples.
 
-The last two sections are the exceptions. One is the Buchberger engine as
-it was before it worked over lead supports, scanning dense exponent
+The last three sections are the exceptions. One is the Buchberger engine
+as it was before it worked over lead supports, scanning dense exponent
 tuples; it runs on the package's kernel, so that a differential test can
-check that the two engines make the same kernel calls. The other holds the
-polyomino-cycle model (a graph cycle mapped to its grid points, and the
+check that the two engines make the same kernel calls. The next is the
+quadratic-order search as it was before it stopped a failing order at its
+first cubic: every candidate's basis is computed in full. The last holds
+the polyomino-cycle model (a graph cycle mapped to its grid points, and the
 binomial read off those points), a sign-blind binomial comparison, cycle
 checks and dihedral images, all built on the package's types. The package
 itself never needs them.
@@ -25,8 +27,8 @@ from fractions import Fraction
 from itertools import combinations
 
 from polyprime import kernel as _kernel
-from polyprime.algebra import DEFAULT_BUDGETS, GroebnerBasis
-from polyprime.binomials import GREATER, ZERO, Binomial, kernel_order, mono_from_indices
+from polyprime.algebra import DEFAULT_BUDGETS, GroebnerBasis, OrderSearchConfig, buchberger, named_ranking
+from polyprime.binomials import GREATER, ZERO, Binomial, MonomialOrder, kernel_order, mono_from_indices
 from polyprime.errors import BudgetExceededError
 from polyprime.grid import Polyomino
 from polyprime.intervals import maximal_edge_intervals
@@ -471,6 +473,22 @@ def dense_inter_reduce(basis, order, budgets):
             raise BudgetExceededError(f"reduction step budget {budgets.reduction_steps} exhausted")
         elements.append(Binomial(lead, nf_tail))
     return GroebnerBasis(order, tuple(elements))
+
+
+# ---------------------------------------------------------------------------
+# quadratic-order search, every candidate run to completion
+
+def full_quadratic_order_search(gens, variables, budgets=DEFAULT_BUDGETS):
+    """First order of the OrderSearchConfig family whose complete reduced basis is quadratic and squarefree."""
+    family = OrderSearchConfig()
+    for name in family.rankings:
+        ranking = named_ranking(name, variables)
+        for kind in family.kinds:
+            order = MonomialOrder(kind, len(variables), ranking)
+            gb = buchberger(gens, order, budgets=budgets)
+            if all(b.is_quadratic() and b.is_squarefree() for b in gb.elements):
+                return order
+    return None
 
 
 # ---------------------------------------------------------------------------

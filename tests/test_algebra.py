@@ -19,12 +19,14 @@ from polyprime import (
     grid_variables,
     ideal_member,
     inner_minors,
+    is_simple,
     lex_order,
     render_binomial,
     toric_ideal_cycles,
     toric_ideal_elimination,
     toric_map,
 )
+from polyprime import algebra
 from polyprime.algebra import (
     EngineBudgets,
     OrderSearchConfig,
@@ -44,7 +46,7 @@ from polyprime.binomials import (
     mono_from_indices,
     order_from_json,
 )
-from polyprime.errors import BudgetExceededError
+from polyprime.errors import BudgetExceededError, DegreeExceededError
 from polyprime.grid import Polyomino, random_polyomino
 from polyprime.verify import verify_polyomino
 
@@ -441,16 +443,61 @@ class TestQuadraticOrderSearch:
             gb = buchberger(gens, found)
             assert all(b.is_quadratic() and b.is_squarefree() for b in gb.elements)
 
-    def test_budgets_reach_every_candidate_order(self):
-        # a simple hexomino with no quadratic order among the nine: the
-        # default order finishes in 30 S-pairs, diagonal degrevlex needs 31
+    def test_budgets_reach_every_candidate_order(self, monkeypatch):
+        # a simple hexomino with no quadratic order among the nine: every
+        # candidate stops at its first cubic, the last of them at S-pair 8
         poly = Polyomino([(0, 0), (0, 2), (1, 0), (1, 1), (1, 2), (2, 1)])
         gvars = grid_variables(poly)
         gens = inner_minors(poly, gvars)
-        buchberger(gens, default_grid_order(gvars), budgets=EngineBudgets(pairs=30))
         with pytest.raises(BudgetExceededError):
-            find_quadratic_order(gens, gvars, budgets=EngineBudgets(pairs=30))
-        assert find_quadratic_order(gens, gvars, budgets=EngineBudgets(pairs=31)) is None
+            find_quadratic_order(gens, gvars, budgets=EngineBudgets(pairs=7))
+        budgets = EngineBudgets(pairs=8)
+        calls = []
+        engine = algebra.buchberger
+
+        def spy(gens, order, **kwargs):
+            calls.append((order, kwargs))
+            return engine(gens, order, **kwargs)
+
+        monkeypatch.setattr(algebra, "buchberger", spy)
+        assert find_quadratic_order(gens, gvars, budgets=budgets) is None
+        assert len({order for order, _ in calls}) == 9
+        assert [kwargs for _, kwargs in calls] == [{"budgets": budgets, "max_degree": 2}] * 9
+
+    def test_inhomogeneous_generator_rejected(self, domino):
+        gvars = grid_variables(domino)
+        cubic = Binomial(mono_from_indices(len(gvars), (0, 1, 2)), mono_from_indices(len(gvars), (3, 4)))
+        with pytest.raises(ValueError, match="homogeneous"):
+            find_quadratic_order(inner_minors(domino, gvars) + [cubic], gvars)
+
+    def test_early_stop_matches_full_search(self):
+        # every shape up to 6 cells, and the 41 holed octominoes
+        shapes = [p for n in range(1, 7) for p in enumerate_polyominoes(n)]
+        holed = [p for p in enumerate_polyominoes(8) if not is_simple(p)]
+        assert len(holed) == 41
+        for poly in shapes + holed:
+            gvars = grid_variables(poly)
+            gens = inner_minors(poly, gvars)
+            assert find_quadratic_order(gens, gvars) == oracles.full_quadratic_order_search(gens, gvars), poly
+
+    def test_max_degree_raises_exactly_on_a_cubic_basis(self):
+        # on every shape up to 5 cells, under each of the nine orders
+        family = OrderSearchConfig()
+        for n in range(1, 6):
+            for poly in enumerate_polyominoes(n):
+                gvars = grid_variables(poly)
+                gens = inner_minors(poly, gvars)
+                for name in family.rankings:
+                    for kind in family.kinds:
+                        order = MonomialOrder(kind, len(gvars), named_ranking(name, gvars))
+                        full = buchberger(gens, order)
+                        cubic = any(b.degree > 2 for b in full.elements)
+                        try:
+                            assert buchberger(gens, order, max_degree=2) == full
+                            raised = False
+                        except DegreeExceededError:
+                            raised = True
+                        assert raised == cubic, (poly, order)
 
 
 class TestWitnessGap:

@@ -228,6 +228,22 @@ class TestUsage:
         code, _, _ = run(capsys, "parse", "--file", "/nonexistent/shape.txt")
         assert code == 2
 
+    @pytest.mark.parametrize("argv, message", [
+        (("gb", "--grid", "##", "--budget-pairs", "-1"), "pairs budget must be >= 0, got -1"),
+        (("sweep", "2", "--budget-elems", "-1"), "elements budget must be >= 0, got -1"),
+    ], ids=["gb-pairs", "sweep-elems"])
+    def test_negative_budget_exits_2(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert message in err
+
+    def test_zero_budget_stays_valid(self, capsys):
+        # one cell, one generator: no S-pair to pay for
+        code, out, _ = run(capsys, "gb", "--grid", "#", "--budget-pairs", "0")
+        assert code == 0
+        assert out == "x(0,1)*x(1,0) - x(0,0)*x(1,1)\n"
+
     @pytest.mark.parametrize("argv", [
         ("verify", "--grid", "##", "--order", '{"kind":"lex","ranking":"column-major"}'),
         ("parse", "--grid", "##", "--budget-pairs", "1"),

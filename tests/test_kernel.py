@@ -302,6 +302,23 @@ def test_basis_allocates_nothing_up_front(kern):
     assert len(basis) == 0
 
 
+def test_first_append_allocates_one_rule(kern):
+    # room grows from one rule by doubling: one rule at this width takes
+    # 8 MB in the compiled kernel and about as much in the pure one, while
+    # room for 16 rules would take 128 MB
+    n = 10 ** 6
+    basis = kern.Basis(n)
+    lead, tail = mono_from_indices(n, (0,)), mono_from_indices(n, (1,))
+    tracemalloc.start()
+    try:
+        basis.append(lead, tail)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 24
+    assert len(basis) == 1
+
+
 def test_wrong_width_raises_before_allocating(kern):
     # a wide basis must not allocate for a monomial it is about to reject
     basis = kern.Basis(10 ** 6)
