@@ -11,10 +11,7 @@ from polyprime.binomials import (
     MonomialOrder,
     VariableSet,
     ZERO,
-    compare,
-    deglex_order,
     degrevlex_order,
-    lex_order,
     render_binomial,
 )
 from polyprime.grid import (
@@ -40,7 +37,6 @@ from polyprime.algebra import (
     GroebnerBasis,
     buchberger,
     find_quadratic_order,
-    ideal_member,
     toric_ideal_cycles,
     toric_ideal_elimination,
     toric_map,
@@ -63,20 +59,16 @@ __all__ = [
     "buchberger",
     "build_interval_graph",
     "chordless_cycles",
-    "compare",
     "cycle_binomial",
-    "deglex_order",
     "degrevlex_order",
     "enumerate_polyominoes",
     "find_quadratic_order",
     "grid_variables",
-    "ideal_member",
     "inner_intervals",
     "inner_minors",
     "is_connected",
     "is_simple",
     "is_weakly_chordal",
-    "lex_order",
     "maximal_edge_intervals",
     "parse_grid",
     "render_binomial",

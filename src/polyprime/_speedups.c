@@ -45,9 +45,11 @@ static void Order_dealloc(OrderObject *self) {
 }
 
 static PyObject *Order_new(PyTypeObject *type, PyObject *args, PyObject *kwds) {
+    static char *keywords[] = {"rows", NULL};
     PyObject *rows;
     OrderObject *self = (OrderObject *)type->tp_alloc(type, 0);
-    if (self == NULL || !PyArg_ParseTuple(args, "O:Order", &rows) || !(self->rows = PySequence_Tuple(rows)))
+    if (self == NULL || !PyArg_ParseTupleAndKeywords(args, kwds, "O:Order", keywords, &rows) ||
+            !(self->rows = PySequence_Tuple(rows)))
         goto fail;
     self->nrows = PyTuple_GET_SIZE(self->rows);
     self->nvars = self->nrows ? PyObject_Length(PyTuple_GET_ITEM(self->rows, 0)) : 0;
@@ -132,8 +134,9 @@ typedef struct {
 } BasisObject;
 
 static PyObject *Basis_new(PyTypeObject *type, PyObject *args, PyObject *kwds) {
+    static char *keywords[] = {"nvars", NULL};
     Py_ssize_t nvars;
-    if (!PyArg_ParseTuple(args, "n:Basis", &nvars)) return NULL;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "n:Basis", keywords, &nvars)) return NULL;
     if (nvars < 0 || nvars > MAX_NVARS)
         return PyErr_Format(PyExc_ValueError, "nvars must be in 0..%d", MAX_NVARS);
     BasisObject *self = (BasisObject *)type->tp_alloc(type, 0);

@@ -25,6 +25,7 @@ from polyprime.binomials import (
     degrevlex_order,
     kernel_order,
     mono_from_indices,
+    named_ranking,
     render_binomial,
 )
 from polyprime.errors import BudgetExceededError, DegreeExceededError
@@ -55,9 +56,6 @@ class GroebnerBasis:
 
     order: MonomialOrder
     elements: tuple
-
-    def __len__(self):
-        return len(self.elements)
 
 
 def _orient(ko, a, b):
@@ -215,11 +213,6 @@ def _inter_reduce(basis, order, budgets):
     return GroebnerBasis(order, tuple(Binomial(lead, red.monomial(tail)) for lead, tail in kept))
 
 
-def ideal_member(f, gb, budgets=DEFAULT_BUDGETS):
-    """True iff ``f`` reduces to zero modulo the reduced basis ``gb``."""
-    return f is ZERO or Reducer(gb.elements, gb.order, budgets=budgets).binomial(f) is ZERO
-
-
 def ideal_equal_paths(gb_a, gb_b, budgets=DEFAULT_BUDGETS):
     """(mutual-reduction verdict, reduced-basis-identity verdict) for two reduced bases."""
     if gb_a.order != gb_b.order:
@@ -266,20 +259,17 @@ def default_grid_order(variables):
     return degrevlex_order(len(variables))
 
 
-def toric_ideal_elimination(graph, variables, grid_order=None, budgets=DEFAULT_BUDGETS):
+def toric_ideal_elimination(graph, variables, grid_order, budgets=DEFAULT_BUDGETS):
     """Kernel of the edge-ring parametrization, computed by block elimination.
 
     ``graph`` is the polyomino's interval graph and ``variables`` its grid
     variables. Builds <x_a - v_p h_q> in the combined ring, under the block
     order that ranks the auxiliary variables above all grid variables and
-    compares grid monomials by ``grid_order`` (``default_grid_order`` when
-    None). The basis elements free of auxiliary variables are then the
-    reduced basis of the toric ideal under ``grid_order``, already sorted by
-    lead (elimination theorem). A monomial parametrization needs no
-    saturation step.
+    compares grid monomials by ``grid_order``. The basis elements free of
+    auxiliary variables are then the reduced basis of the toric ideal under
+    ``grid_order``, already sorted by lead (elimination theorem). A monomial
+    parametrization needs no saturation step.
     """
-    if grid_order is None:
-        grid_order = default_grid_order(variables)
     tmap = toric_map(graph, variables)
     # the auxiliary variables v_1..v_m, h_1..h_n come first, as one block
     aux_count = graph.m + graph.n
@@ -309,29 +299,12 @@ def toric_ideal_cycles(poly, max_len=None, variables=None):
 # ---------------------------------------------------------------------------
 # quadratic-order search
 
-_RANKING_KEYS = {
-    "row-major": lambda x, y: (y, x),
-    "column-major": lambda x, y: (x, y),
-    "diagonal": lambda x, y: (x + y, y, x),
-}
-
-
-@dataclass(frozen=True)
 class OrderSearchConfig:
     """The nine orders ``find_quadratic_order`` tries: each ranking under each kind."""
 
-    rankings: tuple = ("row-major", "column-major", "diagonal")
-    kinds: tuple = ("degrevlex", "deglex", "lex")
-
-
-def named_ranking(name, variables):
-    key = _RANKING_KEYS[name]
-    idx = sorted(
-        range(len(variables)),
-        key=lambda i: key(*variables.points[i]),
-        reverse=True,
-    )
-    return tuple(idx)
+    __slots__ = ()
+    rankings = ("row-major", "column-major", "diagonal")
+    kinds = ("degrevlex", "deglex", "lex")
 
 
 def find_quadratic_order(gens, variables, budgets=DEFAULT_BUDGETS):
@@ -347,11 +320,10 @@ def find_quadratic_order(gens, variables, budgets=DEFAULT_BUDGETS):
         if g is not ZERO and sum(g.plus) != sum(g.minus):
             raise ValueError(f"order search needs homogeneous generators, got {g}")
     nvars = len(variables)
-    family = OrderSearchConfig()
     candidates = []
-    for name in family.rankings:
+    for name in OrderSearchConfig.rankings:
         ranking = named_ranking(name, variables)
-        for kind in family.kinds:
+        for kind in OrderSearchConfig.kinds:
             candidates.append(MonomialOrder(kind, nvars, ranking))
     for order in candidates:
         try:

@@ -9,6 +9,7 @@ Monomial orders are stored as (kind, ranking) and compiled to an integer
 weight matrix: comparing two monomials means comparing their images under
 the rows lexicographically. That one representation covers lex, deglex,
 degrevlex and block elimination orders, and is what the kernels consume.
+This module is the one place that names, parses and builds orders.
 """
 
 from __future__ import annotations
@@ -39,12 +40,6 @@ class VariableSet:
     def __len__(self):
         return len(self.points)
 
-    def __eq__(self, other):
-        return isinstance(other, VariableSet) and self.points == other.points
-
-    def __hash__(self):
-        return hash(self.points)
-
     def __repr__(self):
         return f"VariableSet({len(self.names)} vars: {', '.join(self.names[:4])}{'...' if len(self.names) > 4 else ''})"
 
@@ -63,14 +58,6 @@ def mono_from_indices(nvars, indices):
     for i in indices:
         e[i] += 1
     return tuple(e)
-
-
-def mono_degree(a):
-    return sum(a)
-
-
-def mono_is_squarefree(a):
-    return all(x <= 1 for x in a)
 
 
 # ---------------------------------------------------------------------------
@@ -106,13 +93,13 @@ class Binomial:
 
     @property
     def degree(self):
-        return max(mono_degree(self.plus), mono_degree(self.minus))
+        return max(sum(self.plus), sum(self.minus))
 
     def is_quadratic(self):
-        return mono_degree(self.plus) == 2 and mono_degree(self.minus) == 2
+        return sum(self.plus) == 2 and sum(self.minus) == 2
 
     def is_squarefree(self):
-        return mono_is_squarefree(self.plus) and mono_is_squarefree(self.minus)
+        return all(e <= 1 for e in self.plus + self.minus)
 
     def flipped(self):
         return Binomial(self.minus, self.plus)
@@ -142,6 +129,13 @@ def render_binomial(b, variables):
 # monomial orders
 
 _KINDS = ("lex", "deglex", "degrevlex")
+
+# each named ranking sorts the variables by a key of their vertex (x, y), highest first
+_RANKING_KEYS = {
+    "row-major": lambda x, y: (y, x),
+    "column-major": lambda x, y: (x, y),
+    "diagonal": lambda x, y: (x + y, y, x),
+}
 
 
 @dataclass(frozen=True)
@@ -174,10 +168,8 @@ class MonomialOrder:
     def weight_rows(self):
         return tuple(row for kind, ranking in self.parts for row in _rows_for(kind, ranking, self.nvars))
 
-    def to_json(self, variables=None):
+    def to_json(self, variables):
         def names(ranking):
-            if variables is None:
-                return list(ranking)
             return [variables.names[i] for i in ranking]
 
         if self.kind == "block":
@@ -204,16 +196,9 @@ def _rows_for(kind, ranking, nvars):
     raise ValueError(kind)
 
 
-def lex_order(nvars, ranking=None):
-    return MonomialOrder("lex", nvars, _default_ranking(nvars, ranking))
-
-
-def deglex_order(nvars, ranking=None):
-    return MonomialOrder("deglex", nvars, _default_ranking(nvars, ranking))
-
-
-def degrevlex_order(nvars, ranking=None):
-    return MonomialOrder("degrevlex", nvars, _default_ranking(nvars, ranking))
+def degrevlex_order(nvars):
+    """degrevlex with variable 0 highest."""
+    return MonomialOrder("degrevlex", nvars, tuple(range(nvars)))
 
 
 def block_order(nvars, blocks):
@@ -221,26 +206,61 @@ def block_order(nvars, blocks):
     return MonomialOrder("block", nvars, (), tuple((kind, tuple(ranking)) for kind, ranking in blocks))
 
 
-def _default_ranking(nvars, ranking):
-    return tuple(range(nvars)) if ranking is None else tuple(ranking)
+def named_ranking(name, variables):
+    """The indices of ``variables`` ranked by the family ``name``, highest first."""
+    if name not in _RANKING_KEYS:
+        raise ValueError(f"unknown ranking {name!r}; expected one of {', '.join(_RANKING_KEYS)}")
+    key = _RANKING_KEYS[name]
+    return tuple(sorted(range(len(variables)), key=lambda i: key(*variables.points[i]), reverse=True))
 
 
 def order_from_json(spec, variables):
-    name_to_idx = {n: i for i, n in enumerate(variables.names)}
+    """The order over ``variables`` that the parsed JSON ``spec`` names.
 
-    def ranking_of(lst):
-        return tuple(name_to_idx[n] if isinstance(n, str) else int(n) for n in lst)
+    A spec is ``{"kind": k, "ranking": r}`` with ``k`` one of lex, deglex
+    and degrevlex, or ``{"kind": "block", "blocks": [spec, ...]}`` over
+    such plain specs. Each ranking is a family name of ``named_ranking``
+    or a list of variable indices and names, highest first. Anything else
+    raises ValueError.
+    """
+    by_name = {name: i for i, name in enumerate(variables.names)}
 
-    if spec["kind"] == "block":
-        return block_order(len(variables), [(b["kind"], ranking_of(b["ranking"])) for b in spec["blocks"]])
-    return MonomialOrder(spec["kind"], len(variables), ranking_of(spec["ranking"]))
+    def field(obj, key):
+        if not isinstance(obj, dict):
+            raise ValueError(f"an order spec must be a JSON object, got {obj!r}")
+        if key not in obj:
+            raise ValueError(f"order spec {obj!r} has no {key!r}")
+        return obj[key]
+
+    def index(entry):
+        if isinstance(entry, str):
+            if entry not in by_name:
+                raise ValueError(f"unknown variable {entry!r}")
+            return by_name[entry]
+        if type(entry) is not int:
+            raise ValueError(f"ranking entry {entry!r} is neither a variable index nor a variable name")
+        return entry
+
+    def part(obj):
+        kind = field(obj, "kind")
+        if kind not in _KINDS:
+            raise ValueError(f"unknown order kind {kind!r}")
+        ranking = field(obj, "ranking")
+        if isinstance(ranking, str):
+            return kind, named_ranking(ranking, variables)
+        if not isinstance(ranking, list):
+            raise ValueError(f"a ranking must be a family name or a list, got {ranking!r}")
+        return kind, tuple(index(entry) for entry in ranking)
+
+    if field(spec, "kind") == "block":
+        blocks = field(spec, "blocks")
+        if not isinstance(blocks, list):
+            raise ValueError(f"'blocks' must be a list of order specs, got {blocks!r}")
+        return block_order(len(variables), [part(b) for b in blocks])
+    kind, ranking = part(spec)
+    return MonomialOrder(kind, len(variables), ranking)
 
 
 @lru_cache(maxsize=None)
 def kernel_order(order):
     return _kernel.get_kernel().Order(order.weight_rows())
-
-
-def compare(order, a, b):
-    """Three-way comparison: LESS, EQUAL or GREATER; ValueError on a wrong width."""
-    return _kernel.get_kernel().compare(kernel_order(order), tuple(a), tuple(b))

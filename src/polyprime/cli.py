@@ -84,11 +84,7 @@ def _budgets(args):
 def _grid_order(args, variables):
     if args.order is None:
         return algebra.default_grid_order(variables)
-    spec = json.loads(args.order)
-    ranking = spec.get("ranking")
-    if isinstance(ranking, str):
-        spec = dict(spec, ranking=list(algebra.named_ranking(ranking, variables)))
-    return order_from_json(spec, variables)
+    return order_from_json(json.loads(args.order), variables)
 
 
 def _emit(args, payload_json, payload_text):
@@ -216,7 +212,7 @@ def main(argv=None):
     except (GridInputError, CapExceededError) as exc:
         print(f"polyprime: input error: {exc}", file=sys.stderr)
         return USAGE_EXIT
-    except (json.JSONDecodeError, FileNotFoundError, ValueError, KeyError) as exc:
+    except (FileNotFoundError, ValueError) as exc:  # a JSONDecodeError is a ValueError
         print(f"polyprime: {exc}", file=sys.stderr)
         return USAGE_EXIT
     except (InvariantViolationError, InternalInconsistencyError) as exc:

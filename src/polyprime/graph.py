@@ -28,10 +28,6 @@ class GraphCycle:
 
     pairs: tuple
 
-    @property
-    def length(self):
-        return 2 * len(self.pairs)
-
 
 # ---------------------------------------------------------------------------
 # induced (chordless) cycle enumeration
@@ -79,6 +75,9 @@ def chordless_cycles(graph, min_len=4, max_len=None, budget=DEFAULT_CYCLE_BUDGET
     """Chordless cycles of a bipartite graph with length in [min_len, max_len]."""
     if min_len < 4:
         raise ValueError("min_len must be at least 4")
+    if max_len is not None and max_len < 4:
+        raise ValueError(
+            f"max_len must be at least 4, the length of the shortest chordless cycle, got {max_len}")
     total, masks, sorted_adj = _adjacency(graph)
     max_len = total if max_len is None else min(max_len, total)
     if max_len < min_len:

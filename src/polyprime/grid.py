@@ -145,10 +145,11 @@ def to_json_dict(poly):
 
 
 def from_json_dict(data):
-    try:
-        cells = data["cells"]
-    except (TypeError, KeyError):
-        raise BadCharError("expected an object with a 'cells' list") from None
+    """The polyomino of ``{"cells": [[x, y], ...]}``; any other value raises GridInputError."""
+    cells = data.get("cells") if isinstance(data, dict) else None
+    if not isinstance(cells, list) or not all(
+            isinstance(c, list) and len(c) == 2 and all(type(v) is int for v in c) for c in cells):
+        raise BadCharError("expected an object whose 'cells' is a list of [x, y] integer pairs")
     if not cells:
         raise EmptyInputError("'cells' list is empty")
     return Polyomino(cells)
@@ -215,9 +216,8 @@ def grid_variables(poly):
     return VariableSet(sorted(poly.vertices, key=lambda p: (p[1], p[0]), reverse=True))
 
 
-def inner_minors(poly, variables=None):
-    """The inner 2-minors: diagonal product minus anti-diagonal product per inner interval."""
-    variables = variables if variables is not None else grid_variables(poly)
+def inner_minors(poly, variables):
+    """The inner 2-minors over ``variables``: diagonal minus anti-diagonal product per inner interval."""
     n = len(variables)
     index = variables.index
     out = []

@@ -88,17 +88,6 @@ class IntervalGraph:
         """(vertical index, horizontal index) of the maximal intervals through a vertex."""
         return self._through[point]
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, IntervalGraph)
-            and self.v_intervals == other.v_intervals
-            and self.h_intervals == other.h_intervals
-            and self.edges == other.edges
-        )
-
-    def __hash__(self):
-        return hash((self.v_intervals, self.h_intervals, self.edges))
-
     def __repr__(self):
         return f"IntervalGraph(m={self.m}, n={self.n}, edges={len(self.edges)})"
 

@@ -27,8 +27,9 @@ from fractions import Fraction
 from itertools import combinations
 
 from polyprime import kernel as _kernel
-from polyprime.algebra import DEFAULT_BUDGETS, GroebnerBasis, OrderSearchConfig, buchberger, named_ranking
-from polyprime.binomials import GREATER, ZERO, Binomial, MonomialOrder, kernel_order, mono_from_indices
+from polyprime.algebra import DEFAULT_BUDGETS, GroebnerBasis, OrderSearchConfig, buchberger
+from polyprime.binomials import (
+    GREATER, ZERO, Binomial, MonomialOrder, kernel_order, mono_from_indices, named_ranking)
 from polyprime.errors import BudgetExceededError
 from polyprime.grid import Polyomino
 from polyprime.intervals import maximal_edge_intervals

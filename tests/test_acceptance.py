@@ -19,7 +19,6 @@ from polyprime import (
     enumerate_polyominoes,
     find_quadratic_order,
     grid_variables,
-    ideal_member,
     inner_minors,
     is_simple,
     is_weakly_chordal,
@@ -29,8 +28,8 @@ from polyprime import (
     toric_ideal_elimination,
     toric_map,
 )
-from polyprime.algebra import default_grid_order, ideal_equal_paths
-from polyprime.binomials import mono_from_indices
+from polyprime.algebra import Reducer, default_grid_order, ideal_equal_paths
+from polyprime.binomials import ZERO, mono_from_indices
 from polyprime.grid import random_polyomino
 from polyprime.verify import VerifyConfig, sweep, sweep_to_json, verify_polyomino
 
@@ -126,9 +125,9 @@ def test_criterion_3_universal_containment():
         order = default_grid_order(gvars)
         graph = build_interval_graph(poly)
         tmap = toric_map(graph, gvars)
-        gb_toric = toric_ideal_elimination(graph, gvars, order)
+        toric = Reducer(toric_ideal_elimination(graph, gvars, order).elements, order)
         for minor in inner_minors(poly, gvars):
-            if not tmap.balanced(minor) or not ideal_member(minor, gb_toric):
+            if not tmap.balanced(minor) or toric.binomial(minor) is not ZERO:
                 violations.append((poly.cells_sorted, render_binomial(minor, gvars)))
     elapsed = time.perf_counter() - t0
     ok = not violations and elapsed < 600
@@ -150,8 +149,8 @@ def test_criterion_4_annulus_negative_control():
     )
     gb_inner = buchberger(inner_minors(poly, gvars), order)
     gb_toric = toric_ideal_elimination(build_interval_graph(poly), gvars, order)
-    in_toric = ideal_member(witness, gb_toric)
-    in_inner = ideal_member(witness, gb_inner)
+    in_toric = Reducer(gb_toric.elements, order).binomial(witness) is ZERO
+    in_inner = Reducer(gb_inner.elements, order).binomial(witness) is ZERO
     elapsed = time.perf_counter() - t0
     ok = (not simple) and witness == expected and in_toric and not in_inner and elapsed < 5
     announce(4, "one-hole annulus: not simple, hole minor witnesses the gap", ok, elapsed,

@@ -54,6 +54,19 @@ class TestParse:
         code, _, _ = run(capsys, "parse", "--grid", "#.\\n.#")
         assert code == 2
 
+    @pytest.mark.parametrize("grid", [
+        '{"cells": 5}',
+        '{"cells": [[0.7, 0], [1, 0]]}',
+        '{"cells": [[true, 0]]}',
+        '{"cells": [[0, 0, 0]]}',
+        '{"cells": ["00"]}',
+    ], ids=["not-a-list", "float", "bool", "triple", "string"])
+    def test_json_cells_must_be_int_pairs(self, capsys, grid):
+        code, out, err = run(capsys, "parse", "--grid", grid)
+        assert code == 2
+        assert out == ""
+        assert "input error: expected an object whose 'cells' is a list of [x, y] integer pairs" in err
+
 
 class TestCheckSimple:
     def test_annulus_false(self, capsys):
@@ -96,6 +109,35 @@ class TestGb:
         assert data["order"]["kind"] == "degrevlex"
         assert data["elements"] == ["x(0,1)*x(1,0) - x(0,0)*x(1,1)"]
 
+    def test_one_block_order_with_a_named_ranking(self, capsys):
+        # a ranking may be a family name inside a block as well as at the top
+        plain = json.dumps({"kind": "lex", "ranking": "row-major"})
+        block = json.dumps({"kind": "block", "blocks": [{"kind": "lex", "ranking": "row-major"}]})
+        outputs = []
+        for spec in (plain, block):
+            code, out, _ = run(capsys, "gb", "--grid", "##\\n#.", "--order", spec, "--format", "json")
+            assert code == 0
+            outputs.append(json.loads(out))
+        assert outputs[1]["order"]["kind"] == "block"
+        assert outputs[1]["order"]["blocks"] == [outputs[0]["order"]]
+        assert outputs[1]["elements"] == outputs[0]["elements"]
+
+    @pytest.mark.parametrize("spec, message", [
+        ('[1,2]', "an order spec must be a JSON object, got [1, 2]"),
+        ('"x"', "an order spec must be a JSON object, got 'x'"),
+        ('{"ranking":"row-major"}', "has no 'kind'"),
+        ('{"kind":"foo","ranking":"row-major"}', "unknown order kind 'foo'"),
+        ('{"kind":"degrevlex","ranking":"bogus"}', "unknown ranking 'bogus'"),
+        ('{"kind":"lex","ranking":["x(9,9)"]}', "unknown variable 'x(9,9)'"),
+        ('{"kind":"lex","ranking":[1.5]}', "ranking entry 1.5 is neither a variable index nor a variable name"),
+    ], ids=["list", "string", "no-kind", "unknown-kind", "unknown-ranking", "unknown-variable", "float-index"])
+    def test_malformed_order_exits_2(self, capsys, spec, message):
+        code, out, err = run(capsys, "gb", "--grid", "##", "--order", spec)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("polyprime: ") and message in err
+        assert "Traceback" not in err
+
     def test_custom_order(self, capsys):
         spec = json.dumps({"kind": "lex", "ranking": "column-major"})
         code, out, _ = run(capsys, "gb", "--grid", "#", "--order", spec, "--format", "json")
@@ -123,6 +165,13 @@ class TestToric:
         data = json.loads(out)
         assert data["oracle"] == "cycles"
         assert len(data["binomials"]) == 3
+
+    @pytest.mark.parametrize("n", ["3", "0", "-5"])
+    def test_max_cycle_len_below_four_exits_2(self, capsys, n):
+        code, out, err = run(capsys, "cycles", "--grid", "##", "--max-cycle-len", n)
+        assert code == 2
+        assert out == ""
+        assert f"max_len must be at least 4, the length of the shortest chordless cycle, got {n}" in err
 
     def test_max_cycle_len(self, capsys):
         code, out, _ = run(

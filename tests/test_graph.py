@@ -63,7 +63,7 @@ class TestChordlessCycles:
     def test_c6_has_one_six_cycle(self):
         cycles = list(chordless_cycles(c6(), min_len=6))
         assert len(cycles) == 1
-        assert cycles[0].length == 6
+        assert len(cycles[0].pairs) == 3
 
     def test_k33_has_no_chordless_six_cycle(self):
         assert list(chordless_cycles(k33(), min_len=6)) == []

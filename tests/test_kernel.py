@@ -44,7 +44,7 @@ def build_kernel(source, target):
     """Compile ``source`` into the extension ``target`` with the compiler sysconfig names.
 
     Skips when there is no compiler or no C source; a compiler that fails
-    on the source fails the test.
+    on the source, or warns about it, fails the test.
     """
     ldshared = shlex.split(sysconfig.get_config_var("LDSHARED") or "")
     include = sysconfig.get_paths()["include"]
@@ -52,7 +52,8 @@ def build_kernel(source, target):
         pytest.skip("no C compiler or Python headers named by sysconfig")
     if not source.exists():
         pytest.skip(f"no {source.name} next to the package")
-    cflags = shlex.split(sysconfig.get_config_var("CCSHARED") or "") + ["-O3", "-I" + include]
+    cflags = shlex.split(sysconfig.get_config_var("CCSHARED") or "") + [
+        "-O3", "-Wall", "-Werror", "-I" + include]
     done = subprocess.run([*ldshared, *cflags, str(source), "-o", str(target)],
                           capture_output=True, text=True, timeout=300)
     if done.returncode != 0:
@@ -287,6 +288,25 @@ def test_normal_form_exponent_limit(kern):
 def test_basis_nvars_out_of_range(kern, nvars):
     assert kern.MAX_NVARS == 2 ** 28 - 1
     assert outcome(kern.Basis, nvars) == (ValueError, "nvars must be in 0..268435455")
+
+
+@pytest.mark.parametrize("call, expected", [
+    (lambda k: len(k.Basis(nvars=3)), 0),
+    (lambda k: k.Basis(3, foo=1), TypeError),
+    (lambda k: k.Basis(3, nvars=3), TypeError),
+    (lambda k: k.compare(k.Order(rows=((1, 0), (0, 1))), (1, 0), (0, 1)), 1),
+    (lambda k: k.Order(((1, 0), (0, 1)), x=2), TypeError),
+], ids=["basis-nvars", "basis-stray", "basis-twice", "order-rows", "order-stray"])
+def test_constructors_take_the_same_keywords(kern, call, expected):
+    # both kernels name their parameters nvars and rows and reject any
+    # other keyword; the error messages differ, the error types do not
+    def result_or_error_type(k):
+        try:
+            return call(k)
+        except Exception as exc:
+            return type(exc)
+
+    assert result_or_error_type(kern) == result_or_error_type(pure) == expected
 
 
 def test_basis_allocates_nothing_up_front(kern):
@@ -546,7 +566,7 @@ def wide_cases():
         gvars = grid_variables(poly)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(kern, "Basis", Recording)
-            toric_ideal_elimination(build_interval_graph(poly), gvars)
+            toric_ideal_elimination(build_interval_graph(poly), gvars, default_grid_order(gvars))
         nvars, rules, monos = max(systems, key=lambda s: len(s[1]))
         rng = random.Random(text)
         distinct = sorted(set(monos))
