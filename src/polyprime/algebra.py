@@ -11,7 +11,6 @@ sorted by leading monomial.
 
 from __future__ import annotations
 
-import functools
 import heapq
 from dataclasses import dataclass, fields
 
@@ -26,6 +25,7 @@ from polyprime.binomials import (
     kernel_order,
     mono_from_indices,
     named_ranking,
+    order_key,
     render_binomial,
 )
 from polyprime.errors import BudgetExceededError, DegreeExceededError
@@ -116,6 +116,11 @@ def buchberger(gens, order, budgets=DEFAULT_BUDGETS, max_degree=None):
     With ``max_degree`` set, raises DegreeExceededError as soon as an S-pair
     leaves a nonzero remainder of higher degree.
     """
+    return _inter_reduce(_groebner(gens, order, budgets, max_degree), order, budgets)
+
+
+def _groebner(gens, order, budgets, max_degree=None):
+    """A Groebner basis of the ideal of ``gens``, as unreduced (lead, tail) pairs in append order."""
     ko = kernel_order(order)
     red = Reducer((), order, budgets=budgets)
     basis = []
@@ -194,17 +199,16 @@ def buchberger(gens, order, budgets=DEFAULT_BUDGETS, max_degree=None):
                     raise DegreeExceededError(f"an S-pair left a remainder of degree {degree} > {max_degree}")
             push_element(*_orient(ko, a, b))
 
-    return _inter_reduce(basis, order, budgets)
+    return basis
 
 
 def _inter_reduce(basis, order, budgets):
-    """Canonical reduced basis from a (possibly redundant) Groebner basis."""
-    kern = _kernel.get_kernel()
-    ko = kernel_order(order)
-    by_lead = sorted(basis, key=functools.cmp_to_key(lambda a, b: kern.compare(ko, a[0], b[0])))
+    """Canonical reduced basis from a (possibly redundant) Groebner basis of (lead, tail) pairs."""
+    key = order_key(order)
     red = Reducer((), order, budgets=budgets)
     kept = []
-    for lead, tail in by_lead:
+    # leads compare like their keys; the sort is stable, so a repeated lead keeps its input order
+    for lead, tail in sorted(basis, key=lambda rule: key(rule[0])):
         # only a smaller lead can divide this one, and every smaller one that
         # is not itself redundant is already kept
         if not red.divisible(lead):
@@ -263,12 +267,13 @@ def toric_ideal_elimination(graph, variables, grid_order, budgets=DEFAULT_BUDGET
     """Kernel of the edge-ring parametrization, computed by block elimination.
 
     ``graph`` is the polyomino's interval graph and ``variables`` its grid
-    variables. Builds <x_a - v_p h_q> in the combined ring, under the block
-    order that ranks the auxiliary variables above all grid variables and
-    compares grid monomials by ``grid_order``. The basis elements free of
-    auxiliary variables are then the reduced basis of the toric ideal under
-    ``grid_order``, already sorted by lead (elimination theorem). A monomial
-    parametrization needs no saturation step.
+    variables. Builds a Groebner basis of <x_a - v_p h_q> in the combined
+    ring, under the block order that ranks the auxiliary variables above all
+    grid variables and compares grid monomials by ``grid_order``. By the
+    elimination theorem its elements free of auxiliary variables form a
+    Groebner basis of the toric ideal under ``grid_order``, so only that
+    slice is inter-reduced. A monomial parametrization needs no saturation
+    step.
     """
     tmap = toric_map(graph, variables)
     # the auxiliary variables v_1..v_m, h_1..h_n come first, as one block
@@ -282,10 +287,11 @@ def toric_ideal_elimination(graph, variables, grid_order, budgets=DEFAULT_BUDGET
         plus = mono_from_indices(total, (p, tmap.m + q))
         minus = mono_from_indices(total, (aux_count + idx,))
         gens.append(Binomial(plus, minus))
-    gb = buchberger(gens, elim_order, budgets=budgets)
-    # a lead free of auxiliary variables has a tail free of them too
-    return GroebnerBasis(grid_order, tuple(Binomial(b.plus[aux_count:], b.minus[aux_count:])
-                                           for b in gb.elements if not any(b.plus[:aux_count])))
+    # a lead free of auxiliary variables has a tail free of them too, and
+    # only such leads divide monomials free of them
+    return _inter_reduce([(lead[aux_count:], tail[aux_count:])
+                          for lead, tail in _groebner(gens, elim_order, budgets)
+                          if not any(lead[:aux_count])], grid_order, budgets)
 
 
 def toric_ideal_cycles(poly, max_len=None, variables=None):

@@ -14,21 +14,28 @@ This module is the one place that names, parses and builds orders.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 
 from polyprime import kernel as _kernel
 
 LESS, EQUAL, GREATER = -1, 0, 1
 
+_BYTEORDER = sys.byteorder
+
 
 class VariableSet:
     """The variables x(i,j), one per grid vertex, in a fixed order.
 
-    ``points[k]`` is the vertex of variable ``k`` and ``names[k]`` its name.
+    ``points[k]`` is the vertex of variable ``k`` and ``names[k]`` its name;
+    ``vertex_order`` lists the variable indices by vertex, the order in
+    which a monomial is rendered.
     """
 
-    __slots__ = ("points", "names", "_by_point")
+    __slots__ = ("points", "names", "vertex_order", "_by_point")
 
     def __init__(self, points):
         self.points = tuple(points)
@@ -36,6 +43,7 @@ class VariableSet:
         if len(self._by_point) != len(self.points):
             raise ValueError("duplicate variable points")
         self.names = tuple(f"x({x},{y})" for x, y in self.points)
+        self.vertex_order = tuple(sorted(range(len(self.points)), key=self.points.__getitem__))
 
     def __len__(self):
         return len(self.points)
@@ -111,8 +119,7 @@ class Binomial:
 
 def render_monomial(mono, variables):
     factors = []
-    order = sorted(range(len(mono)), key=lambda i: variables.points[i])
-    for i in order:
+    for i in variables.vertex_order:
         e = mono[i]
         if e == 1:
             factors.append(variables.names[i])
@@ -264,3 +271,46 @@ def order_from_json(spec, variables):
 @lru_cache(maxsize=None)
 def kernel_order(order):
     return _kernel.get_kernel().Order(order.weight_rows())
+
+
+@lru_cache(maxsize=None)
+def order_key(order):
+    """Sort key for ``order``: ``a`` precedes ``b`` exactly when its key is smaller.
+
+    The key packs a monomial's images under the weight rows of each block
+    into one int: the degree row, if the block has one, above one 16-bit
+    field per further row, the earlier row more significant. A plain order
+    gives that int, a block order the tuple of its blocks' ints. Ints
+    compare as the rows do, so sorting by the key needs no call to the
+    kernel's ``compare``, and it allocates one small int per monomial, not
+    one tuple per row. Exponents must lie in 0..65535, which holds the
+    kernels' limit; any other raises OverflowError.
+    """
+    keys = [_part_key(kind, ranking, order.nvars) for kind, ranking in order.parts]
+    if len(keys) == 1:
+        return keys[0]
+    return lambda mono: tuple(key(mono) for key in keys)
+
+
+def _fields(indices):
+    """mono -> its exponents at ``indices`` as 16-bit fields of one int, the first most significant."""
+    if not indices:
+        return lambda mono: 0
+    # array packs its first item least significant; an itemgetter of one index returns a bare item
+    get = itemgetter(*indices[::-1]) if len(indices) > 1 else lambda mono: (mono[indices[0]],)
+    return lambda mono: int.from_bytes(array("H", get(mono)).tobytes(), _BYTEORDER)
+
+
+def _part_key(kind, ranking, nvars):
+    """The rows ``_rows_for(kind, ranking, nvars)`` packed into one int, as ``order_key`` says."""
+    if kind == "lex":
+        return _fields(ranking)
+    degree = sum if len(ranking) == nvars else lambda mono: sum(mono[i] for i in ranking)
+    shift = 16 * max(len(ranking) - 1, 0)
+    if kind == "deglex":
+        rest = _fields(ranking[:-1])
+        return lambda mono: (degree(mono) << shift) + rest(mono)
+    # degrevlex: rows -e[r_last], ..., -e[r_1]; 0xFFFF - e in every field negates each without a borrow
+    rest = _fields(ranking[:0:-1])
+    top = (1 << shift) - 1
+    return lambda mono: (degree(mono) << shift) + top - rest(mono)

@@ -212,7 +212,7 @@ def main(argv=None):
     except (GridInputError, CapExceededError) as exc:
         print(f"polyprime: input error: {exc}", file=sys.stderr)
         return USAGE_EXIT
-    except (FileNotFoundError, ValueError) as exc:  # a JSONDecodeError is a ValueError
+    except (OSError, ValueError) as exc:  # a JSONDecodeError is a ValueError
         print(f"polyprime: {exc}", file=sys.stderr)
         return USAGE_EXIT
     except (InvariantViolationError, InternalInconsistencyError) as exc:

@@ -64,7 +64,9 @@ class Polyomino:
     __slots__ = ("cells", "cells_sorted", "_vertices")
 
     def __init__(self, cells):
-        cells = set(tuple(map(int, c)) for c in cells)
+        cells = set(map(tuple, cells))
+        if not all(len(c) == 2 and type(c[0]) is int and type(c[1]) is int for c in cells):
+            raise BadCharError("each cell must be an (x, y) pair of integers")
         if not cells:
             raise EmptyInputError("a polyomino needs at least one cell")
         if not is_connected(cells):

@@ -8,10 +8,12 @@ segments, dense linear algebra for degree-bounded ideal membership,
 textbook monomial-order comparators, a dense weight-row comparator,
 and normal forms rewritten on exponent tuples.
 
-The last three sections are the exceptions. One is the Buchberger engine
+The last four sections are the exceptions. One is the Buchberger engine
 as it was before it worked over lead supports, scanning dense exponent
 tuples; it runs on the package's kernel, so that a differential test can
-check that the two engines make the same kernel calls. The next is the
+check that the two engines make the same kernel calls. The next is block
+elimination as it was before it inter-reduced only the eliminated slice:
+the whole basis is reduced, then sliced. The next is the
 quadratic-order search as it was before it stopped a failing order at its
 first cubic: every candidate's basis is computed in full. The last holds
 the polyomino-cycle model (a graph cycle mapped to its grid points, and the
@@ -27,9 +29,10 @@ from fractions import Fraction
 from itertools import combinations
 
 from polyprime import kernel as _kernel
-from polyprime.algebra import DEFAULT_BUDGETS, GroebnerBasis, OrderSearchConfig, buchberger
+from polyprime.algebra import DEFAULT_BUDGETS, GroebnerBasis, OrderSearchConfig, buchberger, toric_map
 from polyprime.binomials import (
-    GREATER, ZERO, Binomial, MonomialOrder, kernel_order, mono_from_indices, named_ranking)
+    GREATER, ZERO, Binomial, MonomialOrder, block_order, kernel_order, mono_from_indices, named_ranking,
+    order_key)
 from polyprime.errors import BudgetExceededError
 from polyprime.grid import Polyomino
 from polyprime.intervals import maximal_edge_intervals
@@ -329,6 +332,15 @@ def direct_degrevlex(a, b, ranking):
     return 0
 
 
+def weight_row_compare(rows, a, b):
+    """Three-way compare of exponent tuples by their images under dense weight rows, first row first."""
+    for row in rows:
+        s = sum(w * (x - y) for w, x, y in zip(row, a, b))
+        if s:
+            return 1 if s > 0 else -1
+    return 0
+
+
 def direct_block(a, b, blocks):
     """Block order from (kind, ranking) pairs: the first block that differs decides."""
     for kind, ranking in blocks:
@@ -456,8 +468,12 @@ def dense_buchberger(gens, order, budgets=DEFAULT_BUDGETS):
 def dense_inter_reduce(basis, order, budgets):
     """Canonical reduced basis from a (possibly redundant) Groebner basis."""
     kern = _kernel.get_kernel()
-    ko = kernel_order(order)
-    by_lead = sorted(basis, key=functools.cmp_to_key(lambda a, b: kern.compare(ko, a[0], b[0])))
+    key = order_key(order)
+    by_lead = sorted(basis, key=lambda rule: key(rule[0]))
+    # the key must sort as a comparator does; the dense rows' comparator
+    # makes no kernel call, so the engine's calls still compare like with like
+    rows = order.weight_rows()
+    assert by_lead == sorted(basis, key=functools.cmp_to_key(lambda a, b: weight_row_compare(rows, a[0], b[0])))
     kb = kern.Basis(order.nvars)
     kept = []
     for lead, tail in by_lead:
@@ -474,6 +490,23 @@ def dense_inter_reduce(basis, order, budgets):
             raise BudgetExceededError(f"reduction step budget {budgets.reduction_steps} exhausted")
         elements.append(Binomial(lead, nf_tail))
     return GroebnerBasis(order, tuple(elements))
+
+
+# ---------------------------------------------------------------------------
+# block elimination, the whole basis reduced before it is sliced
+
+def reduced_then_sliced_elimination(graph, variables, grid_order, budgets=DEFAULT_BUDGETS):
+    """The toric ideal's reduced basis: the elements of the reduced elimination basis free of auxiliary variables."""
+    tmap = toric_map(graph, variables)
+    aux_count = graph.m + graph.n
+    total = aux_count + len(variables)
+    elim_order = block_order(total, [("degrevlex", range(aux_count))] + [
+        (kind, [aux_count + i for i in ranking]) for kind, ranking in grid_order.parts])
+    gens = [Binomial(mono_from_indices(total, (p, graph.m + q)), mono_from_indices(total, (aux_count + idx,)))
+            for idx, (p, q) in enumerate(tmap.images)]
+    gb = buchberger(gens, elim_order, budgets=budgets)
+    return GroebnerBasis(grid_order, tuple(Binomial(b.plus[aux_count:], b.minus[aux_count:])
+                                           for b in gb.elements if not any(b.plus[:aux_count])))
 
 
 # ---------------------------------------------------------------------------

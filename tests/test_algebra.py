@@ -382,6 +382,21 @@ class TestToricIdeal:
         assert gb.order == order
         assert gb.elements == buchberger(list(default_basis.elements), order).elements
 
+    @pytest.mark.parametrize("spec", ["default", ("lex", "column-major"), ("deglex", "diagonal"), "two-block"],
+                             ids=lambda spec: spec if isinstance(spec, str) else "-".join(spec))
+    def test_slice_first_matches_reduced_then_sliced(self, spec):
+        # by the elimination theorem the slice of the unreduced basis is a
+        # Groebner basis of the toric ideal, so reducing only it gives the
+        # same unique reduced basis, in the same order
+        shapes = [p for n in range(1, 6) for p in enumerate_polyominoes(n)]
+        shapes += [p for p in enumerate_polyominoes(8) if not is_simple(p)]
+        assert len(shapes) == 91 + 41
+        for poly in shapes:
+            graph, gvars = build_interval_graph(poly), grid_variables(poly)
+            order = default_grid_order(gvars) if spec == "default" else grid_order(spec, gvars)
+            assert toric_ideal_elimination(graph, gvars, order) == \
+                oracles.reduced_then_sliced_elimination(graph, gvars, order)
+
     def test_inner_minors_are_balanced(self, square2):
         gvars = grid_variables(square2)
         tmap = toric_map(build_interval_graph(square2), gvars)

@@ -277,6 +277,26 @@ class TestUsage:
         code, _, _ = run(capsys, "parse", "--file", "/nonexistent/shape.txt")
         assert code == 2
 
+    def test_directory_as_file_exits_2(self, capsys, tmp_path):
+        code, out, err = run(capsys, "parse", "--file", str(tmp_path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("polyprime: ") and err.count("\n") == 1
+
+    def test_unreadable_file_exits_2(self, capsys, tmp_path, monkeypatch):
+        # a file whose open fails with PermissionError, whoever runs the test
+        path = tmp_path / "shape.txt"
+        path.write_text("##\n")
+
+        def denied(*args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr(cli, "open", denied, raising=False)  # shadows the builtin in cli only
+        code, out, err = run(capsys, "parse", "--file", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == f"polyprime: [Errno 13] Permission denied: '{path}'\n"
+
     @pytest.mark.parametrize("argv, message", [
         (("gb", "--grid", "##", "--budget-pairs", "-1"), "pairs budget must be >= 0, got -1"),
         (("sweep", "2", "--budget-elems", "-1"), "elements budget must be >= 0, got -1"),

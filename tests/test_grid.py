@@ -53,6 +53,18 @@ class TestParse:
         with pytest.raises(BadCharError):
             parse_grid("#x")
 
+    @pytest.mark.parametrize("cells", [
+        [(0.7, 0), (1, 0)],
+        [(0, 0), (True, 0)],
+        [(0, 0), ("1", 0)],
+        [(0, 0, 0), (1, 0, 0)],
+        [(0,)],
+    ], ids=["float", "bool", "str", "triple", "single"])
+    def test_constructor_rejects_non_integer_pairs(self, cells):
+        # no coordinate is truncated or coerced into another shape
+        with pytest.raises(BadCharError):
+            Polyomino(cells)
+
     def test_top_row_is_highest_y(self):
         poly = parse_grid("#.\n##")
         assert poly.cells == {(0, 0), (1, 0), (0, 1)}

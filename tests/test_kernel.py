@@ -19,7 +19,8 @@ import polyprime
 from polyprime import _kernel_py as pure, buchberger, build_interval_graph, grid_variables, inner_minors, kernel
 from polyprime import parse_grid
 from polyprime.algebra import EngineBudgets, default_grid_order, named_ranking, toric_ideal_elimination
-from polyprime.binomials import Binomial, MonomialOrder, block_order, degrevlex_order, mono_from_indices
+from polyprime.binomials import (
+    Binomial, MonomialOrder, block_order, degrevlex_order, mono_from_indices, order_key)
 from polyprime.errors import BudgetExceededError, LimitExceededError
 
 # the directory holding the polyprime package these tests import
@@ -383,6 +384,23 @@ def test_compare_identical_across_kernels(fast, data):
     order, (a, b) = data
     rows = order.weight_rows()
     assert compare_or_error(pure, rows, a, b) == compare_or_error(fast, rows, a, b)
+
+
+# exponents 0-5, and now and then the kernel limit, the widest value a key field must hold
+KEY_EXPONENTS = st.sampled_from(tuple(range(6)) * 4 + (32767,))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=1, max_value=9).flatmap(
+    lambda n: st.tuples(monomial_orders(n), st.tuples(*[KEY_EXPONENTS] * n), st.tuples(*[KEY_EXPONENTS] * n))))
+def test_order_key_sorts_as_each_kernel_compares(fast, data):
+    # the engine sorts bases by the key and orients pairs by compare, so the
+    # two must agree, with equal keys exactly where compare says equal
+    order, a, b = data
+    key = order_key(order)
+    by_key = (key(a) > key(b)) - (key(a) < key(b))
+    for kern in (pure, fast):
+        assert kern.compare(kern.Order(order.weight_rows()), a, b) == by_key
 
 
 @settings(max_examples=100, deadline=None)
