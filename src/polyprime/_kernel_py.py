@@ -1,22 +1,24 @@
 """Pure-Python kernel for the binomial Groebner engine.
 
-Same contract as the compiled kernel in ``_speedups``: monomials are
-tuples of non-negative ints (dense exponent vectors), an Order is built
-from the weight-matrix rows of a monomial order, and a Basis holds oriented
-rewrite rules lead -> tail with lead > tail. ``normal_form`` rewrites a
+Monomials are tuples of non-negative ints (dense exponent vectors). An
+Order holds the weight rows of a monomial order, and ``compare`` orients
+two monomials under it; these two are the package's only monomial
+comparison, used whichever kernel rewrites. A Basis holds oriented
+rewrite rules lead -> tail with lead > tail, with the same contract as
+the compiled rewrite kernel in ``_speedups``. ``normal_form`` rewrites a
 monomial with the first divisible lead in append order, restarting the
 scan after every hit, until no lead divides. ``normal_form_until``
 rewrites the same chain but returns a given target as soon as the chain
 reaches it, so a caller holding an irreducible monomial learns whether
 another one reduces to it without the final scan that proves
 irreducibility. With budget 0, ``normal_form`` returns None exactly when
-some lead divides the monomial. Both kernels must produce bit-identical
-results; the engine picks whichever is available.
+some lead divides the monomial. Both Basis kernels must produce
+bit-identical results; the engine picks whichever is available.
 
-An Order keeps each row sparse, as ``((index, weight), ...)`` over its
-nonzero weights only, so ``compare`` never touches a zero weight. Every
-row of lex, and every row after the first of deglex and degrevlex, has a
-single entry.
+An Order's rows are sparse, as ``((index, weight), ...)`` over the
+nonzero weights only, the form ``MonomialOrder.weight_rows`` builds, so
+``compare`` never touches a zero weight. Every row of lex, and every row
+after the first of deglex and degrevlex, has a single entry.
 
 A Basis stores each monomial packed into one Python int, after Monagan
 and Pearce's packed exponent vectors: variable ``i`` owns the 16-bit
@@ -55,12 +57,13 @@ _BYTEORDER = sys.byteorder
 
 
 class Order:
-    __slots__ = ("rows", "nvars")
+    """A monomial order on ``nvars`` variables as sparse weight rows, each ``((index, weight), ...)``."""
 
-    def __init__(self, rows):
-        rows = tuple(tuple(r) for r in rows)
-        self.nvars = len(rows[0]) if rows else 0
-        self.rows = tuple(tuple((i, w) for i, w in enumerate(r) if w) for r in rows)
+    __slots__ = ("nvars", "rows")
+
+    def __init__(self, nvars, rows):
+        self.nvars = nvars
+        self.rows = rows
 
 
 def compare(order, a, b):

@@ -1,8 +1,8 @@
-/* Compiled kernel for the binomial Groebner engine, with the contract of
-   _kernel_py: an Order holds the weight matrix of a monomial order; a Basis
-   holds rules lead -> tail in one flat C array, and normal_form rewrites with
-   the first divisible lead in append order, restarting after every hit,
-   until no lead divides or the step budget is spent (None).
+/* Compiled rewrite kernel for the binomial Groebner engine, with the Basis
+   contract of _kernel_py; monomial comparison lives only in _kernel_py. A
+   Basis holds rules lead -> tail in one flat C array, and normal_form
+   rewrites with the first divisible lead in append order, restarting after
+   every hit, until no lead divides or the step budget is spent (None).
    normal_form_until walks the same chain and returns its target once the
    chain reaches it. An exponent outside 0..MAX_EXPONENT, given or made by a
    rewrite, raises LimitExceededError and a wrong width raises ValueError,
@@ -28,103 +28,6 @@ static PyObject *limit_error(const char *format, PyObject *mono) {
     if (t != NULL) PyErr_Format(LimitExceededError, format, t, MAX_EXPONENT);
     Py_XDECREF(t);
     return NULL;
-}
-
-typedef struct {
-    PyObject_HEAD
-    PyObject *rows;   /* the rows as given, for the pure kernel's compare */
-    long long *w;     /* nrows x nvars weights, row-major, then nvars of scratch */
-    Py_ssize_t nrows, nvars;
-    int exact;        /* rectangular, and no sum can overflow: |sum| < 2**16 * 2**31 * 2**15 */
-} OrderObject;
-
-static void Order_dealloc(OrderObject *self) {
-    PyMem_Free(self->w);
-    Py_XDECREF(self->rows);
-    Py_TYPE(self)->tp_free((PyObject *)self);
-}
-
-static PyObject *Order_new(PyTypeObject *type, PyObject *args, PyObject *kwds) {
-    static char *keywords[] = {"rows", NULL};
-    PyObject *rows;
-    OrderObject *self = (OrderObject *)type->tp_alloc(type, 0);
-    if (self == NULL || !PyArg_ParseTupleAndKeywords(args, kwds, "O:Order", keywords, &rows) ||
-            !(self->rows = PySequence_Tuple(rows)))
-        goto fail;
-    self->nrows = PyTuple_GET_SIZE(self->rows);
-    self->nvars = self->nrows ? PyObject_Length(PyTuple_GET_ITEM(self->rows, 0)) : 0;
-    if (self->nvars < 0 || self->nvars > INT_MAX / 8 ||
-            !(self->w = PyMem_Calloc(self->nrows + 1, self->nvars * sizeof(long long))))
-        goto fail;
-    self->exact = self->nvars <= 0xFFFF;
-    for (Py_ssize_t r = 0; r < self->nrows; r++) {
-        PyObject *row = PySequence_Fast(PyTuple_GET_ITEM(self->rows, r), "a weight row must be a sequence");
-        if (row == NULL) goto fail;
-        Py_ssize_t len = PySequence_Fast_GET_SIZE(row);
-        self->exact &= len == self->nvars;
-        for (Py_ssize_t i = 0; i < len && i < self->nvars && !PyErr_Occurred(); i++) {
-            int overflow;
-            long long v = PyLong_AsLongLongAndOverflow(PySequence_Fast_GET_ITEM(row, i), &overflow);
-            self->exact &= !overflow && v <= INT_MAX && v >= -INT_MAX;
-            self->w[r * self->nvars + i] = v;
-        }
-        Py_DECREF(row);
-        if (PyErr_Occurred()) goto fail;
-    }
-    return (PyObject *)self;
-fail:
-    if (!PyErr_Occurred()) PyErr_NoMemory();
-    Py_XDECREF(self);
-    return NULL;
-}
-
-static PyTypeObject OrderType = {
-    PyVarObject_HEAD_INIT(NULL, 0)
-    .tp_name = "polyprime._speedups.Order", .tp_doc = "Order(rows): the weight matrix of a monomial order.",
-    .tp_basicsize = sizeof(OrderObject), .tp_flags = Py_TPFLAGS_DEFAULT,
-    .tp_new = Order_new, .tp_dealloc = (destructor)Order_dealloc,
-};
-
-static PyObject *compare_in_python(OrderObject *order, PyObject *a, PyObject *b) {
-    PyObject *pure = PyImport_ImportModule("polyprime._kernel_py");
-    PyObject *pure_order = pure ? PyObject_CallMethod(pure, "Order", "(O)", order->rows) : NULL;
-    PyObject *out = pure_order ? PyObject_CallMethod(pure, "compare", "(OOO)", pure_order, a, b) : NULL;
-    Py_XDECREF(pure_order);
-    Py_XDECREF(pure);
-    return out;
-}
-
-/* Sums in C when every exponent is an int within the limit and every weight
-   fits in an int, so that no sum can overflow; any other input goes to the
-   pure kernel's compare, whose ints never overflow. */
-static PyObject *compare(PyObject *module, PyObject *const *args, Py_ssize_t nargs) {
-    if (nargs != 3 || !PyObject_TypeCheck(args[0], &OrderType))
-        return error(PyExc_TypeError, "compare(order, a, b) takes an Order and two tuples");
-    OrderObject *order = (OrderObject *)args[0];
-    PyObject *a = args[1], *b = args[2];
-    Py_ssize_t n = order->nvars;
-    if (!PyTuple_Check(a) || !PyTuple_Check(b) || !order->exact) return compare_in_python(order, a, b);
-    if (PyTuple_GET_SIZE(a) != n || PyTuple_GET_SIZE(b) != n) return error(PyExc_ValueError, WIDTH_MESSAGE);
-    int equal = PyObject_RichCompareBool(a, b, Py_EQ);
-    if (equal != 0) return equal < 0 ? NULL : PyLong_FromLong(0);
-    /* only exact ints reach the scratch row, so no Python code runs while it is in use */
-    long long *diff = order->w + order->nrows * n;
-    for (Py_ssize_t i = 0; i < n; i++) {
-        PyObject *x = PyTuple_GET_ITEM(a, i), *y = PyTuple_GET_ITEM(b, i);
-        int overflow;  /* an overflow returns -1 */
-        long ea = PyLong_CheckExact(x) ? PyLong_AsLongAndOverflow(x, &overflow) : -1;
-        long eb = PyLong_CheckExact(y) ? PyLong_AsLongAndOverflow(y, &overflow) : -1;
-        if (ea < 0 || eb < 0 || ea > MAX_EXPONENT || eb > MAX_EXPONENT) return compare_in_python(order, a, b);
-        diff[i] = ea - eb;
-    }
-    long sign = 0;
-    for (Py_ssize_t r = 0; r < order->nrows && sign == 0; r++) {
-        long long s = 0;
-        for (Py_ssize_t i = 0; i < n; i++)
-            s += order->w[r * n + i] * diff[i];
-        sign = (s > 0) - (s < 0);
-    }
-    return PyLong_FromLong(sign);
 }
 
 typedef struct {
@@ -290,24 +193,18 @@ static int exec_module(PyObject *module) {
     PyObject *errors = PyImport_ImportModule("polyprime.errors");
     Py_XSETREF(LimitExceededError, errors ? PyObject_GetAttrString(errors, "LimitExceededError") : NULL);
     Py_XDECREF(errors);
-    return LimitExceededError == NULL || PyType_Ready(&OrderType) < 0 || PyType_Ready(&BasisType) < 0 ||
-           PyModule_AddType(module, &OrderType) < 0 || PyModule_AddType(module, &BasisType) < 0 ||
+    return LimitExceededError == NULL || PyType_Ready(&BasisType) < 0 || PyModule_AddType(module, &BasisType) < 0 ||
            PyModule_AddStringConstant(module, "BACKEND", "c") < 0 ||
            PyModule_AddIntConstant(module, "MAX_EXPONENT", MAX_EXPONENT) < 0 ||
            PyModule_AddIntConstant(module, "MAX_NVARS", MAX_NVARS) < 0 ? -1 : 0;
 }
 
-static PyMethodDef module_methods[] = {
-    {"compare", FASTCALL(compare), "compare(order, a, b): -1, 0 or 1 as a is below, equal to or above b."},
-    {NULL},
-};
-
 static PyModuleDef_Slot module_slots[] = {{Py_mod_exec, exec_module}, {0, NULL}};
 
 static struct PyModuleDef module_def = {
     PyModuleDef_HEAD_INIT, .m_name = "polyprime._speedups",
-    .m_doc = "Compiled kernel for the binomial Groebner engine; same contract as _kernel_py.",
-    .m_methods = module_methods, .m_slots = module_slots,
+    .m_doc = "Compiled rewrite kernel for the binomial Groebner engine; same Basis contract as _kernel_py.",
+    .m_slots = module_slots,
 };
 
 PyMODINIT_FUNC PyInit__speedups(void) { return PyModuleDef_Init(&module_def); }

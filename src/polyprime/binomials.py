@@ -5,11 +5,14 @@ arithmetic in this package stays inside pure-difference binomials
 (monomial minus monomial, coefficients fixed at +1/-1); a cancelled
 binomial is the explicit ZERO sentinel, never an invalid Binomial.
 
-Monomial orders are stored as (kind, ranking) and compiled to an integer
-weight matrix: comparing two monomials means comparing their images under
-the rows lexicographically. That one representation covers lex, deglex,
-degrevlex and block elimination orders, and is what the kernels consume.
-This module is the one place that names, parses and builds orders.
+Monomial orders are stored as (kind, ranking) and compiled, on each use
+and without a cache, to integer weight rows: comparing two monomials means
+comparing their images under the rows lexicographically. That one
+representation covers lex, deglex, degrevlex and block elimination
+orders. Each row is sparse, ``((index, weight), ...)`` over its nonzero
+weights, the form the kernel's ``compare`` reads; no dense matrix is
+built. ``order_key`` packs the same rows into a sort key. This module is
+the one place that names, parses and builds orders.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from __future__ import annotations
 import sys
 from array import array
 from dataclasses import dataclass
-from functools import lru_cache
 from operator import itemgetter
 
 from polyprime import kernel as _kernel
@@ -173,7 +175,8 @@ class MonomialOrder:
         return self.blocks if self.kind == "block" else ((self.kind, self.ranking),)
 
     def weight_rows(self):
-        return tuple(row for kind, ranking in self.parts for row in _rows_for(kind, ranking, self.nvars))
+        """The order's weight rows, each sparse: ``((index, weight), ...)`` over its nonzero weights."""
+        return tuple(row for kind, ranking in self.parts for row in _rows_for(kind, ranking))
 
     def to_json(self, variables):
         def names(ranking):
@@ -187,19 +190,15 @@ class MonomialOrder:
         return {"kind": self.kind, "ranking": names(self.ranking)}
 
 
-def _rows_for(kind, ranking, nvars):
-    def unit(i, sign=1):
-        row = [0] * nvars
-        row[i] = sign
-        return tuple(row)
-
-    ones = tuple(1 if i in set(ranking) else 0 for i in range(nvars))
+def _rows_for(kind, ranking):
+    """The sparse weight rows of one block: a degree row over its variables, then one unit row each."""
     if kind == "lex":
-        return [unit(i) for i in ranking]
+        return [((i, 1),) for i in ranking]
+    degree = tuple((i, 1) for i in ranking)
     if kind == "deglex":
-        return [ones] + [unit(i) for i in ranking[:-1]]
+        return [degree] + [((i, 1),) for i in ranking[:-1]]
     if kind == "degrevlex":
-        return [ones] + [unit(i, -1) for i in reversed(ranking[1:])]
+        return [degree] + [((i, -1),) for i in reversed(ranking[1:])]
     raise ValueError(kind)
 
 
@@ -268,12 +267,11 @@ def order_from_json(spec, variables):
     return MonomialOrder(kind, len(variables), ranking)
 
 
-@lru_cache(maxsize=None)
 def kernel_order(order):
-    return _kernel.get_kernel().Order(order.weight_rows())
+    """``order`` as the kernel's ``Order``, for ``compare``."""
+    return _kernel.get_kernel().Order(order.nvars, order.weight_rows())
 
 
-@lru_cache(maxsize=None)
 def order_key(order):
     """Sort key for ``order``: ``a`` precedes ``b`` exactly when its key is smaller.
 
@@ -302,7 +300,7 @@ def _fields(indices):
 
 
 def _part_key(kind, ranking, nvars):
-    """The rows ``_rows_for(kind, ranking, nvars)`` packed into one int, as ``order_key`` says."""
+    """The rows ``_rows_for(kind, ranking)`` packed into one int, as ``order_key`` says."""
     if kind == "lex":
         return _fields(ranking)
     degree = sum if len(ranking) == nvars else lambda mono: sum(mono[i] for i in ranking)

@@ -237,7 +237,10 @@ def enumeration_cap():
     raw = os.environ.get("POLYPRIME_CAP")
     if raw is None:
         return DEFAULT_ENUM_CAP
-    return int(raw)
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"POLYPRIME_CAP must be an integer, got {raw!r}") from None
 
 
 @lru_cache(maxsize=None)

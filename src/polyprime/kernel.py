@@ -1,22 +1,30 @@
-"""Kernel selection, made once at import: the compiled extension if it
-imports, the pure-Python kernel otherwise.
+"""Kernel selection, made once at import: the compiled rewrite kernel if it
+imports, the pure-Python one otherwise.
 
-Both kernels implement the identical contract (see ``_kernel_py``), so the
-choice only affects speed, never results. Callers look up ``compare`` and
-the ``Basis`` methods on the module that ``get_kernel`` returns each time
-they call them, so that wrappers set on those attributes see every call.
+This module is the kernel namespace. ``Basis``, ``BACKEND``,
+``MAX_EXPONENT`` and ``MAX_NVARS`` come from the chosen kernel; both
+implement the identical contract (see ``_kernel_py``), so the choice only
+affects speed, never results. Monomial comparison, ``Order`` and
+``compare``, has one implementation, in ``_kernel_py``, whichever kernel
+rewrites. Callers look up ``compare`` and the ``Basis`` methods on the
+namespace that ``get_kernel`` returns each time they call them, so that
+wrappers set on those attributes see every call.
 """
 
+import sys
+
+from polyprime._kernel_py import Order, compare
+
 try:
-    from polyprime import _speedups as _selected
+    from polyprime._speedups import BACKEND, MAX_EXPONENT, MAX_NVARS, Basis
 except ImportError:
-    from polyprime import _kernel_py as _selected
+    from polyprime._kernel_py import BACKEND, MAX_EXPONENT, MAX_NVARS, Basis
 
 
 def get_kernel():
-    """The kernel module chosen at import."""
-    return _selected
+    """The kernel namespace: this module."""
+    return sys.modules[__name__]
 
 
 def backend_name():
-    return _selected.BACKEND
+    return BACKEND

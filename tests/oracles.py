@@ -332,6 +332,30 @@ def direct_degrevlex(a, b, ranking):
     return 0
 
 
+def dense_rows(order):
+    """The weight matrix of ``order``, one dense row of ``order.nvars`` weights each, per the textbook.
+
+    Per block: lex ranks by e_i for each ranked variable, highest first;
+    deglex and degrevlex first by the block's degree, then deglex by e_i
+    down the ranking but for the last variable, and degrevlex by -e_i up
+    the ranking but for the first.
+    """
+    def unit(i, sign=1):
+        return tuple(sign if j == i else 0 for j in range(order.nvars))
+
+    rows = []
+    for kind, ranking in order.parts:
+        if kind == "lex":
+            rows += [unit(i) for i in ranking]
+            continue
+        rows.append(tuple(1 if j in ranking else 0 for j in range(order.nvars)))
+        if kind == "deglex":
+            rows += [unit(i) for i in ranking[:-1]]
+        else:
+            rows += [unit(i, -1) for i in reversed(ranking[1:])]
+    return tuple(rows)
+
+
 def weight_row_compare(rows, a, b):
     """Three-way compare of exponent tuples by their images under dense weight rows, first row first."""
     for row in rows:
@@ -472,7 +496,7 @@ def dense_inter_reduce(basis, order, budgets):
     by_lead = sorted(basis, key=lambda rule: key(rule[0]))
     # the key must sort as a comparator does; the dense rows' comparator
     # makes no kernel call, so the engine's calls still compare like with like
-    rows = order.weight_rows()
+    rows = dense_rows(order)
     assert by_lead == sorted(basis, key=functools.cmp_to_key(lambda a, b: weight_row_compare(rows, a[0], b[0])))
     kb = kern.Basis(order.nvars)
     kept = []

@@ -1,6 +1,8 @@
+import gc
 import json
 import random
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -524,6 +526,29 @@ class TestQuadraticOrderSearch:
                             raised = True
                         assert raised == cubic, (poly, order)
 
+    def test_retains_nothing_per_order(self):
+        # orders are compiled per engine run, not memoised: after a first
+        # round has warmed every lasting structure, rounds over new shapes,
+        # and so over new orders, must leave the retained size flat
+        def shapes(round_):
+            for k in range(10):
+                rng = random.Random(1000 * round_ + k)
+                yield random_polyomino(rng.randint(6, 9), rng)
+
+        tracemalloc.start()
+        try:
+            retained = []
+            for round_ in range(3):
+                for poly in shapes(round_):
+                    gvars = grid_variables(poly)
+                    find_quadratic_order(inner_minors(poly, gvars), gvars)
+                gc.collect()
+                retained.append(tracemalloc.get_traced_memory()[0])
+        finally:
+            tracemalloc.stop()
+        # a cache that kept every order seen would add about 34 KB a round
+        assert retained[2] - retained[0] < 8 * 1024, retained
+
 
 class TestWitnessGap:
     def test_annulus_hole_minor(self, annulus):
@@ -611,6 +636,9 @@ class TestSerialization:
         gvars = grid_variables(domino)
         order = block_order(6, [("lex", (4, 1, 5)), ("degrevlex", (3, 0, 2))])
         assert order.weight_rows() == (
+            ((4, 1),), ((1, 1),), ((5, 1),),
+            ((3, 1), (0, 1), (2, 1)), ((2, -1),), ((0, -1),))
+        assert oracles.dense_rows(order) == (
             (0, 0, 0, 0, 1, 0), (0, 1, 0, 0, 0, 0), (0, 0, 0, 0, 0, 1),
             (1, 0, 1, 1, 0, 0), (0, 0, -1, 0, 0, 0), (-1, 0, 0, 0, 0, 0))
         assert order.to_json(gvars) == {"kind": "block", "blocks": [

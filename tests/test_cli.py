@@ -251,6 +251,13 @@ class TestSweep:
         assert out == ""
         assert "cell count must be positive" in err
 
+    def test_non_integer_cap_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("POLYPRIME_CAP", "abc")
+        code, out, err = run(capsys, "sweep", "2")
+        assert code == 2
+        assert out == ""
+        assert err == "polyprime: POLYPRIME_CAP must be an integer, got 'abc'\n"
+
     def test_cap_env_override_allows(self, capsys, monkeypatch):
         monkeypatch.setenv("POLYPRIME_CAP", "4")
         code, out, _ = run(capsys, "sweep", "4", "--format", "json", "--no-timings")
