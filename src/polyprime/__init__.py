@@ -39,7 +39,6 @@ from polyprime.algebra import (
     find_quadratic_order,
     toric_ideal_cycles,
     toric_ideal_elimination,
-    toric_map,
 )
 from polyprime.kernel import backend_name
 
@@ -75,5 +74,4 @@ __all__ = [
     "to_text",
     "toric_ideal_cycles",
     "toric_ideal_elimination",
-    "toric_map",
 ]

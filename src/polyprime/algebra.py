@@ -232,32 +232,6 @@ def ideal_equal_paths(gb_a, gb_b, budgets=DEFAULT_BUDGETS):
 # ---------------------------------------------------------------------------
 # toric ideal of the interval graph
 
-@dataclass(frozen=True)
-class ToricMap:
-    """x(i,j) |-> v_p * h_q for the maximal intervals through each vertex."""
-
-    m: int
-    n: int
-    images: tuple  # per grid-variable index: (p, q)
-
-    def image_exponents(self, mono):
-        aux = [0] * (self.m + self.n)
-        for idx, e in enumerate(mono):
-            if e:
-                p, q = self.images[idx]
-                aux[p] += e
-                aux[self.m + q] += e
-        return tuple(aux)
-
-    def balanced(self, binomial):
-        return self.image_exponents(binomial.plus) == self.image_exponents(binomial.minus)
-
-
-def toric_map(graph, variables):
-    images = tuple(graph.intervals_through(point) for point in variables.points)
-    return ToricMap(graph.m, graph.n, images)
-
-
 def default_grid_order(variables):
     """degrevlex over the construction ranking (row-major descending on (y, x))."""
     return degrevlex_order(len(variables))
@@ -275,16 +249,15 @@ def toric_ideal_elimination(graph, variables, grid_order, budgets=DEFAULT_BUDGET
     slice is inter-reduced. A monomial parametrization needs no saturation
     step.
     """
-    tmap = toric_map(graph, variables)
     # the auxiliary variables v_1..v_m, h_1..h_n come first, as one block
     aux_count = graph.m + graph.n
     total = aux_count + len(variables)
     elim_order = block_order(total, [("degrevlex", range(aux_count))] + [
         (kind, [aux_count + i for i in ranking]) for kind, ranking in grid_order.parts])
     gens = []
-    for idx in range(len(variables)):
-        p, q = tmap.images[idx]
-        plus = mono_from_indices(total, (p, tmap.m + q))
+    for idx, point in enumerate(variables.points):
+        p, q = graph.intervals_through(point)
+        plus = mono_from_indices(total, (p, graph.m + q))
         minus = mono_from_indices(total, (aux_count + idx,))
         gens.append(Binomial(plus, minus))
     # a lead free of auxiliary variables has a tail free of them too, and

@@ -32,26 +32,22 @@ class GraphCycle:
 # ---------------------------------------------------------------------------
 # induced (chordless) cycle enumeration
 
-def _adjacency(graph):
-    m, n = graph.m, graph.n
-    total = m + n
-    masks = [0] * total
-    for p, q in graph.edge_pairs:
-        masks[p] |= 1 << (m + q)
-        masks[m + q] |= 1 << p
-    sorted_adj = [[y for y in range(total) if (masks[x] >> y) & 1] for x in range(total)]
-    return total, masks, sorted_adj
+def induced_cycles(masks, min_len, max_len, budget):
+    """Yield every chordless cycle once as a vertex-id list (min id first).
 
-
-def induced_cycles(total, masks, sorted_adj, min_len, max_len, budget):
-    """Yield every chordless cycle once as a vertex-id list (min id first)."""
+    ``masks[x]`` is the neighbour bitmask of vertex id x. Neighbours are
+    taken in ascending id order, lowest set bit first.
+    """
     spent = 0
-    for s in range(total):
+    for s, s_adj in enumerate(masks):
         s_bit = 1 << s
-        for u in sorted_adj[s]:
-            if u <= s:
-                continue
-            stack = [([s, u], s_bit | (1 << u), u)]
+        above = ~((s_bit << 1) - 1)   # the ids greater than s
+        rest = s_adj & above
+        while rest:
+            u_bit = rest & -rest
+            rest ^= u_bit
+            u = u_bit.bit_length() - 1
+            stack = [([s, u], s_bit | u_bit, u)]
             while stack:
                 path, pmask, x = stack.pop()
                 spent += 1
@@ -59,13 +55,15 @@ def induced_cycles(total, masks, sorted_adj, min_len, max_len, budget):
                     raise LimitExceededError(
                         f"cycle enumeration budget {budget} exhausted")
                 x_bit = 1 << x
-                for y in sorted_adj[x]:
-                    if y <= s or (pmask >> y) & 1:
-                        continue
+                fresh = masks[x] & above & ~pmask
+                while fresh:
+                    y_bit = fresh & -fresh
+                    fresh ^= y_bit
+                    y = y_bit.bit_length() - 1
                     inter = masks[y] & pmask
                     if inter == x_bit:
                         if len(path) + 2 <= max_len:
-                            stack.append((path + [y], pmask | (1 << y), y))
+                            stack.append((path + [y], pmask | y_bit, y))
                     elif inter == x_bit | s_bit:
                         if len(path) + 1 >= max(min_len, 4) and y > path[1]:
                             yield path + [y]
@@ -78,11 +76,14 @@ def chordless_cycles(graph, min_len=4, max_len=None, budget=DEFAULT_CYCLE_BUDGET
     if max_len is not None and max_len < 4:
         raise ValueError(
             f"max_len must be at least 4, the length of the shortest chordless cycle, got {max_len}")
-    total, masks, sorted_adj = _adjacency(graph)
+    if budget < 0:
+        raise ValueError(f"cycle budget must be >= 0, got {budget}")
+    masks = graph.adjacency
+    total = len(masks)
     max_len = total if max_len is None else min(max_len, total)
     if max_len < min_len:
         return
-    for ids in induced_cycles(total, masks, sorted_adj, min_len, max_len, budget):
+    for ids in induced_cycles(masks, min_len, max_len, budget):
         # the smallest id is a v-side vertex, so even positions are v-side;
         # the walk goes on to its smaller h-neighbour (``y > path[1]``), so
         # the pairs come in GraphCycle's canonical form
@@ -102,18 +103,18 @@ def is_weakly_chordal(graph):
 
 
 def graph_is_connected(graph):
-    total, masks, sorted_adj = _adjacency(graph)
-    if total == 0:
-        return True
-    seen = {0}
-    stack = [0]
-    while stack:
-        x = stack.pop()
-        for y in sorted_adj[x]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return len(seen) == total
+    """Grow the set reachable from vertex id 0 one neighbourhood at a time."""
+    masks = graph.adjacency
+    seen = frontier = 1 if masks else 0
+    while frontier:
+        reach = 0
+        while frontier:
+            bit = frontier & -frontier
+            frontier ^= bit
+            reach |= masks[bit.bit_length() - 1]
+        frontier = reach & ~seen
+        seen |= frontier
+    return seen == (1 << len(masks)) - 1
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ orientation: the top text row is the highest y row.
 from __future__ import annotations
 
 import os
-from functools import lru_cache
 
 from polyprime.binomials import Binomial, VariableSet, mono_from_indices
 from polyprime.errors import (
@@ -243,22 +242,19 @@ def enumeration_cap():
         raise ValueError(f"POLYPRIME_CAP must be an integer, got {raw!r}") from None
 
 
-@lru_cache(maxsize=None)
-def _level(n):
-    """All fixed n-cell polyominoes as a sorted tuple of sorted cell tuples.
+def _grow(shapes, n):
+    """Every fixed n-cell polyomino, grown by one cell from ``shapes``, the (n - 1)-cell ones.
 
-    Level n grows level n - 1 by one cell on int bitmasks: cell (x, y) is
-    bit ``x * n + y``. No shape of level n is taller than n, so a column of
-    n bits never spills into the next. A cell added below row 0 or left of
-    column 0 shifts the shape instead, which keeps every mask canonical.
+    Returns a sorted tuple of sorted cell tuples. The growth runs on int bitmasks: cell (x, y) is bit ``x * n + y``. No
+    n-cell shape is taller than n, so a column of n bits never spills into
+    the next. A cell added below row 0 or left of column 0 shifts the shape
+    instead, which keeps every mask canonical.
     """
-    if n == 1:
-        return (((0, 0),),)
     bottom = 0                            # bit y = 0 of every column
     for x in range(n):
         bottom |= 1 << (x * n)
     grown = set()
-    for shape in _level(n - 1):
+    for shape in shapes:
         mask = 0
         for x, y in shape:
             mask |= 1 << (x * n + y)
@@ -295,14 +291,23 @@ def check_cell_count(n):
 
 
 def enumerate_polyominoes(n):
-    """Yield every fixed polyomino with n cells once, in sorted canonical order."""
+    """Yield every fixed polyomino with n cells once, in sorted canonical order.
+
+    Grows one size at a time from the monomino and keeps only the size
+    being grown, so nothing outlives the call.
+    """
     check_cell_count(n)
-    for shape in _level(n):
+    shapes = (((0, 0),),)
+    for k in range(2, n + 1):
+        shapes = _grow(shapes, k)
+    for shape in shapes:
         yield Polyomino._trusted(shape)
 
 
 def random_polyomino(n, rng):
     """Seeded random growth: uniformly pick an adjacent empty cell n-1 times."""
+    if n < 1:
+        raise ValueError("cell count must be positive")
     cells = {(0, 0)}
     while len(cells) < n:
         frontier = sorted(

@@ -57,17 +57,27 @@ def maximal_edge_intervals(poly):
 
 
 class IntervalGraph:
-    """Bipartite graph on maximal vertical x horizontal intervals."""
+    """Bipartite graph on maximal vertical x horizontal intervals.
 
-    __slots__ = ("v_intervals", "h_intervals", "edges", "_pairs", "_labels", "_through")
+    ``through`` maps each polyomino vertex to the indices (p, q) of the
+    maximal intervals through it; that vertex labels the edge v_p h_q.
+    ``edges`` holds the (p, q, vertex) triples sorted, and ``adjacency``
+    one neighbour bitmask per vertex id, where v_p has id p and h_q id m + q.
+    """
 
-    def __init__(self, v_intervals, h_intervals, edges):
+    __slots__ = ("v_intervals", "h_intervals", "edges", "adjacency", "_through")
+
+    def __init__(self, v_intervals, h_intervals, through):
         self.v_intervals = tuple(v_intervals)
         self.h_intervals = tuple(h_intervals)
-        self.edges = tuple(sorted(edges))
-        self._pairs = frozenset((p, q) for p, q, _ in self.edges)
-        self._labels = {(p, q): pt for p, q, pt in self.edges}
-        self._through = {pt: (p, q) for p, q, pt in self.edges}
+        self._through = through
+        self.edges = tuple(sorted((p, q, point) for point, (p, q) in through.items()))
+        m = len(self.v_intervals)
+        masks = [0] * (m + len(self.h_intervals))
+        for p, q, _ in self.edges:
+            masks[p] |= 1 << (m + q)
+            masks[m + q] |= 1 << p
+        self.adjacency = tuple(masks)
 
     @property
     def m(self):
@@ -77,12 +87,9 @@ class IntervalGraph:
     def n(self):
         return len(self.h_intervals)
 
-    @property
-    def edge_pairs(self):
-        return self._pairs
-
     def label(self, p, q):
-        return self._labels[(p, q)]
+        """The vertex where v_p meets h_q."""
+        return (self.v_intervals[p].line, self.h_intervals[q].line)
 
     def intervals_through(self, point):
         """(vertical index, horizontal index) of the maximal intervals through a vertex."""
@@ -93,14 +100,20 @@ class IntervalGraph:
 
 
 def build_interval_graph(poly):
+    """The interval graph, read off the runs: each vertex lies on one run of each orientation."""
     vert, horiz = maximal_edge_intervals(poly)
-    edges = []
+    vertical_of = {}
     for p, vi in enumerate(vert):
-        for q, hj in enumerate(horiz):
-            if vi.span[0] <= hj.line <= vi.span[1] and hj.span[0] <= vi.line <= hj.span[1]:
-                point = (vi.line, hj.line)
-                edges.append((p, q, point))
-    return IntervalGraph(vert, horiz, edges)
+        a, b = vi.span
+        for y in range(a, b + 1):
+            vertical_of[(vi.line, y)] = p
+    through = {}
+    for q, hj in enumerate(horiz):
+        a, b = hj.span
+        for x in range(a, b + 1):
+            point = (x, hj.line)
+            through[point] = (vertical_of[point], q)
+    return IntervalGraph(vert, horiz, through)
 
 
 def graph_to_json(graph):

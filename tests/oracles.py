@@ -8,10 +8,13 @@ segments, dense linear algebra for degree-bounded ideal membership,
 textbook monomial-order comparators, a dense weight-row comparator,
 and normal forms rewritten on exponent tuples.
 
-The last four sections are the exceptions. One is the Buchberger engine
+The last five sections are the exceptions. One is the Buchberger engine
 as it was before it worked over lead supports, scanning dense exponent
 tuples; it runs on the package's kernel, so that a differential test can
-check that the two engines make the same kernel calls. The next is block
+check that the two engines make the same kernel calls. The next is the
+interval graph as it was built before it was read off the runs, every
+vertical interval tested against every horizontal one, next to the test
+that a binomial is balanced under the toric map. The next is block
 elimination as it was before it inter-reduced only the eliminated slice:
 the whole basis is reduced, then sliced. The next is the
 quadratic-order search as it was before it stopped a failing order at its
@@ -29,7 +32,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from polyprime import kernel as _kernel
-from polyprime.algebra import DEFAULT_BUDGETS, GroebnerBasis, OrderSearchConfig, buchberger, toric_map
+from polyprime.algebra import DEFAULT_BUDGETS, GroebnerBasis, OrderSearchConfig, buchberger
 from polyprime.binomials import (
     GREATER, ZERO, Binomial, MonomialOrder, block_order, kernel_order, mono_from_indices, named_ranking,
     order_key)
@@ -517,17 +520,44 @@ def dense_inter_reduce(basis, order, budgets):
 
 
 # ---------------------------------------------------------------------------
+# the interval graph by pairwise intersection, and the toric map
+
+def pairwise_interval_graph(poly):
+    """(vertical, horizontal, edges): every pair of maximal intervals tested for a meeting point."""
+    vert, horiz = maximal_edge_intervals(poly)
+    edges = []
+    for p, vi in enumerate(vert):
+        for q, hj in enumerate(horiz):
+            if vi.span[0] <= hj.line <= vi.span[1] and hj.span[0] <= vi.line <= hj.span[1]:
+                edges.append((p, q, (vi.line, hj.line)))
+    return vert, horiz, edges
+
+
+def balanced(graph, variables, binomial):
+    """Do both sides of ``binomial`` have one image under x(i,j) |-> v_p * h_q?"""
+    def image(mono):
+        aux = [0] * (graph.m + graph.n)
+        for idx, e in enumerate(mono):
+            if e:
+                p, q = graph.intervals_through(variables.points[idx])
+                aux[p] += e
+                aux[graph.m + q] += e
+        return aux
+
+    return image(binomial.plus) == image(binomial.minus)
+
+
+# ---------------------------------------------------------------------------
 # block elimination, the whole basis reduced before it is sliced
 
 def reduced_then_sliced_elimination(graph, variables, grid_order, budgets=DEFAULT_BUDGETS):
     """The toric ideal's reduced basis: the elements of the reduced elimination basis free of auxiliary variables."""
-    tmap = toric_map(graph, variables)
     aux_count = graph.m + graph.n
     total = aux_count + len(variables)
     elim_order = block_order(total, [("degrevlex", range(aux_count))] + [
         (kind, [aux_count + i for i in ranking]) for kind, ranking in grid_order.parts])
     gens = [Binomial(mono_from_indices(total, (p, graph.m + q)), mono_from_indices(total, (aux_count + idx,)))
-            for idx, (p, q) in enumerate(tmap.images)]
+            for idx, (p, q) in enumerate(map(graph.intervals_through, variables.points))]
     gb = buchberger(gens, elim_order, budgets=budgets)
     return GroebnerBasis(grid_order, tuple(Binomial(b.plus[aux_count:], b.minus[aux_count:])
                                            for b in gb.elements if not any(b.plus[:aux_count])))

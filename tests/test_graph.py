@@ -27,19 +27,21 @@ from oracles import (
     validate_polyo_cycle,
 )
 from polyprime.errors import LimitExceededError
+from polyprime.graph import graph_is_connected
 
 
 class SyntheticBipartite:
-    """Minimal graph duck type for the cycle machinery."""
+    """Minimal graph duck type for the cycle machinery: v_p has id p, h_q id m + q."""
 
-    def __init__(self, m, n, pairs, labels=None):
+    def __init__(self, m, n, pairs):
         self.m = m
         self.n = n
-        self.edge_pairs = frozenset(pairs)
-        self._labels = labels if labels is not None else {pq: pq for pq in self.edge_pairs}
-
-    def label(self, p, q):
-        return self._labels[(p, q)]
+        self.pairs = frozenset(pairs)
+        masks = [0] * (m + n)
+        for p, q in self.pairs:
+            masks[p] |= 1 << (m + q)
+            masks[m + q] |= 1 << p
+        self.adjacency = tuple(masks)
 
 
 def c6():
@@ -72,7 +74,7 @@ class TestChordlessCycles:
         cycles = list(chordless_cycles(k33(), min_len=4, max_len=4))
         assert len(cycles) == 9
         brute = oracles.brute_chordless_cycles(
-            6, {(p, 3 + q) for p, q in k33().edge_pairs}, 4, 4)
+            6, {(p, 3 + q) for p, q in k33().pairs}, 4, 4)
         assert {cycle_vertex_ids(c, 3) for c in cycles} == set(brute)
 
     def test_each_cycle_reported_once(self):
@@ -94,6 +96,10 @@ class TestChordlessCycles:
     def test_budget_exhaustion_raises(self):
         with pytest.raises(LimitExceededError):
             list(chordless_cycles(k33(), min_len=4, budget=2))
+
+    def test_negative_budget_is_rejected(self):
+        with pytest.raises(ValueError, match="cycle budget must be >= 0, got -1"):
+            list(chordless_cycles(k33(), budget=-1))
 
     def test_canonical_pairs_oracle(self):
         pairs = ((0, 0), (1, 1), (2, 2), (3, 3))
@@ -139,8 +145,21 @@ class TestWeaklyChordal:
             sigma = rng.sample(range(g.m), g.m)
             tau = rng.sample(range(g.n), g.n)
             relabeled = SyntheticBipartite(
-                g.m, g.n, {(sigma[p], tau[q]) for p, q in g.edge_pairs})
+                g.m, g.n, {(sigma[p], tau[q]) for p, q, _ in g.edges})
             assert is_weakly_chordal(g) == is_weakly_chordal(relabeled)
+
+
+class TestConnected:
+    def test_connected(self):
+        assert graph_is_connected(c6())
+        assert graph_is_connected(k33())
+        assert graph_is_connected(SyntheticBipartite(0, 0, set()))
+
+    def test_two_components(self):
+        assert not graph_is_connected(SyntheticBipartite(2, 2, {(0, 0), (1, 1)}))
+
+    def test_isolated_vertex(self):
+        assert not graph_is_connected(SyntheticBipartite(2, 1, {(0, 0)}))
 
 
 class TestCycleConversion:
@@ -300,7 +319,7 @@ class TestSelfCrossing:
             assert shared
             for v in shared:
                 p, q = g.intervals_through(v)
-                assert (p, q) in g.edge_pairs
+                assert (p, q, v) in g.edges
         assert seen_crossing
 
     def test_chordless_images_never_cross(self):

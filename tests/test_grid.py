@@ -1,11 +1,16 @@
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
 from oracles import symmetry_images
+import polyprime
 from polyprime import (
     Polyomino,
     enumerate_polyominoes,
@@ -20,6 +25,9 @@ from polyprime import (
 )
 from polyprime.errors import BadCharError, CapExceededError, DisconnectedError, EmptyInputError
 from polyprime.grid import from_json_dict, random_polyomino, to_json_dict
+
+# the directory holding the polyprime package these tests import
+PACKAGE_ROOT = str(Path(polyprime.__file__).resolve().parents[1])
 
 
 def shapes_upto(n):
@@ -263,3 +271,25 @@ class TestEnumeration:
         a = random_polyomino(6, random.Random(7))
         b = random_polyomino(6, random.Random(7))
         assert a == b and len(a) == 6
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_random_polyomino_rejects_nonpositive_size(self, n):
+        with pytest.raises(ValueError, match="cell count must be positive"):
+            random_polyomino(n, random.Random(0))
+
+    def test_enumeration_retains_nothing(self):
+        # a fresh interpreter, so that no earlier enumeration in this
+        # process has built anything yet; a cache of every size would keep
+        # about 0.4 MB after the 8-cell shapes
+        code = (
+            "import gc, tracemalloc\n"
+            "from polyprime import enumerate_polyominoes\n"
+            "tracemalloc.start()\n"
+            "count = sum(1 for _ in enumerate_polyominoes(8))\n"
+            "gc.collect()\n"
+            "print(count, tracemalloc.get_traced_memory()[0])\n")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                              timeout=300, env={**os.environ, "PYTHONPATH": PACKAGE_ROOT})
+        count, retained = map(int, done.stdout.split())
+        assert count == 2725
+        assert retained < 64 * 1024, retained

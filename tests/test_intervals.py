@@ -67,13 +67,13 @@ class TestIntervalGraph:
     def test_single_cell_is_k22(self, cell):
         g = build_interval_graph(cell)
         assert (g.m, g.n) == (2, 2)
-        assert g.edge_pairs == {(p, q) for p in range(2) for q in range(2)}
+        assert {(p, q) for p, q, _ in g.edges} == {(p, q) for p in range(2) for q in range(2)}
 
     def test_square2_is_k33(self, square2):
         g = build_interval_graph(square2)
         assert (g.m, g.n) == (3, 3)
         assert len(g.edges) == 9
-        assert g.edge_pairs == {(p, q) for p in range(3) for q in range(3)}
+        assert {(p, q) for p, q, _ in g.edges} == {(p, q) for p in range(3) for q in range(3)}
 
     def test_annulus_is_k44(self, annulus):
         # all 16 intersections of the 4x4 interval grid are ring vertices
@@ -81,7 +81,7 @@ class TestIntervalGraph:
         assert all((x, y) in verts for x in range(4) for y in range(4))
         g = build_interval_graph(annulus)
         assert (g.m, g.n) == (4, 4)
-        assert g.edge_pairs == {(p, q) for p in range(4) for q in range(4)}
+        assert {(p, q) for p, q, _ in g.edges} == {(p, q) for p in range(4) for q in range(4)}
 
     def test_edge_labels_are_the_intersections(self, square2):
         g = build_interval_graph(square2)
@@ -101,6 +101,34 @@ class TestIntervalGraph:
         for n in range(1, 6):
             for poly in enumerate_polyominoes(n):
                 assert graph_is_connected(build_interval_graph(poly))
+
+
+def assert_matches_pairwise(poly):
+    g = build_interval_graph(poly)
+    vert, horiz, edges = oracles.pairwise_interval_graph(poly)
+    assert (g.m, g.n) == (len(vert), len(horiz))
+    assert g.edges == tuple(edges)
+    masks = [0] * (g.m + g.n)
+    for p, q, point in edges:
+        assert g.label(p, q) == point
+        assert g.intervals_through(point) == (p, q)
+        masks[p] |= 1 << (g.m + q)
+        masks[g.m + q] |= 1 << p
+    assert g.adjacency == tuple(masks)
+
+
+class TestGraphFromRuns:
+    """The graph read off the runs equals the one built by testing every interval pair."""
+
+    def test_every_shape_up_to_seven_cells(self):
+        for n in range(1, 8):
+            for poly in enumerate_polyominoes(n):
+                assert_matches_pairwise(poly)
+
+    def test_seeded_shapes_up_to_fourteen_cells(self):
+        rng = random.Random(17)
+        for _ in range(200):
+            assert_matches_pairwise(random_polyomino(rng.randint(8, 14), rng))
 
 
 class TestExport:

@@ -144,8 +144,16 @@ class TestSweep:
         assert a["schema"] == "polyprime.sweep/1"
         assert a["wall_clock"] is None
 
-    def test_parallel_matches_sequential(self):
+    def test_parallel_matches_sequential(self, monkeypatch):
         seq = sweep(5, VerifyConfig(collect_timings=False))
+        enumerated = []
+
+        def recording(n):
+            shapes = list(enumerate_polyominoes(n))
+            enumerated.extend(shapes)
+            return iter(shapes)
+
+        monkeypatch.setattr(verify, "enumerate_polyominoes", recording)
         par = sweep(5, VerifyConfig(workers=2))
         assert seq.total == par.total == 1 + 2 + 6 + 19 + 63
         assert all(r.timings for r in par.reports)
@@ -154,8 +162,9 @@ class TestSweep:
             return {k: v for k, v in report_to_json(report).items() if k != "timings"}
 
         assert [untimed(r) for r in seq.reports] == [untimed(r) for r in par.reports]
-        # pool reports share the enumeration's cell tuples
-        assert par.reports[-1].cells is list(enumerate_polyominoes(5))[-1].cells_sorted
+        # pool reports share the sweep's own enumeration's cell tuples
+        assert len(enumerated) == len(par.reports)
+        assert all(r.cells is p.cells_sorted for r, p in zip(par.reports, enumerated))
         assert sweep_to_json(seq, with_timings=False) == sweep_to_json(par, with_timings=False)
 
     def test_budget_error_identifies_polyomino(self):
