@@ -120,7 +120,7 @@ def order_search(n_cells):
 
 def sweep(n_max):
     def run():
-        verify.sweep(n_max, verify.VerifyConfig(collect_timings=False))
+        verify.sweep(n_max)
 
     return run
 

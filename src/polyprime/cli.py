@@ -32,7 +32,8 @@ FAILURE_EXIT = 1
 
 
 def _add_input_flags(sub):
-    sub.add_argument("--grid", help="inline grid; \\n separates rows; JSON cell lists accepted")
+    sub.add_argument("--grid", help='inline grid, \\n separating rows, '
+                     'or the JSON object {"cells": [[x, y], ...]}')
     sub.add_argument("--file", help="path to a grid file (ASCII art or JSON)")
 
 
@@ -69,7 +70,8 @@ def _load_polyomino(args):
     if args.grid is not None:
         text = args.grid.replace("\\n", "\n")
     else:
-        with open(args.file, "r", encoding="utf-8") as fh:
+        # utf-8-sig drops a leading byte-order mark, as some editors write one
+        with open(args.file, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     stripped = text.lstrip()
     if stripped.startswith("{"):
@@ -152,11 +154,7 @@ def _cmd_gb(args):
 
 
 def _verify_config(args, search_quadratic):
-    return verify.VerifyConfig(
-        budgets=_budgets(args),
-        search_quadratic=search_quadratic,
-        collect_timings=not args.no_timings,
-    )
+    return verify.VerifyConfig(budgets=_budgets(args), search_quadratic=search_quadratic)
 
 
 def _report_text(data):
@@ -171,6 +169,8 @@ def _cmd_verify(args):
     config = _verify_config(args, search_quadratic=True)
     report = verify.verify_polyomino(poly, config)
     data = verify.report_to_json(report)
+    if args.no_timings:
+        data["timings"] = None
     _emit(args, data, _report_text(data))
     return 0
 
@@ -179,7 +179,7 @@ def _cmd_sweep(args):
     config = _verify_config(args, search_quadratic=False)
     summary = verify.sweep(args.n, config)
     data = verify.sweep_to_json(summary, with_timings=not args.no_timings)
-    text_lines = [f"polyominoes with up to {summary.n_max} cells: {summary.total}"]
+    text_lines = [f"polyominoes with up to {summary.n_max} cells: {len(summary.reports)}"]
     for n, row in sorted(summary.per_size.items()):
         text_lines.append(
             f"  size {n}: {row['count']} shapes, {row['simple']} simple, {row['non_simple']} non-simple")

@@ -237,9 +237,12 @@ def enumeration_cap():
     if raw is None:
         return DEFAULT_ENUM_CAP
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
-        raise ValueError(f"POLYPRIME_CAP must be an integer, got {raw!r}") from None
+        cap = 0
+    if cap < 1:
+        raise ValueError(f"POLYPRIME_CAP must be a positive integer, got {raw!r}")
+    return cap
 
 
 def _grow(shapes, n):

@@ -45,14 +45,12 @@ SWEEP_SCHEMA = "polyprime.sweep/1"
 class VerifyConfig:
     budgets: EngineBudgets = field(default=DEFAULT_BUDGETS)
     search_quadratic: bool = False
-    collect_timings: bool = True
     workers: int = 1
 
 
 @dataclass
 class VerificationReport:
     cells: tuple
-    cell_count: int
     simple: bool = None
     weakly_chordal: bool = None
     ideals_equal: bool = None
@@ -60,13 +58,12 @@ class VerificationReport:
     gap_witness_text: str = None
     quadratic_order: object = None
     timings: dict = None
-    incomplete: bool = False
-    error: str = None
+    error: str = None         # set only on a budget error, which leaves the report incomplete
 
 
 def check_report_invariants(report):
     """Raise InvariantViolationError if the report breaks a structural invariant."""
-    if report.incomplete:
+    if report.error is not None:
         return
     if report.simple and not (report.weakly_chordal and report.ideals_equal):
         raise InvariantViolationError(
@@ -85,11 +82,12 @@ def _while_verifying(error, cells):
 def verify_polyomino(poly, config=VerifyConfig()):
     """Run all checks on one polyomino and return the report.
 
-    Budget exhaustion raises BudgetExceededError with the partial report
-    (marked incomplete) attached as ``.report``.
+    The report keeps the time of every stage that ran. Budget exhaustion
+    raises BudgetExceededError with the partial report, its ``error`` set,
+    attached as ``.report``.
     """
-    report = VerificationReport(cells=poly.cells_sorted, cell_count=len(poly))
     timings = {}
+    report = VerificationReport(cells=poly.cells_sorted, timings=timings)
 
     def staged(name, fn):
         t0 = time.perf_counter()
@@ -134,14 +132,11 @@ def verify_polyomino(poly, config=VerifyConfig()):
                 lambda: find_quadratic_order(gens, gvars, budgets=config.budgets))
             report.quadratic_order = None if found is None else found.to_json(gvars)
     except (BudgetExceededError, LimitExceededError) as exc:
-        report.incomplete = True
         report.error = str(exc)
-        report.timings = timings if config.collect_timings else None
         err = BudgetExceededError(_while_verifying(exc, poly.cells_sorted))
         err.report = report
         raise err from exc
 
-    report.timings = timings if config.collect_timings else None
     check_report_invariants(report)
     return report
 
@@ -150,13 +145,13 @@ def report_to_json(report):
     return {
         "schema": REPORT_SCHEMA,
         "cells": [list(c) for c in report.cells],
-        "cell_count": report.cell_count,
+        "cell_count": len(report.cells),
         "simple": report.simple,
         "weakly_chordal": report.weakly_chordal,
         "ideals_equal": report.ideals_equal,
         "gap_witness": report.gap_witness_text,
         "quadratic_order": report.quadratic_order,
-        "incomplete": report.incomplete,
+        "incomplete": report.error is not None,
         "error": report.error,
         "timings": report.timings,
     }
@@ -165,7 +160,6 @@ def report_to_json(report):
 @dataclass
 class SweepSummary:
     n_max: int
-    total: int
     per_size: dict
     non_simple: list          # [{"cells": [...], "witness": str}]
     violations: list
@@ -230,10 +224,9 @@ def sweep(n_max, config=VerifyConfig()):
             reports.extend(size_reports)
     budget_errors = [
         {"cells": [list(c) for c in r.cells], "error": _while_verifying(r.error, r.cells)}
-        for r in reports if r.incomplete]
+        for r in reports if r.error is not None]
     return SweepSummary(
         n_max=n_max,
-        total=len(reports),
         per_size=per_size,
         non_simple=non_simple,
         violations=[],
@@ -247,7 +240,7 @@ def sweep_to_json(summary, with_timings=True):
     return {
         "schema": SWEEP_SCHEMA,
         "n_max": summary.n_max,
-        "total": summary.total,
+        "total": len(summary.reports),
         "per_size": {str(k): v for k, v in sorted(summary.per_size.items())},
         "non_simple": summary.non_simple,
         "violations": summary.violations,

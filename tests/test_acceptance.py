@@ -31,7 +31,7 @@ from polyprime import (
 from polyprime.algebra import Reducer, default_grid_order, ideal_equal_paths
 from polyprime.binomials import ZERO, mono_from_indices
 from polyprime.grid import random_polyomino
-from polyprime.verify import VerifyConfig, sweep, sweep_to_json, verify_polyomino
+from polyprime.verify import sweep, sweep_to_json, verify_polyomino
 
 CONTAINMENT_SEED = 20260808
 # SHA-256 of `polyprime sweep 7 --format json --no-timings`
@@ -162,7 +162,7 @@ def test_criterion_4_annulus_negative_control():
 
 def test_criterion_5_non_simple_heptominoes():
     t0 = time.perf_counter()
-    summary = sweep(7, VerifyConfig(collect_timings=False))
+    summary = sweep(7)
     elapsed = time.perf_counter() - t0
     found = summary.non_simple
     found_shapes = {frozenset(tuple(c) for c in item["cells"]) for item in found}
@@ -172,7 +172,7 @@ def test_criterion_5_non_simple_heptominoes():
     ring = {(x, y) for x in range(3) for y in range(3)} - {(1, 1)}
     expected = {frozenset(ring - {corner}) for corner in ((0, 0), (2, 0), (0, 2), (2, 2))}
     witnesses_ok = all(item["witness"] for item in found)
-    counts_ok = summary.total == 1067 and summary.per_size[7]["count"] == 760
+    counts_ok = len(summary.reports) == 1067 and summary.per_size[7]["count"] == 760
     per_size_ok = summary.per_size[7]["non_simple"] == 4 and all(
         summary.per_size[n]["non_simple"] == 0 for n in range(1, 7))
     # simple => weakly chordal and equal ideals; not simple => the ideals differ

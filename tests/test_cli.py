@@ -34,6 +34,15 @@ class TestParse:
         assert code == 0
         assert out == "###\n#.#\n###\n"
 
+    def test_file_with_byte_order_mark(self, capsys, tmp_path):
+        forms = (("shape.txt", "#.\r\n##\r\n"), ("shape.json", '{"cells": [[0, 0], [0, 1], [1, 0]]}'))
+        for name, content in forms:
+            path = tmp_path / name
+            path.write_text(content, encoding="utf-8-sig")
+            assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+            code, out, err = run(capsys, "parse", "--file", str(path))
+            assert (code, out, err) == (0, "#.\n##\n", "")
+
     def test_missing_input_is_usage_error(self, capsys):
         code, _, err = run(capsys, "parse")
         assert code == 2
@@ -190,6 +199,11 @@ class TestVerify:
         assert data["simple"] is True
         assert data["timings"] is None
 
+    def test_timings_printed_by_default(self, capsys):
+        code, out, _ = run(capsys, "verify", "--grid", "#", "--format", "json")
+        assert code == 0
+        assert {"simple", "gb_toric", "quadratic_order"} <= set(json.loads(out)["timings"])
+
     def test_annulus_text(self, capsys):
         code, out, _ = run(capsys, "verify", "--grid", "###\\n#.#\\n###", "--no-timings")
         assert code == 0
@@ -251,12 +265,13 @@ class TestSweep:
         assert out == ""
         assert "cell count must be positive" in err
 
-    def test_non_integer_cap_is_usage_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("POLYPRIME_CAP", "abc")
-        code, out, err = run(capsys, "sweep", "2")
+    @pytest.mark.parametrize("cap", ["abc", "0", "-3"])
+    def test_non_integer_cap_is_usage_error(self, capsys, monkeypatch, cap):
+        monkeypatch.setenv("POLYPRIME_CAP", cap)
+        code, out, err = run(capsys, "sweep", "1")
         assert code == 2
         assert out == ""
-        assert err == "polyprime: POLYPRIME_CAP must be an integer, got 'abc'\n"
+        assert err == f"polyprime: POLYPRIME_CAP must be a positive integer, got {cap!r}\n"
 
     def test_cap_env_override_allows(self, capsys, monkeypatch):
         monkeypatch.setenv("POLYPRIME_CAP", "4")

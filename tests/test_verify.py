@@ -27,7 +27,7 @@ class TestVerifyPolyomino:
         assert report.weakly_chordal is True
         assert report.ideals_equal is True
         assert report.gap_witness is None
-        assert report.incomplete is False
+        assert report.error is None
 
     def test_annulus(self, annulus):
         report = verify_polyomino(annulus)
@@ -57,11 +57,13 @@ class TestVerifyPolyomino:
         assert report.quadratic_order is not None
         assert report.quadratic_order["kind"] == "degrevlex"
 
-    def test_timings_optional(self, cell):
-        with_timings = verify_polyomino(cell, VerifyConfig(collect_timings=True))
-        without = verify_polyomino(cell, VerifyConfig(collect_timings=False))
-        assert set(with_timings.timings) >= {"simple", "graph", "weakly_chordal", "gb_inner"}
-        assert without.timings is None
+    def test_timings_always_kept(self, cell, annulus):
+        # every stage that ran is timed; the witness stage runs only when the ideals differ
+        stages = {"simple", "graph", "weakly_chordal", "gb_inner", "gb_toric", "ideal_equal"}
+        assert set(verify_polyomino(cell).timings) == stages
+        assert set(verify_polyomino(annulus).timings) == stages | {"witness"}
+        searched = verify_polyomino(cell, VerifyConfig(search_quadratic=True))
+        assert set(searched.timings) == stages | {"quadratic_order"}
 
     def test_budget_error_carries_partial_report(self, square2):
         config = VerifyConfig(budgets=EngineBudgets(pairs=2))
@@ -69,8 +71,10 @@ class TestVerifyPolyomino:
             verify_polyomino(square2, config)
         assert "[(0, 0)" in str(err.value)
         report = err.value.report
-        assert report.incomplete is True
         assert report.error
+        assert report_to_json(report)["incomplete"] is True
+        # the stages that finished before the budget ran out keep their times
+        assert {"simple", "graph", "weakly_chordal"} <= set(report.timings)
 
     def test_order_search_runs_under_the_config_budgets(self, monkeypatch, domino):
         seen = []
@@ -90,20 +94,20 @@ class TestVerifyPolyomino:
 class TestReportInvariants:
     def test_simple_implies_rest(self):
         forged = VerificationReport(
-            cells=((0, 0),), cell_count=1, simple=True, weakly_chordal=False, ideals_equal=True)
+            cells=((0, 0),), simple=True, weakly_chordal=False, ideals_equal=True)
         with pytest.raises(InvariantViolationError):
             check_report_invariants(forged)
 
     def test_witness_exactly_when_unequal(self):
         forged = VerificationReport(
-            cells=((0, 0),), cell_count=1, simple=False, weakly_chordal=True,
+            cells=((0, 0),), simple=False, weakly_chordal=True,
             ideals_equal=True, gap_witness="nonsense")
         with pytest.raises(InvariantViolationError):
             check_report_invariants(forged)
 
     def test_incomplete_reports_are_not_checked(self):
         partial = VerificationReport(
-            cells=((0, 0),), cell_count=1, simple=True, incomplete=True)
+            cells=((0, 0),), simple=True, error="budget exhausted")
         check_report_invariants(partial)
 
 
@@ -114,19 +118,20 @@ class TestReportJson:
         assert data["cells"] == [[0, 0]]
         assert data["cell_count"] == 1
         assert data["gap_witness"] is None
+        assert data["incomplete"] is False
         assert json.dumps(data)  # serializable
 
     def test_round_trip_stability(self, annulus):
-        config = VerifyConfig(collect_timings=False)
-        a = report_to_json(verify_polyomino(annulus, config))
-        b = report_to_json(verify_polyomino(annulus, config))
+        a = report_to_json(verify_polyomino(annulus))
+        b = report_to_json(verify_polyomino(annulus))
+        assert a.pop("timings").keys() == b.pop("timings").keys()
         assert a == b
 
 
 class TestSweep:
     def test_sweep3_counts(self):
-        summary = sweep(3, VerifyConfig(collect_timings=False))
-        assert summary.total == 9
+        summary = sweep(3)
+        assert sweep_to_json(summary)["total"] == 9
         assert summary.per_size == {
             1: {"count": 1, "simple": 1, "non_simple": 0},
             2: {"count": 2, "simple": 2, "non_simple": 0},
@@ -137,15 +142,14 @@ class TestSweep:
         assert len(summary.reports) == 9
 
     def test_sweep_json_deterministic_without_timings(self):
-        config = VerifyConfig(collect_timings=False)
-        a = sweep_to_json(sweep(3, config), with_timings=False)
-        b = sweep_to_json(sweep(3, config), with_timings=False)
+        a = sweep_to_json(sweep(3), with_timings=False)
+        b = sweep_to_json(sweep(3), with_timings=False)
         assert a == b
         assert a["schema"] == "polyprime.sweep/1"
         assert a["wall_clock"] is None
 
     def test_parallel_matches_sequential(self, monkeypatch):
-        seq = sweep(5, VerifyConfig(collect_timings=False))
+        seq = sweep(5)
         enumerated = []
 
         def recording(n):
@@ -155,8 +159,8 @@ class TestSweep:
 
         monkeypatch.setattr(verify, "enumerate_polyominoes", recording)
         par = sweep(5, VerifyConfig(workers=2))
-        assert seq.total == par.total == 1 + 2 + 6 + 19 + 63
-        assert all(r.timings for r in par.reports)
+        assert len(seq.reports) == len(par.reports) == 1 + 2 + 6 + 19 + 63
+        assert all(r.timings for r in seq.reports + par.reports)
 
         def untimed(report):
             return {k: v for k, v in report_to_json(report).items() if k != "timings"}
@@ -169,9 +173,9 @@ class TestSweep:
 
     def test_budget_error_identifies_polyomino(self):
         # at 20 S-pairs the monomino completes and both dominoes run out
-        summary = sweep(2, VerifyConfig(budgets=EngineBudgets(pairs=20), collect_timings=False))
-        assert summary.total == 3
-        assert [r.incomplete for r in summary.reports] == [False, True, True]
+        summary = sweep(2, VerifyConfig(budgets=EngineBudgets(pairs=20)))
+        assert sweep_to_json(summary)["total"] == 3
+        assert [r.error is not None for r in summary.reports] == [False, True, True]
         assert [e["cells"] for e in summary.budget_errors] == [[[0, 0], [0, 1]], [[0, 0], [1, 0]]]
         for entry, report in zip(summary.budget_errors, summary.reports[1:]):
             assert set(entry) == {"cells", "error"}
@@ -180,8 +184,8 @@ class TestSweep:
         assert sweep_to_json(summary)["budget_errors"] == summary.budget_errors
 
     def test_budget_errors_same_on_pool_path(self):
-        config = VerifyConfig(budgets=EngineBudgets(pairs=20), collect_timings=False)
+        config = VerifyConfig(budgets=EngineBudgets(pairs=20))
         seq = sweep(2, config)
         par = sweep(2, replace(config, workers=2))
         assert par.budget_errors == seq.budget_errors
-        assert [r.incomplete for r in par.reports] == [r.incomplete for r in seq.reports]
+        assert [r.error for r in par.reports] == [r.error for r in seq.reports]
