@@ -26,8 +26,8 @@ import time
 import polyprime
 from polyprime import buchberger, build_interval_graph, enumerate_polyominoes, find_quadratic_order, grid_variables
 from polyprime import inner_minors, is_simple, kernel, parse_grid, verify
-from polyprime.algebra import default_grid_order, ideal_equal_paths, toric_ideal_elimination
-from polyprime.binomials import mono_from_indices
+from polyprime.algebra import ideal_equal_paths, toric_ideal_elimination
+from polyprime.binomials import default_grid_order, mono_from_indices
 
 BACKENDS = ("c", "python")
 

@@ -1,24 +1,18 @@
-"""Pure-Python kernel for the binomial Groebner engine.
+"""Pure-Python rewrite kernel for the binomial Groebner engine.
 
-Monomials are tuples of non-negative ints (dense exponent vectors). An
-Order holds the weight rows of a monomial order, and ``compare`` orients
-two monomials under it; these two are the package's only monomial
-comparison, used whichever kernel rewrites. A Basis holds oriented
-rewrite rules lead -> tail with lead > tail, with the same contract as
-the compiled rewrite kernel in ``_speedups``. ``normal_form`` rewrites a
-monomial with the first divisible lead in append order, restarting the
-scan after every hit, until no lead divides. ``normal_form_until``
-rewrites the same chain but returns a given target as soon as the chain
-reaches it, so a caller holding an irreducible monomial learns whether
-another one reduces to it without the final scan that proves
-irreducibility. With budget 0, ``normal_form`` returns None exactly when
-some lead divides the monomial. Both Basis kernels must produce
+Monomials are tuples of non-negative ints (dense exponent vectors). A
+Basis holds oriented rewrite rules lead -> tail with lead > tail, with
+the same contract and the same surface (``BACKEND``, ``MAX_EXPONENT``,
+``MAX_NVARS``, ``Basis``) as the compiled kernel in ``_speedups``; the
+caller orients each rule with ``binomials.compare``. ``normal_form``
+rewrites a monomial with the first divisible lead in append order,
+restarting the scan after every hit, until no lead divides.
+``normal_form_until`` rewrites the same chain but returns a given target
+as soon as the chain reaches it, so a caller holding an irreducible
+monomial learns whether another one reduces to it without the final scan
+that proves irreducibility. With budget 0, ``normal_form`` returns None
+exactly when some lead divides the monomial. Both kernels must produce
 bit-identical results; the engine picks whichever is available.
-
-An Order's rows are sparse, as ``((index, weight), ...)`` over the
-nonzero weights only, the form ``MonomialOrder.weight_rows`` builds, so
-``compare`` never touches a zero weight. Every row of lex, and every row
-after the first of deglex and degrevlex, has a single entry.
 
 A Basis stores each monomial packed into one Python int, after Monagan
 and Pearce's packed exponent vectors: variable ``i`` owns the 16-bit
@@ -54,34 +48,6 @@ MAX_EXPONENT = 0x7FFF  # 15 exponent bits under the guard bit of a 16-bit field
 MAX_NVARS = 2 ** 28 - 1  # the compiled kernel's bound
 
 _BYTEORDER = sys.byteorder
-
-
-class Order:
-    """A monomial order on ``nvars`` variables as sparse weight rows, each ``((index, weight), ...)``."""
-
-    __slots__ = ("nvars", "rows")
-
-    def __init__(self, nvars, rows):
-        self.nvars = nvars
-        self.rows = rows
-
-
-def compare(order, a, b):
-    """Three-way compare of exponent tuples under the weight-matrix order."""
-    n = order.nvars
-    if len(a) != n or len(b) != n:
-        raise ValueError("exponent tuple has wrong length")
-    if a == b:
-        return 0
-    for row in order.rows:
-        s = 0
-        for i, w in row:
-            s += w * (a[i] - b[i])
-        if s > 0:
-            return 1
-        if s < 0:
-            return -1
-    return 0
 
 
 class Basis:

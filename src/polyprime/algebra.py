@@ -21,8 +21,6 @@ from polyprime.binomials import (
     MonomialOrder,
     ZERO,
     block_order,
-    degrevlex_order,
-    kernel_order,
     mono_from_indices,
     named_ranking,
     order_key,
@@ -58,9 +56,9 @@ class GroebnerBasis:
     elements: tuple
 
 
-def _orient(ko, a, b):
-    """(lead, tail): the larger of two distinct monomials under kernel order ``ko`` first."""
-    return (a, b) if _kernel.get_kernel().compare(ko, a, b) == GREATER else (b, a)
+def _orient(order, a, b):
+    """(lead, tail): the larger of two distinct monomials under ``order`` first."""
+    return (a, b) if _kernel.get_kernel().compare(order, a, b) == GREATER else (b, a)
 
 
 class Reducer:
@@ -121,13 +119,11 @@ def buchberger(gens, order, budgets=DEFAULT_BUDGETS, max_degree=None):
 
 def _groebner(gens, order, budgets, max_degree=None):
     """A Groebner basis of the ideal of ``gens``, as unreduced (lead, tail) pairs in append order."""
-    ko = kernel_order(order)
     red = Reducer((), order, budgets=budgets)
     basis = []
     supports = []     # per element: the variables its lead uses
     degrees = []      # per element: the total degree of its lead
     by_variable = {}  # variable -> elements whose lead uses it
-    seen = set()      # oriented generators, so that a repeated one is pushed once
 
     def push_element(plus, minus):
         if len(basis) >= budgets.elements:
@@ -171,11 +167,9 @@ def _groebner(gens, order, budgets, max_degree=None):
     for g in gens:
         if g is ZERO:
             raise ValueError("generators must be nonzero")
-        plus, minus = _orient(ko, g.plus, g.minus)
-        if (plus, minus) in seen:
-            continue
-        seen.add((plus, minus))
-        push_element(plus, minus)
+        # a repeated generator is harmless: its S-pair with the first copy
+        # reduces to zero, and inter-reduction drops its repeated lead
+        push_element(*_orient(order, g.plus, g.minus))
 
     processed = 0
     while pairs:
@@ -197,7 +191,7 @@ def _groebner(gens, order, budgets, max_degree=None):
                 degree = max(sum(a), sum(b))
                 if degree > max_degree:
                     raise DegreeExceededError(f"an S-pair left a remainder of degree {degree} > {max_degree}")
-            push_element(*_orient(ko, a, b))
+            push_element(*_orient(order, a, b))
 
     return basis
 
@@ -231,11 +225,6 @@ def ideal_equal_paths(gb_a, gb_b, budgets=DEFAULT_BUDGETS):
 
 # ---------------------------------------------------------------------------
 # toric ideal of the interval graph
-
-def default_grid_order(variables):
-    """degrevlex over the construction ranking (row-major descending on (y, x))."""
-    return degrevlex_order(len(variables))
-
 
 def toric_ideal_elimination(graph, variables, grid_order, budgets=DEFAULT_BUDGETS):
     """Kernel of the edge-ring parametrization, computed by block elimination.

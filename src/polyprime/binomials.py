@@ -5,14 +5,16 @@ arithmetic in this package stays inside pure-difference binomials
 (monomial minus monomial, coefficients fixed at +1/-1); a cancelled
 binomial is the explicit ZERO sentinel, never an invalid Binomial.
 
-Monomial orders are stored as (kind, ranking) and compiled, on each use
-and without a cache, to integer weight rows: comparing two monomials means
-comparing their images under the rows lexicographically. That one
-representation covers lex, deglex, degrevlex and block elimination
-orders. Each row is sparse, ``((index, weight), ...)`` over its nonzero
-weights, the form the kernel's ``compare`` reads; no dense matrix is
-built. ``order_key`` packs the same rows into a sort key. This module is
-the one place that names, parses and builds orders.
+Monomial orders are stored as (kind, ranking), and each MonomialOrder
+computes its integer weight rows once: comparing two monomials means
+comparing their images under the rows lexicographically (Robbiano, "Term
+orderings on the polynomial ring", EUROCAL 1985). That one representation
+covers lex, deglex, degrevlex and block elimination orders. Each row is
+sparse, ``((index, weight), ...)`` over its nonzero weights, so
+``compare`` never touches a zero weight; no dense matrix is built. Every
+row of lex, and every row after the first of deglex and degrevlex, has a
+single entry. ``order_key`` packs the same rows into a sort key. This
+module is the one place that names, parses, builds and compares orders.
 """
 
 from __future__ import annotations
@@ -21,8 +23,6 @@ import sys
 from array import array
 from dataclasses import dataclass
 from operator import itemgetter
-
-from polyprime import kernel as _kernel
 
 LESS, EQUAL, GREATER = -1, 0, 1
 
@@ -154,7 +154,9 @@ class MonomialOrder:
     ``ranking`` lists variable indices from highest to lowest. For
     ``kind="block"`` the order compares block by block (first block is the
     elimination block) and ``blocks`` holds one ``(kind, ranking)`` pair per
-    block, whose ranking lists global variable indices.
+    block, whose ranking lists global variable indices. ``rows`` holds the
+    order's sparse weight rows, each ``((index, weight), ...)``; it is not
+    a field, so it takes no part in equality or hashing.
     """
 
     kind: str
@@ -168,15 +170,13 @@ class MonomialOrder:
                 raise ValueError(f"unknown order kind {kind!r}")
         if sorted(i for _, ranking in self.parts for i in ranking) != list(range(self.nvars)):
             raise ValueError("the rankings must partition the variables")
+        object.__setattr__(self, "rows", tuple(
+            row for kind, ranking in self.parts for row in _rows_for(kind, ranking)))
 
     @property
     def parts(self):
         """The ``(kind, ranking)`` pair of each block; a plain order is one block."""
         return self.blocks if self.kind == "block" else ((self.kind, self.ranking),)
-
-    def weight_rows(self):
-        """The order's weight rows, each sparse: ``((index, weight), ...)`` over its nonzero weights."""
-        return tuple(row for kind, ranking in self.parts for row in _rows_for(kind, ranking))
 
     def to_json(self, variables):
         def names(ranking):
@@ -197,14 +197,35 @@ def _rows_for(kind, ranking):
     degree = tuple((i, 1) for i in ranking)
     if kind == "deglex":
         return [degree] + [((i, 1),) for i in ranking[:-1]]
-    if kind == "degrevlex":
-        return [degree] + [((i, -1),) for i in reversed(ranking[1:])]
-    raise ValueError(kind)
+    return [degree] + [((i, -1),) for i in reversed(ranking[1:])]
+
+
+def compare(order, a, b):
+    """Three-way compare of exponent tuples under ``order``: 1, 0 or -1."""
+    n = order.nvars
+    if len(a) != n or len(b) != n:
+        raise ValueError("exponent tuple has wrong length")
+    if a == b:
+        return 0
+    for row in order.rows:
+        s = 0
+        for i, w in row:
+            s += w * (a[i] - b[i])
+        if s > 0:
+            return 1
+        if s < 0:
+            return -1
+    return 0
 
 
 def degrevlex_order(nvars):
     """degrevlex with variable 0 highest."""
     return MonomialOrder("degrevlex", nvars, tuple(range(nvars)))
+
+
+def default_grid_order(variables):
+    """degrevlex over the construction ranking (row-major descending on (y, x))."""
+    return degrevlex_order(len(variables))
 
 
 def block_order(nvars, blocks):
@@ -267,11 +288,6 @@ def order_from_json(spec, variables):
     return MonomialOrder(kind, len(variables), ranking)
 
 
-def kernel_order(order):
-    """``order`` as the kernel's ``Order``, for ``compare``."""
-    return _kernel.get_kernel().Order(order.nvars, order.weight_rows())
-
-
 def order_key(order):
     """Sort key for ``order``: ``a`` precedes ``b`` exactly when its key is smaller.
 
@@ -279,8 +295,8 @@ def order_key(order):
     into one int: the degree row, if the block has one, above one 16-bit
     field per further row, the earlier row more significant. A plain order
     gives that int, a block order the tuple of its blocks' ints. Ints
-    compare as the rows do, so sorting by the key needs no call to the
-    kernel's ``compare``, and it allocates one small int per monomial, not
+    compare as the rows do, so sorting by the key needs no call to
+    ``compare``, and it allocates one small int per monomial, not
     one tuple per row. Exponents must lie in 0..65535, which holds the
     kernels' limit; any other raises OverflowError.
     """

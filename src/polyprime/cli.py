@@ -16,7 +16,7 @@ import json
 import sys
 
 from polyprime import algebra, grid, intervals, verify
-from polyprime.binomials import order_from_json, render_binomial
+from polyprime.binomials import default_grid_order, order_from_json, render_binomial
 from polyprime.errors import (
     BudgetExceededError,
     CapExceededError,
@@ -85,7 +85,7 @@ def _budgets(args):
 
 def _grid_order(args, variables):
     if args.order is None:
-        return algebra.default_grid_order(variables)
+        return default_grid_order(variables)
     return order_from_json(json.loads(args.order), variables)
 
 

@@ -63,8 +63,12 @@ class Polyomino:
     __slots__ = ("cells", "cells_sorted", "_vertices")
 
     def __init__(self, cells):
-        cells = set(map(tuple, cells))
-        if not all(len(c) == 2 and type(c[0]) is int and type(c[1]) is int for c in cells):
+        try:
+            cells = set(map(tuple, cells))
+            pairs = all(len(c) == 2 and type(c[0]) is int and type(c[1]) is int for c in cells)
+        except TypeError:  # a cell that is not a sequence, such as 5 or None, or holds an unhashable item
+            pairs = False
+        if not pairs:
             raise BadCharError("each cell must be an (x, y) pair of integers")
         if not cells:
             raise EmptyInputError("a polyomino needs at least one cell")

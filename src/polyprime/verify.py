@@ -19,13 +19,12 @@ from polyprime.algebra import (
     DEFAULT_BUDGETS,
     EngineBudgets,
     buchberger,
-    default_grid_order,
     find_quadratic_order,
     ideal_equal_paths,
     toric_ideal_elimination,
     witness_from_bases,
 )
-from polyprime.binomials import render_binomial
+from polyprime.binomials import default_grid_order, render_binomial
 from polyprime.errors import (
     BudgetExceededError,
     InternalInconsistencyError,
@@ -46,6 +45,10 @@ class VerifyConfig:
     budgets: EngineBudgets = field(default=DEFAULT_BUDGETS)
     search_quadratic: bool = False
     workers: int = 1
+
+    def __post_init__(self):
+        if type(self.workers) is not int or self.workers < 1:
+            raise ValueError(f"workers must be an int >= 1, got {self.workers!r}")
 
 
 @dataclass

@@ -34,8 +34,7 @@ from itertools import combinations
 from polyprime import kernel as _kernel
 from polyprime.algebra import DEFAULT_BUDGETS, GroebnerBasis, OrderSearchConfig, buchberger
 from polyprime.binomials import (
-    GREATER, ZERO, Binomial, MonomialOrder, block_order, kernel_order, mono_from_indices, named_ranking,
-    order_key)
+    GREATER, ZERO, Binomial, MonomialOrder, block_order, mono_from_indices, named_ranking, order_key)
 from polyprime.errors import BudgetExceededError
 from polyprime.grid import Polyomino
 from polyprime.intervals import maximal_edge_intervals
@@ -425,10 +424,8 @@ def tuple_rewrite_chain(rules, mono):
 def dense_buchberger(gens, order, budgets=DEFAULT_BUDGETS):
     """Canonical reduced Groebner basis of a pure-difference binomial ideal."""
     kern = _kernel.get_kernel()
-    ko = kernel_order(order)
     kb = kern.Basis(order.nvars)
     basis = []
-    seen = set()
 
     def push_element(plus, minus):
         if len(basis) >= budgets.elements:
@@ -462,12 +459,8 @@ def dense_buchberger(gens, order, budgets=DEFAULT_BUDGETS):
     for g in gens:
         if g is ZERO:
             raise ValueError("generators must be nonzero")
-        c = kern.compare(ko, g.plus, g.minus)
-        plus, minus = (g.plus, g.minus) if c == GREATER else (g.minus, g.plus)
-        if (plus, minus) in seen:
-            continue
-        seen.add((plus, minus))
-        push_element(plus, minus)
+        c = kern.compare(order, g.plus, g.minus)
+        push_element(*((g.plus, g.minus) if c == GREATER else (g.minus, g.plus)))
 
     processed = 0
     while pairs:
@@ -482,12 +475,8 @@ def dense_buchberger(gens, order, budgets=DEFAULT_BUDGETS):
         b = nf(tuple((y if y > x else x) - y + t for x, y, t in zip(lead_i, lead_j, tail_j)), a)
         if a == b:
             continue
-        c = kern.compare(ko, a, b)
-        plus, minus = (a, b) if c == GREATER else (b, a)
-        if (plus, minus) in seen:
-            continue
-        seen.add((plus, minus))
-        push_element(plus, minus)
+        c = kern.compare(order, a, b)
+        push_element(*((a, b) if c == GREATER else (b, a)))
 
     return dense_inter_reduce(basis, order, budgets)
 

@@ -28,8 +28,8 @@ from polyprime import (
     toric_ideal_cycles,
     toric_ideal_elimination,
 )
-from polyprime.algebra import Reducer, default_grid_order, ideal_equal_paths
-from polyprime.binomials import ZERO, mono_from_indices
+from polyprime.algebra import Reducer, ideal_equal_paths
+from polyprime.binomials import ZERO, default_grid_order, mono_from_indices
 from polyprime.grid import random_polyomino
 from polyprime.verify import sweep, sweep_to_json, verify_polyomino
 

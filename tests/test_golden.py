@@ -78,6 +78,30 @@ ANNULUS_DIGESTS = [
 ]
 
 
+# (grid, text digest, json digest) of `verify --no-timings` on the other
+# reference shapes of benchmarks/bench_kernel.py; verify searches for a
+# quadratic order, so these pin the orientation of every engine element
+VERIFY_DIGESTS = [
+    ("##\\n##",
+     "b6068d1e42ba9ec439d54a1ef12e8ee379c79582935960410ac6fb639729bc24",
+     "576b1ece2c2a554daffbf662b144c1b8f62e5d15cf7ba5a6ed2403146504f10f"),
+    ("#######",
+     "bd421c5e8d8f02b25df6258c2e7edfe7d5953936d658eb7565c06a58aac3cbd1",
+     "f90588b6c7708ded06a037d57dc374b411f4cd959cb127adaaa2ce7e37ed5466"),
+    ("#..\\n##.\\n.##\\n..#",
+     "5c604be4c360bfd3ac77ce31de3ed3b0cc0a3b834a078a7218a488ce01557011",
+     "61fbc8f9d32254fff7b01ef83fd83b5b861c5631a0d08dcf5229fc69a76709ee"),
+]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("grid, text_digest, json_digest", VERIFY_DIGESTS,
+                         ids=["square2", "line7", "staircase6"])
+def test_verify_reference_shape_digest(grid, text_digest, json_digest, fmt):
+    out = cli_output("verify", "--grid", grid, "--format", fmt, "--no-timings")
+    assert sha256(out) == (text_digest if fmt == "text" else json_digest)
+
+
 def annulus_id(command):
     """The subcommand, then the kind and the ranking name of its --order, if any."""
     name, *rest = command

@@ -67,7 +67,9 @@ class TestParse:
         [(0, 0), ("1", 0)],
         [(0, 0, 0), (1, 0, 0)],
         [(0,)],
-    ], ids=["float", "bool", "str", "triple", "single"])
+        [5],
+        [None],
+    ], ids=["float", "bool", "str", "triple", "single", "int", "none"])
     def test_constructor_rejects_non_integer_pairs(self, cells):
         # no coordinate is truncated or coerced into another shape
         with pytest.raises(BadCharError):

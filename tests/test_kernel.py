@@ -18,9 +18,10 @@ import oracles
 import polyprime
 from polyprime import _kernel_py as pure, buchberger, build_interval_graph, grid_variables, inner_minors, kernel
 from polyprime import parse_grid
-from polyprime.algebra import EngineBudgets, default_grid_order, named_ranking, toric_ideal_elimination
+from polyprime.algebra import EngineBudgets, named_ranking, toric_ideal_elimination
 from polyprime.binomials import (
-    Binomial, MonomialOrder, block_order, degrevlex_order, kernel_order, mono_from_indices, order_key)
+    Binomial, MonomialOrder, block_order, compare, default_grid_order, degrevlex_order, mono_from_indices,
+    order_key)
 from polyprime.errors import BudgetExceededError, LimitExceededError
 
 # the directory holding the polyprime package these tests import
@@ -124,7 +125,8 @@ def test_default_prefers_compiled():
     assert kern.Basis is expected.Basis
     assert kernel.backend_name() == kern.BACKEND == expected.BACKEND
     # monomial comparison has one implementation, whichever kernel rewrites
-    assert (kern.Order, kern.compare) == (pure.Order, pure.compare)
+    assert kern.compare is compare
+    assert not hasattr(pure, "compare") and not hasattr(pure, "Order")
 
 
 def test_engine_calls_kernel_through_module_attributes(monkeypatch, annulus):
@@ -358,12 +360,12 @@ def test_wrong_width_raises_before_allocating(kern):
     assert len(basis) == 0
 
 
-def test_python_compare_rejects_wrong_width():
-    order = kernel_order(degrevlex_order(2))
-    assert pure.compare(order, (1, 0), (0, 1)) == 1
+def test_compare_rejects_wrong_width():
+    order = degrevlex_order(2)
+    assert compare(order, (1, 0), (0, 1)) == 1
     for a, b in (((1, 0, 7), (0, 1, 0)), ((1,), (0, 1)), ((1, 0), (0, 1, 0)), ((1, 0, 0), (1, 0, 0))):
         with pytest.raises(ValueError, match="exponent tuple has wrong length"):
-            pure.compare(order, a, b)
+            compare(order, a, b)
 
 
 # exponents 0-5, and now and then the kernel limit, the widest value a key field must hold
@@ -380,7 +382,7 @@ def test_order_key_sorts_as_each_kernel_compares(data):
     order, a, b = data
     key = order_key(order)
     by_key = (key(a) > key(b)) - (key(a) < key(b))
-    assert kernel.get_kernel().compare(kernel_order(order), a, b) == by_key
+    assert kernel.get_kernel().compare(order, a, b) == by_key
     assert oracles.weight_row_compare(oracles.dense_rows(order), a, b) == by_key
 
 
@@ -389,9 +391,9 @@ def test_order_key_sorts_as_each_kernel_compares(data):
 def test_sparse_rows_are_the_dense_reference_rows(order):
     # compare reads only the nonzero weights; spread back over every
     # variable they must be the textbook matrix, zero entries included
-    dense = tuple(tuple(dict(row).get(i, 0) for i in range(order.nvars)) for row in order.weight_rows())
+    dense = tuple(tuple(dict(row).get(i, 0) for i in range(order.nvars)) for row in order.rows)
     assert dense == oracles.dense_rows(order)
-    assert all(w for row in order.weight_rows() for _, w in row)
+    assert all(w for row in order.rows for _, w in row)
 
 
 @settings(max_examples=100, deadline=None)
@@ -401,7 +403,7 @@ def test_normal_form_identical_across_kernels(fast, seed):
     # the same error in both kernels
     rng = random.Random(seed)
     n = rng.randint(2, 6)
-    order = kernel_order(degrevlex_order(n))
+    order = degrevlex_order(n)
     pb, fb = pure.Basis(n), fast.Basis(n)
 
     def monomial(low, high):
@@ -414,7 +416,7 @@ def test_normal_form_identical_across_kernels(fast, seed):
         a, b = monomial(1, 3), monomial(1, 3)
         if a == b:
             continue
-        c = outcome(pure.compare, order, a, b)
+        c = outcome(compare, order, a, b)
         lead, tail = (a, b) if c == 1 else (b, a)
         assert outcome(pb.append, lead, tail) == outcome(fb.append, lead, tail)
     assert len(pb) == len(fb)
@@ -610,8 +612,8 @@ PIPELINE_DIGESTS = """
 import hashlib, json
 from polyprime import backend_name, buchberger, build_interval_graph, grid_variables, inner_minors
 from polyprime import parse_grid, toric_ideal_elimination
-from polyprime.algebra import default_grid_order, ideal_equal_paths, witness_from_bases
-from polyprime.binomials import render_binomial
+from polyprime.algebra import ideal_equal_paths, witness_from_bases
+from polyprime.binomials import default_grid_order, render_binomial
 out = {"backend": backend_name()}
 for text in json.loads(sys.argv[1]):
     poly = parse_grid(text)

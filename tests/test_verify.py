@@ -128,6 +128,14 @@ class TestReportJson:
         assert a == b
 
 
+class TestVerifyConfig:
+    @pytest.mark.parametrize("workers", [0, -3, True, 2.5, "2", None])
+    def test_workers_must_be_a_positive_int(self, workers):
+        # none of these may fall back to a sequential run or fail inside the pool
+        with pytest.raises(ValueError, match="workers must be an int >= 1"):
+            VerifyConfig(workers=workers)
+
+
 class TestSweep:
     def test_sweep3_counts(self):
         summary = sweep(3)
