@@ -1,16 +1,19 @@
 #!/usr/bin/env python3
 """Benchmark the compiled kernel against the pure-Python fallback.
 
-polyprime chooses its kernel once, at import, so each backend is timed in
-its own interpreter that runs this script: the pure-Python one blocks
-``polyprime._speedups`` first; the compiled one is reported as not built
-when the extension does not load.
+polyprime chooses its kernel once, at import, so every row is timed in a
+fresh interpreter per backend that runs this script: the pure-Python one
+blocks ``polyprime._speedups`` first. Each row runs in both kernels back to
+back, and the kernel that goes first alternates from row to row, so that a
+drift in the host's speed falls on both sides of the speedup column. The
+compiled column is left out when the extension does not load.
 
 Three granularities:
   * micro: raw normal-form rewrites against a packed basis, in full and
     up to a known target, as the second half of a zero S-pair is rewritten;
   * macro: Groebner bases of the inner-minor ideal and the elimination-order
-    toric ideal, and their equality; the quadratic-order search;
+    toric ideal, their equality and the gap witness; the quadratic-order
+    search;
   * sweep: sequential ``verify.sweep``, the whole pipeline on every shape;
     the full run adds ``sweep(8)``.
 
@@ -26,7 +29,7 @@ import time
 import polyprime
 from polyprime import buchberger, build_interval_graph, enumerate_polyominoes, find_quadratic_order, grid_variables
 from polyprime import inner_minors, is_simple, kernel, parse_grid, verify
-from polyprime.algebra import ideal_equal_paths, toric_ideal_elimination
+from polyprime.algebra import ideal_equal_paths, toric_ideal_elimination, witness_from_bases
 from polyprime.binomials import default_grid_order, mono_from_indices
 
 BACKENDS = ("c", "python")
@@ -90,7 +93,8 @@ def macro(texts):
             order = default_grid_order(gvars)
             inner = buchberger(inner_minors(poly, gvars), order)
             toric = toric_ideal_elimination(build_interval_graph(poly), gvars, order)
-            ideal_equal_paths(inner, toric)
+            gaps, _ = ideal_equal_paths(inner, toric)
+            witness_from_bases(gaps, gvars)
 
     return run
 
@@ -134,63 +138,59 @@ def workloads(quick):
     rows = [
         (f"micro: {rewrites} chained normal forms", micro, rewrites, repeat),
         (f"micro: {rewrites} chained normal forms up to their target", micro_until, rewrites, repeat),
-        ("macro: ideal equality on 4 shapes", macro, list(SHAPES.values()), repeat),
+        ("macro: ideal equality and witness on 4 shapes", macro, list(SHAPES.values()), repeat),
         (f"macro: inner-minor bases, all shapes <= {bases_n}", inner_bases, bases_n, repeat),
         ("macro: quadratic-order search, 41 holed octominoes", order_search, 8, repeat),
         (f"sweep({sweep_n}), sequential", sweep, sweep_n, 1),
     ]
     if not quick:
-        # the row that decides whether the compiled kernel stays (ROADMAP item 7)
+        # the row that decides whether the compiled kernel stays (ROADMAP item 9)
         rows.append(("sweep(8), sequential", sweep, 8, 1))
     return rows
 
 
-def child(backend, quick):
-    """Time every row on one backend; print {"backend", "rows"} as JSON."""
+def child(backend, quick, row):
+    """Time one row on one backend; print its seconds as JSON."""
     if polyprime.backend_name() != backend:
-        print(json.dumps({"backend": polyprime.backend_name(), "rows": None}))
-        return
-    rows = [(name, timed(make(arg), repeat)) for name, make, arg, repeat in workloads(quick)]
-    print(json.dumps({"backend": backend, "rows": rows}))
+        sys.exit(f"asked for the {backend} kernel, loaded {polyprime.backend_name()}")
+    _, make, arg, repeat = workloads(quick)[row]
+    print(json.dumps(timed(make(arg), repeat)))
 
 
-def run_backend(backend, quick):
+def run_row(backend, row, quick):
     block = "import sys; sys.modules['polyprime._speedups'] = None; " if backend == "python" else ""
     code = f"{block}import runpy; runpy.run_path({__file__!r}, run_name='__main__')"
-    cmd = [sys.executable, "-c", code, "--child", backend] + (["--quick"] if quick else [])
-    out = json.loads(subprocess.run(cmd, capture_output=True, text=True, check=True).stdout)
-    return dict(out["rows"]) if out["backend"] == backend else None
+    cmd = [sys.executable, "-c", code, "--child", backend, "--row", str(row)] + (["--quick"] if quick else [])
+    return json.loads(subprocess.run(cmd, capture_output=True, text=True, check=True).stdout)
 
 
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--quick", action="store_true", help="smaller workloads")
     parser.add_argument("--child", choices=BACKENDS, help=argparse.SUPPRESS)
+    parser.add_argument("--row", type=int, help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.child:
-        child(args.child, args.quick)
+        child(args.child, args.quick, args.row)
         return
 
-    timings = {}
-    for backend in BACKENDS:
-        rows = run_backend(backend, args.quick)
-        if rows is None:
-            print("compiled kernel not built; showing pure-Python numbers only")
-        else:
-            timings[backend] = rows
-    backends = list(timings)
-
-    names = [name for name, _, _, _ in workloads(args.quick)]
-    width = max(len(n) for n in names) + 2
+    backends = BACKENDS if polyprime.backend_name() == "c" else ("python",)
+    if len(backends) == 1:
+        print("compiled kernel not built; showing pure-Python numbers only")
+    rows = workloads(args.quick)
+    width = max(len(name) for name, _, _, _ in rows) + 2
     header = f"{'workload':<{width}}" + "".join(f"{b:>12}" for b in backends)
     if len(backends) == 2:
         header += f"{'speedup':>10}"
-    print(header)
-    for name in names:
-        line = f"{name:<{width}}" + "".join(f"{timings[b][name]:>11.3f}s" for b in backends)
+    print(header, flush=True)
+    for i, (name, _, _, _) in enumerate(rows):
+        seconds = {}
+        for backend in backends if i % 2 == 0 else backends[::-1]:
+            seconds[backend] = run_row(backend, i, args.quick)
+        line = f"{name:<{width}}" + "".join(f"{seconds[b]:>11.3f}s" for b in backends)
         if len(backends) == 2:
-            line += f"{timings['python'][name] / timings['c'][name]:>9.1f}x"
-        print(line)
+            line += f"{seconds['python'] / seconds['c']:>9.1f}x"
+        print(line, flush=True)
 
 
 if __name__ == "__main__":

@@ -41,8 +41,10 @@ class EngineBudgets:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if value < 0:
-                raise ValueError(f"{f.name} budget must be >= 0, got {value}")
+            # a bool is an int and NaN compares False with everything: test the exact type
+            if type(value) is not int or value < 0:
+                kind = "" if type(value) is int else "an int "
+                raise ValueError(f"{f.name} budget must be {kind}>= 0, got {value!r}")
 
 
 DEFAULT_BUDGETS = EngineBudgets()
@@ -211,16 +213,19 @@ def _inter_reduce(basis, order, budgets):
     return GroebnerBasis(order, tuple(Binomial(lead, red.monomial(tail)) for lead, tail in kept))
 
 
-def ideal_equal_paths(gb_a, gb_b, budgets=DEFAULT_BUDGETS):
-    """(mutual-reduction verdict, reduced-basis-identity verdict) for two reduced bases."""
-    if gb_a.order != gb_b.order:
+def ideal_equal_paths(gb_inner, gb_toric, budgets=DEFAULT_BUDGETS):
+    """(gaps, identity): the two decision paths of inner == toric for reduced bases.
+
+    ``gaps`` lists the toric-basis elements outside the inner-minor ideal,
+    so the ideals are equal by membership iff it is empty; every inner
+    minor lies in the toric ideal, so the other inclusion is not tested.
+    ``identity`` is True iff the two reduced bases are the same.
+    """
+    if gb_inner.order != gb_toric.order:
         raise ValueError("the two bases are under different orders")
-    red_a = Reducer(gb_a.elements, gb_a.order, budgets=budgets)
-    red_b = Reducer(gb_b.elements, gb_b.order, budgets=budgets)
-    mutual = all(red_b.binomial(g) is ZERO for g in gb_a.elements) and all(
-        red_a.binomial(g) is ZERO for g in gb_b.elements)
-    identity = gb_a.elements == gb_b.elements
-    return mutual, identity
+    red = Reducer(gb_inner.elements, gb_inner.order, budgets=budgets)
+    gaps = [g for g in gb_toric.elements if red.binomial(g) is not ZERO]
+    return gaps, gb_inner.elements == gb_toric.elements
 
 
 # ---------------------------------------------------------------------------
@@ -329,15 +334,13 @@ def _present(binomial, variables):
     return binomial
 
 
-def witness_from_bases(gb_inner, gb_toric, variables, budgets=DEFAULT_BUDGETS):
-    """Minimal-degree element of the toric basis missing from the inner-minor ideal.
+def witness_from_bases(gaps, variables):
+    """The minimal-degree gap of ``ideal_equal_paths``, sign-normalized.
 
     Ties are broken by the bounding-box area of the support (most local
-    witness first), then by support vertices. Returns None when the toric
-    basis lies inside the inner-minor ideal.
+    witness first), then by support vertices. Returns None when there is
+    no gap.
     """
-    red = Reducer(gb_inner.elements, gb_inner.order, budgets=budgets)
-    gaps = [g for g in gb_toric.elements if red.binomial(g) is not ZERO]
     if not gaps:
         return None
     return _present(min(gaps, key=lambda g: _witness_key(g, variables)), variables)

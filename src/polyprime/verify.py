@@ -13,7 +13,7 @@ from __future__ import annotations
 import contextlib
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from polyprime.algebra import (
     DEFAULT_BUDGETS,
@@ -112,23 +112,16 @@ def verify_polyomino(poly, config=VerifyConfig()):
         gb_toric = staged(
             "gb_toric", lambda: toric_ideal_elimination(graph, gvars, order, budgets=config.budgets))
 
-        def decide():
-            mutual, identity = ideal_equal_paths(gb_inner, gb_toric, budgets=config.budgets)
-            if mutual != identity:
-                raise InternalInconsistencyError(
-                    f"ideal equality paths disagree on {list(poly.cells_sorted)}")
-            return identity
-
-        report.ideals_equal = staged("ideal_equal", decide)
-        if not report.ideals_equal:
-            witness = staged(
-                "witness",
-                lambda: witness_from_bases(gb_inner, gb_toric, gvars, budgets=config.budgets))
-            if witness is None:
-                raise InternalInconsistencyError(
-                    f"ideals differ without a toric-side witness on {list(poly.cells_sorted)}")
-            report.gap_witness = witness
-            report.gap_witness_text = render_binomial(witness, gvars)
+        gaps, identity = staged(
+            "ideal_equal", lambda: ideal_equal_paths(gb_inner, gb_toric, budgets=config.budgets))
+        # membership says equal iff there is no gap; identity must agree
+        if identity == bool(gaps):
+            raise InternalInconsistencyError(
+                f"ideal equality paths disagree on {list(poly.cells_sorted)}")
+        report.ideals_equal = identity
+        if not identity:
+            report.gap_witness = staged("witness", lambda: witness_from_bases(gaps, gvars))
+            report.gap_witness_text = render_binomial(report.gap_witness, gvars)
         if config.search_quadratic:
             found = staged(
                 "quadratic_order",
@@ -199,7 +192,6 @@ def sweep(n_max, config=VerifyConfig()):
     reports = []
     per_size = {}
     non_simple = []
-    item_config = replace(config, workers=1)
     # one pool for all sizes, shut down before returning so that the
     # workers' CPU time is reaped into this process's children
     pooled = config.workers > 1
@@ -207,11 +199,11 @@ def sweep(n_max, config=VerifyConfig()):
         for n in range(1, n_max + 1):
             shapes = list(enumerate_polyominoes(n))
             if not pooled:
-                size_reports = [_verify_or_partial(p, item_config) for p in shapes]
+                size_reports = [_verify_or_partial(p, config) for p in shapes]
             else:
                 chunksize = max(1, len(shapes) // (4 * config.workers))
                 size_reports = list(pool.map(
-                    _verify_shard, ((p.cells_sorted, item_config) for p in shapes), chunksize=chunksize))
+                    _verify_shard, ((p.cells_sorted, config) for p in shapes), chunksize=chunksize))
                 # share the enumeration's cell tuples instead of keeping unpickled copies
                 for p, r in zip(shapes, size_reports):
                     r.cells = p.cells_sorted

@@ -56,10 +56,10 @@ def theorem_data():
     for poly in shapes_upto(6):
         gvars = grid_variables(poly)
         order = default_grid_order(gvars)
-        mutual, identity = ideal_equal_paths(
+        gaps, identity = ideal_equal_paths(
             buchberger(inner_minors(poly, gvars), order),
             toric_ideal_elimination(build_interval_graph(poly), gvars, order))
-        rows.append((poly.cells_sorted, mutual, identity))
+        rows.append((poly.cells_sorted, gaps, identity))
     return {"rows": rows, "elapsed": time.perf_counter() - t0}
 
 
@@ -71,11 +71,11 @@ def oracle_data():
     for poly in shapes_upto(5):
         gvars = grid_variables(poly)
         order = default_grid_order(gvars)
-        mutual, identity = ideal_equal_paths(
+        gaps, identity = ideal_equal_paths(
             buchberger(toric_ideal_cycles(poly, variables=gvars), order),
             toric_ideal_elimination(build_interval_graph(poly), gvars, order),
         )
-        rows.append((poly.cells_sorted, mutual, identity))
+        rows.append((poly.cells_sorted, gaps, identity))
     return {"rows": rows, "elapsed": time.perf_counter() - t0}
 
 
@@ -106,7 +106,7 @@ def test_criterion_1_weak_chordality_lemma():
 
 def test_criterion_2_ideal_equality_theorem(theorem_data):
     rows, elapsed = theorem_data["rows"], theorem_data["elapsed"]
-    violations = [cells for cells, mutual, identity in rows if not (mutual and identity)]
+    violations = [cells for cells, gaps, identity in rows if gaps or not identity]
     ok = len(rows) == 307 and not violations and elapsed < 600
     announce(2, "inner-minor ideal equals toric ideal for all shapes <= 6 cells", ok, elapsed,
              f"{len(rows)} shapes, {len(violations)} violations")
@@ -203,7 +203,7 @@ def test_criterion_5_non_simple_heptominoes():
 
 def test_criterion_6_cycle_oracle_equivalence(oracle_data):
     rows, elapsed = oracle_data["rows"], oracle_data["elapsed"]
-    violations = [cells for cells, mutual, identity in rows if not (mutual and identity)]
+    violations = [cells for cells, gaps, identity in rows if gaps or not identity]
     ok = not violations and len(rows) == 91
     announce(6, "cycle binomials generate the elimination ideal for all shapes <= 5 cells",
              ok, elapsed, f"{len(rows)} shapes, {len(violations)} violations")
@@ -237,11 +237,12 @@ def test_criterion_7_quadratic_order_witness():
 def test_criterion_8_engine_self_consistency(theorem_data, oracle_data, annulus_paths):
     t0 = time.perf_counter()
     disagreements = []
-    for cells, mutual, identity in theorem_data["rows"] + oracle_data["rows"]:
-        if mutual != identity:
+    # membership says equal iff there is no gap
+    for cells, gaps, identity in theorem_data["rows"] + oracle_data["rows"]:
+        if (not gaps) != identity:
             disagreements.append(cells)
-    mutual, identity = annulus_paths
-    if mutual != identity:
+    gaps, identity = annulus_paths
+    if (not gaps) != identity:
         disagreements.append("annulus")
     elapsed = time.perf_counter() - t0
     ok = not disagreements

@@ -621,8 +621,9 @@ for text in json.loads(sys.argv[1]):
     order = default_grid_order(gvars)
     inner = buchberger(inner_minors(poly, gvars), order)
     toric = toric_ideal_elimination(build_interval_graph(poly), gvars, order)
-    witness = witness_from_bases(inner, toric, gvars)
-    results = (inner.elements, toric.elements, ideal_equal_paths(inner, toric),
+    gaps, identity = ideal_equal_paths(inner, toric)
+    witness = witness_from_bases(gaps, gvars)
+    results = (inner.elements, toric.elements, gaps, identity,
                witness and render_binomial(witness, gvars))
     out[text] = hashlib.sha256(repr(results).encode()).hexdigest()
 print(json.dumps(out))

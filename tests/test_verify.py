@@ -6,7 +6,7 @@ from dataclasses import replace
 import pytest
 
 from polyprime import grid, intervals, verify
-from polyprime.errors import BudgetExceededError, InvariantViolationError
+from polyprime.errors import BudgetExceededError, InternalInconsistencyError, InvariantViolationError
 from polyprime.algebra import EngineBudgets
 from polyprime.grid import enumerate_polyominoes
 from polyprime.verify import (
@@ -89,6 +89,13 @@ class TestVerifyPolyomino:
         report = verify_polyomino(domino, VerifyConfig(budgets=budgets, search_quadratic=True))
         assert report.quadratic_order is not None
         assert seen == [budgets]
+
+    @pytest.mark.parametrize("paths", [([], False), (["a gap"], True)],
+                             ids=["no-gap-not-identical", "gap-but-identical"])
+    def test_disagreeing_equality_paths_raise(self, monkeypatch, annulus, paths):
+        monkeypatch.setattr(verify, "ideal_equal_paths", lambda *args, **kwargs: paths)
+        with pytest.raises(InternalInconsistencyError, match="paths disagree"):
+            verify_polyomino(annulus)
 
 
 class TestReportInvariants:
