@@ -27,7 +27,6 @@ from polyprime.grid import (
 )
 from polyprime.intervals import IntervalGraph, build_interval_graph, maximal_edge_intervals
 from polyprime.graph import (
-    GraphCycle,
     chordless_cycles,
     cycle_binomial,
     is_weakly_chordal,
@@ -47,7 +46,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Binomial",
     "EngineBudgets",
-    "GraphCycle",
     "GroebnerBasis",
     "IntervalGraph",
     "MonomialOrder",

@@ -248,12 +248,12 @@ def toric_ideal_elimination(graph, variables, grid_order, budgets=DEFAULT_BUDGET
     total = aux_count + len(variables)
     elim_order = block_order(total, [("degrevlex", range(aux_count))] + [
         (kind, [aux_count + i for i in ranking]) for kind, ranking in grid_order.parts])
-    gens = []
-    for idx, point in enumerate(variables.points):
-        p, q = graph.intervals_through(point)
-        plus = mono_from_indices(total, (p, graph.m + q))
-        minus = mono_from_indices(total, (aux_count + idx,))
-        gens.append(Binomial(plus, minus))
+    # one generator per edge, at its vertex's variable index, so they run in variable order
+    gens = [None] * len(variables)
+    for p, q, point in graph.edges:
+        idx = variables.index(point)
+        gens[idx] = Binomial(mono_from_indices(total, (p, graph.m + q)),
+                             mono_from_indices(total, (aux_count + idx,)))
     # a lead free of auxiliary variables has a tail free of them too, and
     # only such leads divide monomials free of them
     return _inter_reduce([(lead[aux_count:], tail[aux_count:])
@@ -265,8 +265,8 @@ def toric_ideal_cycles(poly, max_len=None, variables=None):
     """Cycle binomials f_C for all chordless cycles of the interval graph."""
     variables = variables if variables is not None else grid_variables(poly)
     graph = build_interval_graph(poly)
-    return [cycle_binomial(graph, gc, variables)
-            for gc in chordless_cycles(graph, min_len=4, max_len=max_len)]
+    return [cycle_binomial(graph, pairs, variables)
+            for pairs in chordless_cycles(graph, min_len=4, max_len=max_len)]
 
 
 # ---------------------------------------------------------------------------

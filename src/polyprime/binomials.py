@@ -247,8 +247,8 @@ def order_from_json(spec, variables):
     A spec is ``{"kind": k, "ranking": r}`` with ``k`` one of lex, deglex
     and degrevlex, or ``{"kind": "block", "blocks": [spec, ...]}`` over
     such plain specs. Each ranking is a family name of ``named_ranking``
-    or a list of variable indices and names, highest first. Anything else
-    raises ValueError.
+    or a list of variable indices and names, highest first. Anything else,
+    a key beyond those named included, raises ValueError.
     """
     by_name = {name: i for i, name in enumerate(variables.names)}
 
@@ -258,6 +258,11 @@ def order_from_json(spec, variables):
         if key not in obj:
             raise ValueError(f"order spec {obj!r} has no {key!r}")
         return obj[key]
+
+    def only(obj, *keys):
+        extra = set(obj) - set(keys)
+        if extra:
+            raise ValueError(f"order spec {obj!r} has unknown keys {sorted(extra, key=str)}")
 
     def index(entry):
         if isinstance(entry, str):
@@ -272,6 +277,7 @@ def order_from_json(spec, variables):
         kind = field(obj, "kind")
         if kind not in _KINDS:
             raise ValueError(f"unknown order kind {kind!r}")
+        only(obj, "kind", "ranking")
         ranking = field(obj, "ranking")
         if isinstance(ranking, str):
             return kind, named_ranking(ranking, variables)
@@ -280,6 +286,7 @@ def order_from_json(spec, variables):
         return kind, tuple(index(entry) for entry in ranking)
 
     if field(spec, "kind") == "block":
+        only(spec, "kind", "blocks")
         blocks = field(spec, "blocks")
         if not isinstance(blocks, list):
             raise ValueError(f"'blocks' must be a list of order specs, got {blocks!r}")

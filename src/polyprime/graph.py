@@ -8,25 +8,10 @@ alternately on the plus and the minus side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from polyprime.binomials import Binomial, mono_from_indices
 from polyprime.errors import LimitExceededError
 
 DEFAULT_CYCLE_BUDGET = 10 ** 6
-
-
-@dataclass(frozen=True)
-class GraphCycle:
-    """Alternating cycle v_{i1}, h_{j1}, ..., v_{ir}, h_{jr}.
-
-    ``pairs`` holds ((i1, j1), ..., (ir, jr)). ``chordless_cycles`` yields
-    each cycle in canonical form, the least such tuple over all rotations
-    and the reflection: i1 is the least v-index, and j1 the smaller of the
-    two h-neighbours of v_{i1}.
-    """
-
-    pairs: tuple
 
 
 # ---------------------------------------------------------------------------
@@ -70,7 +55,13 @@ def induced_cycles(masks, min_len, max_len, budget):
 
 
 def chordless_cycles(graph, min_len=4, max_len=None, budget=DEFAULT_CYCLE_BUDGET):
-    """Chordless cycles of a bipartite graph with length in [min_len, max_len]."""
+    """Chordless cycles of a bipartite graph with length in [min_len, max_len].
+
+    Each cycle v_{i1}, h_{j1}, ..., v_{ir}, h_{jr} comes as its pairs
+    ((i1, j1), ..., (ir, jr)) in canonical form, the least such tuple over
+    all rotations and the reflection: i1 is the least v-index, and j1 the
+    smaller of the two h-neighbours of v_{i1}.
+    """
     if min_len < 4:
         raise ValueError("min_len must be at least 4")
     if max_len is not None and max_len < 4:
@@ -84,11 +75,9 @@ def chordless_cycles(graph, min_len=4, max_len=None, budget=DEFAULT_CYCLE_BUDGET
     if max_len < min_len:
         return
     for ids in induced_cycles(masks, min_len, max_len, budget):
-        # the smallest id is a v-side vertex, so even positions are v-side;
-        # the walk goes on to its smaller h-neighbour (``y > path[1]``), so
-        # the pairs come in GraphCycle's canonical form
-        pairs = tuple((ids[2 * k], ids[2 * k + 1] - graph.m) for k in range(len(ids) // 2))
-        yield GraphCycle(pairs)
+        # the smallest id is a v-side vertex, so even positions are v-side, and
+        # the walk goes on to its smaller h-neighbour (``y > path[1]``): canonical form
+        yield tuple((ids[2 * k], ids[2 * k + 1] - graph.m) for k in range(len(ids) // 2))
 
 
 def is_weakly_chordal(graph):
@@ -120,12 +109,11 @@ def graph_is_connected(graph):
 # ---------------------------------------------------------------------------
 # attached binomials
 
-def cycle_binomial(graph, cycle, variables):
-    """f_C for the cycle v_1, h_1, ..., v_r, h_r (indices mod r).
+def cycle_binomial(graph, pairs, variables):
+    """f_C for the cycle v_1, h_1, ..., v_r, h_r (indices mod r), given as its pairs.
 
     The plus side multiplies x(v_k meet h_k), the minus side x(v_(k+1) meet h_k).
     """
-    pairs = cycle.pairs
     r = len(pairs)
     n = len(variables)
     plus = mono_from_indices(n, (variables.index(graph.label(i, j)) for i, j in pairs))

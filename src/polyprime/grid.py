@@ -23,11 +23,6 @@ DEFAULT_ENUM_CAP = 8
 _STEPS = ((1, 0), (-1, 0), (0, 1), (0, -1))
 
 
-def cell_vertices(cell):
-    x, y = cell
-    return ((x, y), (x + 1, y), (x, y + 1), (x + 1, y + 1))
-
-
 def is_connected(cells):
     """True iff the cells form one component under shared-edge adjacency.
 
@@ -60,7 +55,7 @@ def normalize_cells(cells):
 class Polyomino:
     """Immutable, canonically translated polyomino."""
 
-    __slots__ = ("cells", "cells_sorted", "_vertices")
+    __slots__ = ("cells", "cells_sorted")
 
     def __init__(self, cells):
         try:
@@ -74,19 +69,16 @@ class Polyomino:
             raise EmptyInputError("a polyomino needs at least one cell")
         if not is_connected(cells):
             raise DisconnectedError("cells are not edge-connected")
-        self._set_cells(normalize_cells(cells))
+        self.cells_sorted = normalize_cells(cells)
+        self.cells = frozenset(self.cells_sorted)
 
     @classmethod
     def _trusted(cls, cells_sorted):
         """Wrap an already canonical, connected, sorted cell tuple without checks."""
         poly = object.__new__(cls)
-        poly._set_cells(cells_sorted)
+        poly.cells_sorted = cells_sorted
+        poly.cells = frozenset(cells_sorted)
         return poly
-
-    def _set_cells(self, cells_sorted):
-        self.cells_sorted = cells_sorted
-        self.cells = frozenset(cells_sorted)
-        self._vertices = None
 
     def __len__(self):
         return len(self.cells)
@@ -107,15 +99,6 @@ class Polyomino:
     @property
     def height(self):
         return 1 + max(y for _, y in self.cells_sorted)
-
-    @property
-    def vertices(self):
-        if self._vertices is None:
-            vs = set()
-            for c in self.cells_sorted:
-                vs.update(cell_vertices(c))
-            self._vertices = frozenset(vs)
-        return self._vertices
 
 
 def parse_grid(text):
@@ -218,7 +201,8 @@ def grid_variables(poly):
     Ranking (and hence default variable order) is row-major descending on
     (y, x): the top-right vertex is the highest variable.
     """
-    return VariableSet(sorted(poly.vertices, key=lambda p: (p[1], p[0]), reverse=True))
+    corners = {(x + dx, y + dy) for x, y in poly.cells_sorted for dx in (0, 1) for dy in (0, 1)}
+    return VariableSet(sorted(corners, key=lambda p: (p[1], p[0]), reverse=True))
 
 
 def inner_minors(poly, variables):

@@ -15,13 +15,10 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class EdgeInterval:
-    orientation: str  # "v" or "h"
     line: int         # the fixed coordinate (x for vertical, y for horizontal)
     span: tuple       # inclusive (start, end) of the varying coordinate, end > start
 
     def __post_init__(self):
-        if self.orientation not in ("v", "h"):
-            raise ValueError("orientation must be 'v' or 'h'")
         if self.span[1] <= self.span[0]:
             raise ValueError("an edge interval must contain at least one edge")
 
@@ -47,31 +44,30 @@ def maximal_edge_intervals(poly):
     for x in range(w + 1):
         flags = [((x, y) in cells or (x - 1, y) in cells) for y in range(h)]
         for a, b in _runs(flags):
-            vertical.append(EdgeInterval("v", x, (a, b)))
+            vertical.append(EdgeInterval(x, (a, b)))
     horizontal = []
     for y in range(h + 1):
         flags = [((x, y) in cells or (x, y - 1) in cells) for x in range(w)]
         for a, b in _runs(flags):
-            horizontal.append(EdgeInterval("h", y, (a, b)))
+            horizontal.append(EdgeInterval(y, (a, b)))
     return vertical, horizontal
 
 
 class IntervalGraph:
     """Bipartite graph on maximal vertical x horizontal intervals.
 
-    ``through`` maps each polyomino vertex to the indices (p, q) of the
-    maximal intervals through it; that vertex labels the edge v_p h_q.
-    ``edges`` holds the (p, q, vertex) triples sorted, and ``adjacency``
-    one neighbour bitmask per vertex id, where v_p has id p and h_q id m + q.
+    ``edges`` holds one (p, q, vertex) triple per polyomino vertex, sorted:
+    v_p and h_q are the maximal intervals through the vertex, and the
+    vertex labels the edge v_p h_q. ``adjacency`` holds one neighbour
+    bitmask per vertex id, where v_p has id p and h_q id m + q.
     """
 
-    __slots__ = ("v_intervals", "h_intervals", "edges", "adjacency", "_through")
+    __slots__ = ("v_intervals", "h_intervals", "edges", "adjacency")
 
-    def __init__(self, v_intervals, h_intervals, through):
+    def __init__(self, v_intervals, h_intervals, edges):
         self.v_intervals = tuple(v_intervals)
         self.h_intervals = tuple(h_intervals)
-        self._through = through
-        self.edges = tuple(sorted((p, q, point) for point, (p, q) in through.items()))
+        self.edges = tuple(sorted(edges))
         m = len(self.v_intervals)
         masks = [0] * (m + len(self.h_intervals))
         for p, q, _ in self.edges:
@@ -91,10 +87,6 @@ class IntervalGraph:
         """The vertex where v_p meets h_q."""
         return (self.v_intervals[p].line, self.h_intervals[q].line)
 
-    def intervals_through(self, point):
-        """(vertical index, horizontal index) of the maximal intervals through a vertex."""
-        return self._through[point]
-
     def __repr__(self):
         return f"IntervalGraph(m={self.m}, n={self.n}, edges={len(self.edges)})"
 
@@ -107,13 +99,13 @@ def build_interval_graph(poly):
         a, b = vi.span
         for y in range(a, b + 1):
             vertical_of[(vi.line, y)] = p
-    through = {}
+    edges = []
     for q, hj in enumerate(horiz):
         a, b = hj.span
         for x in range(a, b + 1):
             point = (x, hj.line)
-            through[point] = (vertical_of[point], q)
-    return IntervalGraph(vert, horiz, through)
+            edges.append((vertical_of[point], q, point))
+    return IntervalGraph(vert, horiz, edges)
 
 
 def graph_to_json(graph):

@@ -36,3 +36,10 @@ def rect23():
 @pytest.fixture
 def annulus():
     return parse_grid("###\n#.#\n###")
+
+
+@pytest.fixture
+def three_six_cycles():
+    # 19 cells around one three-cell hole; the interval graph has three
+    # chordless 6-cycles, so it is not weakly chordal
+    return parse_grid(".####\n#.##.\n#..##\n####.\n.###.\n##...")

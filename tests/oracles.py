@@ -5,16 +5,18 @@ library code under test: enumeration by subset filtering and by growth on
 cell tuples, hole detection via the Euler characteristic, induced-cycle
 search by subset inspection, alternating cycle search by DFS over
 segments, dense linear algebra for degree-bounded ideal membership,
-textbook monomial-order comparators, a dense weight-row comparator,
-and normal forms rewritten on exponent tuples.
+Hilbert numerators of monomial ideals by pivoting, rook polynomials by
+subset counting, textbook monomial-order comparators, a dense weight-row
+comparator, and normal forms rewritten on exponent tuples.
 
 The last five sections are the exceptions. One is the Buchberger engine
 as it was before it worked over lead supports, scanning dense exponent
 tuples; it runs on the package's kernel, so that a differential test can
 check that the two engines make the same kernel calls. The next is the
 interval graph as it was built before it was read off the runs, every
-vertical interval tested against every horizontal one, next to the test
-that a binomial is balanced under the toric map. The next is block
+vertical interval tested against every horizontal one, next to the map
+from each vertex to its intervals, read off the graph's edges, and the
+test that a binomial is balanced under the toric map. The next is block
 elimination as it was before it inter-reduced only the eliminated slice:
 the whole basis is reduced, then sliced. The next is the
 quadratic-order search as it was before it stopped a failing order at its
@@ -29,7 +31,8 @@ import functools
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
+from math import comb
 
 from polyprime import kernel as _kernel
 from polyprime.algebra import DEFAULT_BUDGETS, GroebnerBasis, OrderSearchConfig, buchberger
@@ -57,10 +60,10 @@ def mono_divides(a, b):
     return all(x <= y for x, y in zip(a, b))
 
 
-def contains_vertex(interval, point):
-    """Does the EdgeInterval pass through the grid vertex ``point``?"""
+def contains_vertex(interval, orientation, point):
+    """Does the EdgeInterval of ``orientation`` ("v" or "h") pass through the grid vertex ``point``?"""
     x, y = point
-    if interval.orientation == "v":
+    if orientation == "v":
         return x == interval.line and interval.span[0] <= y <= interval.span[1]
     return y == interval.line and interval.span[0] <= x <= interval.span[1]
 
@@ -308,6 +311,79 @@ def dense_member(f_plus, f_minus, gens, nvars):
 
 
 # ---------------------------------------------------------------------------
+# Hilbert numerators of monomial ideals, and rook polynomials
+#
+# Polynomials in t are coefficient lists, lowest degree first, with no
+# trailing zeros.
+
+def _trim(coeffs):
+    coeffs = list(coeffs)
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
+
+
+def hilbert_numerator(gens):
+    """K(t) with Hilbert series K(t) / (1 - t)^n for S / (gens), S in n variables.
+
+    ``gens`` are exponent tuples of one length n. Pivots on a variable x of
+    a generator of degree at least 2: K(I) = K(I + (x)) + t * K(I : x). An
+    ideal generated by k variables has K = (1 - t)^k.
+    """
+    minimal = []
+    for g in sorted(set(gens), key=sum):
+        if not any(mono_divides(h, g) for h in minimal):
+            minimal.append(g)
+    if any(sum(g) == 0 for g in minimal):
+        return []
+    wide = next((g for g in minimal if sum(g) > 1), None)
+    if wide is None:
+        k = len(minimal)
+        return [(-1) ** i * comb(k, i) for i in range(k + 1)]
+    i = next(i for i, e in enumerate(wide) if e)
+    with_x = hilbert_numerator(minimal + [tuple(int(j == i) for j in range(len(wide)))])
+    colon = hilbert_numerator([g[:i] + (max(g[i] - 1, 0),) + g[i + 1:] for g in minimal])
+    out = [0] * max(len(with_x), len(colon) + 1)
+    for d, c in enumerate(with_x):
+        out[d] += c
+    for d, c in enumerate(colon):
+        out[d + 1] += c
+    return _trim(out)
+
+
+def divide_by_one_minus_t(coeffs, times):
+    """coeffs / (1 - t)^times; raises ValueError unless the division is exact."""
+    for _ in range(times):
+        if sum(coeffs):
+            raise ValueError(f"{coeffs} is not divisible by 1 - t")
+        coeffs = list(accumulate(coeffs))[:-1]
+    return _trim(coeffs)
+
+
+def rook_polynomial(cells):
+    """r_0, r_1, ...: r_k counts the k-sets of cells no two of which share a segment.
+
+    A segment is a maximal run of cells in one row or one column, so two
+    cells of one row with a gap between them do not attack each other.
+    """
+    cells = set(cells)
+
+    def segment_start(cell, dx, dy):
+        x, y = cell
+        while (x - dx, y - dy) in cells:
+            x, y = x - dx, y - dy
+        return (dx, x, y)
+
+    segments = {c: (segment_start(c, 1, 0), segment_start(c, 0, 1)) for c in cells}
+    counts = [0] * (len(cells) + 1)
+    for k in range(len(cells) + 1):
+        for chosen in combinations(cells, k):
+            used = [seg for c in chosen for seg in segments[c]]
+            counts[k] += len(used) == len(set(used))
+    return _trim(counts)
+
+
+# ---------------------------------------------------------------------------
 # textbook order comparators
 
 def direct_lex(a, b, ranking):
@@ -522,13 +598,20 @@ def pairwise_interval_graph(poly):
     return vert, horiz, edges
 
 
+def intervals_through(graph):
+    """{vertex: (p, q)}: the maximal intervals v_p and h_q through each polyomino vertex."""
+    return {point: (p, q) for p, q, point in graph.edges}
+
+
 def balanced(graph, variables, binomial):
     """Do both sides of ``binomial`` have one image under x(i,j) |-> v_p * h_q?"""
+    through = intervals_through(graph)
+
     def image(mono):
         aux = [0] * (graph.m + graph.n)
         for idx, e in enumerate(mono):
             if e:
-                p, q = graph.intervals_through(variables.points[idx])
+                p, q = through[variables.points[idx]]
                 aux[p] += e
                 aux[graph.m + q] += e
         return aux
@@ -545,8 +628,9 @@ def reduced_then_sliced_elimination(graph, variables, grid_order, budgets=DEFAUL
     total = aux_count + len(variables)
     elim_order = block_order(total, [("degrevlex", range(aux_count))] + [
         (kind, [aux_count + i for i in ranking]) for kind, ranking in grid_order.parts])
+    through = intervals_through(graph)
     gens = [Binomial(mono_from_indices(total, (p, graph.m + q)), mono_from_indices(total, (aux_count + idx,)))
-            for idx, (p, q) in enumerate(map(graph.intervals_through, variables.points))]
+            for idx, (p, q) in enumerate(through[point] for point in variables.points)]
     gb = buchberger(gens, elim_order, budgets=budgets)
     return GroebnerBasis(grid_order, tuple(Binomial(b.plus[aux_count:], b.minus[aux_count:])
                                            for b in gb.elements if not any(b.plus[:aux_count])))
@@ -593,9 +677,8 @@ class PolyoCycle:
         return [(pts[k], pts[(k + 1) % len(pts)]) for k in range(len(pts))]
 
 
-def graph_cycle_to_polyo_cycle(graph, cycle):
-    """Intersect consecutive intervals of a graph cycle into a polyomino cycle."""
-    pairs = cycle.pairs
+def graph_cycle_to_polyo_cycle(graph, pairs):
+    """Intersect consecutive intervals of a graph cycle, given as its pairs, into a polyomino cycle."""
     r = len(pairs)
     points = []
     for k in range(r):
@@ -653,8 +736,8 @@ def is_primitive(poly, cycle):
     """True iff every maximal edge interval contains at most two cycle vertices."""
     vert, horiz = maximal_edge_intervals(poly)
     pts = set(cycle.points)
-    for interval in list(vert) + list(horiz):
-        hits = sum(1 for p in pts if contains_vertex(interval, p))
+    for orientation, interval in [("v", i) for i in vert] + [("h", i) for i in horiz]:
+        hits = sum(1 for p in pts if contains_vertex(interval, orientation, p))
         if hits > 2:
             return False
     return True

@@ -306,6 +306,43 @@ class TestMembershipAgainstDenseOracle:
             assert member(f, gb) == oracles.dense_member(f.plus, f.minus, gen_pairs, len(gvars))
 
 
+class TestHilbertSeriesAgainstRookPolynomial:
+    """The inner basis has the Hilbert series that combinatorics predicts.
+
+    For a simple thin polyomino P (no 2x2 block of cells), the h-polynomial
+    of K[P] is the rook polynomial of P (Rinaldo and Romeo, "Hilbert series
+    of simple thin polyominoes", J. Algebraic Combin. 2021). The Hilbert
+    series of K[P] is that of its initial ideal, generated by the leads of
+    the reduced basis, and K[P] has dimension |V(P)| - |P|.
+    """
+
+    def test_oracles_on_small_inputs(self):
+        assert oracles.hilbert_numerator([]) == [1]
+        assert oracles.hilbert_numerator([(1, 1)]) == [1, 0, -1]
+        assert oracles.hilbert_numerator([(1, 1, 0), (0, 1, 1)]) == [1, 0, -2, 1]
+        assert oracles.hilbert_numerator([(2, 0), (1, 1), (0, 2)]) == [1, 0, -3, 2]
+        assert oracles.divide_by_one_minus_t([1, 0, -2, 1], 1) == [1, 1, -1]
+        with pytest.raises(ValueError):
+            oracles.divide_by_one_minus_t([1, 0, 1], 1)
+        assert oracles.rook_polynomial({(0, 0)}) == [1, 1]
+        assert oracles.rook_polynomial({(0, 0), (1, 0), (2, 0)}) == [1, 3]
+        assert oracles.rook_polynomial({(0, 0), (1, 0), (0, 1)}) == [1, 3, 1]
+        # a gap splits a row into two segments
+        assert oracles.rook_polynomial({(0, 0), (0, 1), (1, 1), (2, 1), (2, 0)}) == [1, 5, 5, 1]
+
+    def test_every_thin_simple_shape_up_to_six_cells(self):
+        shapes = [poly for n in range(1, 7) for poly in enumerate_polyominoes(n)
+                  if is_simple(poly) and not any(
+                      {(x + 1, y), (x, y + 1), (x + 1, y + 1)} <= poly.cells for x, y in poly.cells)]
+        assert len(shapes) == 256
+        for poly in shapes:
+            gvars = grid_variables(poly)
+            gb = buchberger(inner_minors(poly, gvars), default_grid_order(gvars))
+            numerator = oracles.hilbert_numerator([b.plus for b in gb.elements])
+            h = oracles.divide_by_one_minus_t(numerator, len(poly))
+            assert h == oracles.rook_polynomial(poly.cells), poly
+
+
 class TestIdealEqual:
     """Both decision paths of ``ideal_equal_paths`` give the expected verdict."""
 
@@ -626,13 +663,13 @@ class TestGridVariables:
     def test_points_run_in_descending_row_major_order(self, annulus):
         gvars = grid_variables(annulus)
         assert len(gvars) == 16
-        assert list(gvars.points) == sorted(annulus.vertices, key=lambda p: (p[1], p[0]), reverse=True)
+        assert list(gvars.points) == sorted(oracles.polyomino_vertices(annulus.cells), key=lambda p: (p[1], p[0]), reverse=True)
         assert gvars.points[0] == (3, 3) and gvars.points[-1] == (0, 0)
         assert all(gvars.names[k] == f"x({x},{y})" for k, (x, y) in enumerate(gvars.points))
 
     def test_index_round_trips_every_vertex(self, annulus):
         gvars = grid_variables(annulus)
-        for point in annulus.vertices:
+        for point in oracles.polyomino_vertices(annulus.cells):
             assert gvars.points[gvars.index(point)] == point
         assert [gvars.index(p) for p in gvars.points] == list(range(len(gvars)))
 

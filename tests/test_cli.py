@@ -147,6 +147,18 @@ class TestGb:
         assert err.startswith("polyprime: ") and message in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("spec, extra", [
+        ('{"kind":"degrevlex","ranking":"diagonal","extra":1}', "['extra']"),
+        ('{"kind":"lex","ranking":"row-major","blocks":[]}', "['blocks']"),
+        ('{"kind":"block","blocks":[{"kind":"lex","ranking":"row-major"}],"ranking":"diagonal"}',
+         "['ranking']"),
+    ], ids=["plain-extra", "plain-blocks", "block-ranking"])
+    def test_unknown_order_key_exits_2(self, capsys, spec, extra):
+        code, out, err = run(capsys, "toric", "--grid", "###\\n#.#\\n###", "--order", spec)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("polyprime: ") and f"has unknown keys {extra}" in err
+
     def test_custom_order(self, capsys):
         spec = json.dumps({"kind": "lex", "ranking": "column-major"})
         code, out, _ = run(capsys, "gb", "--grid", "#", "--order", spec, "--format", "json")

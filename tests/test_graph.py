@@ -6,13 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from polyprime import (
-    GraphCycle,
     build_interval_graph,
     chordless_cycles,
     cycle_binomial,
     enumerate_polyominoes,
     grid_variables,
     inner_intervals,
+    is_simple,
     is_weakly_chordal,
     parse_grid,
     render_binomial,
@@ -53,9 +53,9 @@ def k33():
     return SyntheticBipartite(3, 3, set(itertools.product(range(3), range(3))))
 
 
-def cycle_vertex_ids(cycle, m):
+def cycle_vertex_ids(pairs, m):
     ids = []
-    for i, j in cycle.pairs:
+    for i, j in pairs:
         ids.append(i)
         ids.append(m + j)
     return frozenset(ids)
@@ -65,7 +65,7 @@ class TestChordlessCycles:
     def test_c6_has_one_six_cycle(self):
         cycles = list(chordless_cycles(c6(), min_len=6))
         assert len(cycles) == 1
-        assert len(cycles[0].pairs) == 3
+        assert len(cycles[0]) == 3
 
     def test_k33_has_no_chordless_six_cycle(self):
         assert list(chordless_cycles(k33(), min_len=6)) == []
@@ -119,13 +119,13 @@ class TestChordlessCycles:
         rng = random.Random(seed)
         pairs = {pq for pq in itertools.product(range(m), range(n)) if rng.random() < 0.6}
         for gc in chordless_cycles(SyntheticBipartite(m, n, pairs), min_len=4):
-            assert gc.pairs == oracles.canonical_cycle_pairs(gc.pairs)
+            assert gc == oracles.canonical_cycle_pairs(gc)
 
     def test_yields_canonical_form_on_small_shapes(self):
         for n in range(1, 8):
             for poly in enumerate_polyominoes(n):
                 for gc in chordless_cycles(build_interval_graph(poly), min_len=4):
-                    assert gc.pairs == oracles.canonical_cycle_pairs(gc.pairs), poly
+                    assert gc == oracles.canonical_cycle_pairs(gc), poly
 
 
 class TestWeaklyChordal:
@@ -137,6 +137,14 @@ class TestWeaklyChordal:
 
     def test_annulus_graph_is(self, annulus):
         assert is_weakly_chordal(build_interval_graph(annulus))
+
+    def test_polyomino_with_three_six_cycles_is_not(self, three_six_cycles):
+        assert not is_simple(three_six_cycles)
+        g = build_interval_graph(three_six_cycles)
+        cycles = list(chordless_cycles(g, min_len=6))
+        assert len(cycles) == 3
+        assert all(len(pairs) == 3 for pairs in cycles)
+        assert not is_weakly_chordal(g)
 
     def test_invariant_under_relabeling(self):
         for poly in ("##\n.#", "###\n#..", "##\n##"):
@@ -172,13 +180,13 @@ class TestCycleConversion:
 
     def test_square2_outer_cycle(self, square2):
         g = build_interval_graph(square2)
-        pc = graph_cycle_to_polyo_cycle(g, GraphCycle(((0, 0), (2, 2))))
+        pc = graph_cycle_to_polyo_cycle(g, ((0, 0), (2, 2)))
         assert set(pc.points) == {(0, 0), (2, 0), (2, 2), (0, 2)}
         validate_polyo_cycle(square2, pc)
 
     def test_square2_six_cycle_is_staircase(self, square2):
         g = build_interval_graph(square2)
-        gc = GraphCycle(((0, 0), (1, 1), (2, 2)))
+        gc = ((0, 0), (1, 1), (2, 2))
         pc = graph_cycle_to_polyo_cycle(g, gc)
         validate_polyo_cycle(square2, pc)  # conditions (i) and (ii)
         assert len(pc.points) == 6
@@ -223,13 +231,13 @@ class TestCycleBinomial:
     def test_square2_outer(self, square2):
         gvars = grid_variables(square2)
         g = build_interval_graph(square2)
-        b = cycle_binomial(g, GraphCycle(((0, 0), (2, 2))), gvars)
+        b = cycle_binomial(g, ((0, 0), (2, 2)), gvars)
         assert render_binomial(b, gvars) == "x(0,0)*x(2,2) - x(0,2)*x(2,0)"
 
     def test_annulus_octagon_both_formulas_agree(self, annulus):
         gvars = grid_variables(annulus)
         g = build_interval_graph(annulus)
-        gc = GraphCycle(((0, 0), (1, 1), (2, 2), (3, 3)))
+        gc = ((0, 0), (1, 1), (2, 2), (3, 3))
         pc = graph_cycle_to_polyo_cycle(g, gc)
         validate_polyo_cycle(annulus, pc)
         from_points = polyo_cycle_binomial(pc, gvars)
@@ -301,6 +309,7 @@ class TestSelfCrossing:
         # a crossing implies a chord: the shared vertex joins a maximal
         # vertical and a maximal horizontal interval of the cycle
         g = build_interval_graph(square2)
+        through = oracles.intervals_through(g)
         cycles = [PolyoCycle(c) for c in oracles.alternating_cycles(square2.cells, 8)]
         seen_crossing = False
         for pc in cycles:
@@ -318,7 +327,7 @@ class TestSelfCrossing:
             }
             assert shared
             for v in shared:
-                p, q = g.intervals_through(v)
+                p, q = through[v]
                 assert (p, q, v) in g.edges
         assert seen_crossing
 

@@ -16,13 +16,13 @@ random_polys = st.integers(min_value=1, max_value=8).flatmap(
 class TestMaximalIntervals:
     def test_single_cell(self, cell):
         vert, horiz = maximal_edge_intervals(cell)
-        assert vert == [EdgeInterval("v", 0, (0, 1)), EdgeInterval("v", 1, (0, 1))]
-        assert horiz == [EdgeInterval("h", 0, (0, 1)), EdgeInterval("h", 1, (0, 1))]
+        assert vert == [EdgeInterval(0, (0, 1)), EdgeInterval(1, (0, 1))]
+        assert horiz == [EdgeInterval(0, (0, 1)), EdgeInterval(1, (0, 1))]
 
     def test_square2(self, square2):
         vert, horiz = maximal_edge_intervals(square2)
-        assert vert == [EdgeInterval("v", x, (0, 2)) for x in range(3)]
-        assert horiz == [EdgeInterval("h", y, (0, 2)) for y in range(3)]
+        assert vert == [EdgeInterval(x, (0, 2)) for x in range(3)]
+        assert horiz == [EdgeInterval(y, (0, 2)) for y in range(3)]
 
     def test_annulus_middle_lines_not_split(self, annulus):
         # derived by enumerating the edges of the 8 ring cells: every unit
@@ -31,8 +31,8 @@ class TestMaximalIntervals:
         for x in (1, 2):
             assert all(((x, y), (x, y + 1)) in edges for y in range(3))
         vert, horiz = maximal_edge_intervals(annulus)
-        assert vert == [EdgeInterval("v", x, (0, 3)) for x in range(4)]
-        assert horiz == [EdgeInterval("h", y, (0, 3)) for y in range(4)]
+        assert vert == [EdgeInterval(x, (0, 3)) for x in range(4)]
+        assert horiz == [EdgeInterval(y, (0, 3)) for y in range(4)]
 
     @settings(max_examples=50, deadline=None)
     @given(random_polys)
@@ -86,16 +86,17 @@ class TestIntervalGraph:
     def test_edge_labels_are_the_intersections(self, square2):
         g = build_interval_graph(square2)
         for p, q, (x, y) in g.edges:
-            assert oracles.contains_vertex(g.v_intervals[p], (x, y))
-            assert oracles.contains_vertex(g.h_intervals[q], (x, y))
+            assert oracles.contains_vertex(g.v_intervals[p], "v", (x, y))
+            assert oracles.contains_vertex(g.h_intervals[q], "h", (x, y))
 
     @settings(max_examples=50, deadline=None)
     @given(random_polys)
     def test_edge_count_equals_vertex_count(self, poly):
         g = build_interval_graph(poly)
         labels = [pt for _, _, pt in g.edges]
-        assert len(labels) == len(set(labels)) == len(poly.vertices)
-        assert set(labels) == set(poly.vertices)
+        vertices = oracles.polyomino_vertices(poly.cells)
+        assert len(labels) == len(set(labels)) == len(vertices)
+        assert set(labels) == vertices
 
     def test_graph_connected_small_sweep(self):
         for n in range(1, 6):
@@ -108,10 +109,11 @@ def assert_matches_pairwise(poly):
     vert, horiz, edges = oracles.pairwise_interval_graph(poly)
     assert (g.m, g.n) == (len(vert), len(horiz))
     assert g.edges == tuple(edges)
+    through = oracles.intervals_through(g)
     masks = [0] * (g.m + g.n)
     for p, q, point in edges:
         assert g.label(p, q) == point
-        assert g.intervals_through(point) == (p, q)
+        assert through[point] == (p, q)
         masks[p] |= 1 << (g.m + q)
         masks[g.m + q] |= 1 << p
     assert g.adjacency == tuple(masks)

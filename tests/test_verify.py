@@ -35,6 +35,13 @@ class TestVerifyPolyomino:
         assert report.ideals_equal is False
         assert report.gap_witness_text == "x(1,1)*x(2,2) - x(1,2)*x(2,1)"
 
+    def test_not_weakly_chordal(self, three_six_cycles):
+        report = verify_polyomino(three_six_cycles)
+        assert report.simple is False
+        assert report.weakly_chordal is False
+        assert report.ideals_equal is False
+        assert report.gap_witness_text == "x(1,3)*x(3,5) - x(1,5)*x(3,3)"
+
     def test_graph_and_variables_built_once(self, monkeypatch, annulus):
         # the toric stage takes the interval graph and the grid variables
         # that verify_polyomino built, instead of building its own
