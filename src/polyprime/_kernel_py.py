@@ -23,8 +23,13 @@ borrows its guard), and a rewrite is ``m - lead + tail``. An exponent
 outside 0..``MAX_EXPONENT`` (32767), whether given or produced by a
 rewrite (which sets a guard bit), raises LimitExceededError; nothing
 wraps. The compiled kernel raises the same errors with the same messages.
-``G`` takes two bytes per variable, so the first call that packs a
-monomial builds it, not the constructor.
+A monomial crosses between tuple and packed int through one precompiled
+``struct.Struct`` of ``nvars`` unsigned shorts: ``pack`` gives the bytes
+of the int, ``unpack`` the tuple of a normal form. Where ``struct``
+rejects an exponent, the packing falls back to ``array``, so that a bad
+exponent raises just what it raised before. ``G`` takes two bytes per
+variable, so the first call that packs a monomial builds it and the
+``Struct``, not the constructor.
 
 A lead divides ``m`` only if ``m`` uses every variable of the lead, so a
 Basis files each rule, with its append index, in a bucket keyed by the
@@ -37,6 +42,7 @@ before. The first rule whose lead is 1 divides everything; every step
 starts from it.
 """
 
+import struct
 import sys
 from array import array
 
@@ -51,7 +57,7 @@ _BYTEORDER = sys.byteorder
 
 
 class Basis:
-    __slots__ = ("nvars", "size", "buckets", "keys", "unit", "guard", "ones", "nbytes")
+    __slots__ = ("nvars", "size", "buckets", "keys", "unit", "guard", "ones", "nbytes", "fields")
 
     def __init__(self, nvars):
         if not 0 <= nvars <= MAX_NVARS:
@@ -62,7 +68,7 @@ class Basis:
         self.keys = 0  # the guard bits of the keys that have a bucket
         self.unit = None  # (append index, lead, tail) of the first rule whose lead is 1
         self.nbytes = 2 * nvars
-        self.guard = self.ones = None  # built by the first _pack
+        self.guard = self.ones = self.fields = None  # built by the first _pack
 
     def __len__(self):
         return self.size
@@ -75,10 +81,15 @@ class Basis:
             g = self.guard = int.from_bytes(
                 array("H", [MAX_EXPONENT + 1]).tobytes() * self.nvars, _BYTEORDER)
             self.ones = g >> 15
+            self.fields = struct.Struct(f"={self.nvars}H")
         try:
-            packed = int.from_bytes(array("H", mono).tobytes(), _BYTEORDER)
-        except OverflowError:  # an exponent outside 0..65535
-            packed = g
+            packed = int.from_bytes(self.fields.pack(*mono), _BYTEORDER)
+        except struct.error:
+            # array raises the TypeError of a non-int that the compiled kernel raises too
+            try:
+                packed = int.from_bytes(array("H", mono).tobytes(), _BYTEORDER)
+            except OverflowError:  # an exponent outside 0..65535
+                packed = g
         if packed & g:
             raise LimitExceededError(
                 f"exponent of {tuple(mono)} outside the kernel limit 0..{MAX_EXPONENT}")
@@ -125,7 +136,7 @@ class Basis:
                         best, lead, tail = i, bl, bt
                         break
             if lead is None:
-                return tuple(memoryview(m.to_bytes(self.nbytes, _BYTEORDER)).cast("H"))
+                return self.fields.unpack(m.to_bytes(self.nbytes, _BYTEORDER))
             if steps >= budget:
                 return None
             steps += 1

@@ -280,14 +280,18 @@ class OrderSearchConfig:
     kinds = ("degrevlex", "deglex", "lex")
 
 
-def find_quadratic_order(gens, variables, budgets=DEFAULT_BUDGETS):
+def find_quadratic_order(gens, variables, budgets=DEFAULT_BUDGETS, *, basis=None):
     """First order of the OrderSearchConfig family whose reduced basis is quadratic and squarefree.
 
     An order fails at the first S-pair that leaves a cubic or higher
     remainder. For homogeneous generators that verdict is final: pairs pop
     in nondecreasing lcm degree, so every later element has at least that
     degree and none can divide the new lead, which stays in the reduced
-    basis. Inhomogeneous generators raise ValueError.
+    basis. Inhomogeneous generators raise ValueError. ``basis``, a reduced
+    basis of ``gens`` already computed, is tested in place of a new run
+    when its order is a candidate: the truncated run fails exactly when
+    the full basis has an element of higher degree, so the verdict is the
+    same.
     """
     for g in gens:
         if g is not ZERO and sum(g.plus) != sum(g.minus):
@@ -299,10 +303,13 @@ def find_quadratic_order(gens, variables, budgets=DEFAULT_BUDGETS):
         for kind in OrderSearchConfig.kinds:
             candidates.append(MonomialOrder(kind, nvars, ranking))
     for order in candidates:
-        try:
-            gb = buchberger(gens, order, budgets=budgets, max_degree=2)
-        except DegreeExceededError:
-            continue
+        if basis is not None and basis.order == order:
+            gb = basis
+        else:
+            try:
+                gb = buchberger(gens, order, budgets=budgets, max_degree=2)
+            except DegreeExceededError:
+                continue
         if all(b.is_quadratic() and b.is_squarefree() for b in gb.elements):
             return order
     return None

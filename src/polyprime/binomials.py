@@ -19,6 +19,7 @@ module is the one place that names, parses, builds and compares orders.
 
 from __future__ import annotations
 
+import struct
 import sys
 from array import array
 from dataclasses import dataclass
@@ -304,8 +305,10 @@ def order_key(order):
     gives that int, a block order the tuple of its blocks' ints. Ints
     compare as the rows do, so sorting by the key needs no call to
     ``compare``, and it allocates one small int per monomial, not
-    one tuple per row. Exponents must lie in 0..65535, which holds the
-    kernels' limit; any other raises OverflowError.
+    one tuple per row. A packed exponent must lie in 0..65535, which holds
+    the kernels' limit; any other raises OverflowError. Only the variable
+    that a deglex or degrevlex block reads through its degree row alone
+    is not packed; it takes any int.
     """
     keys = [_part_key(kind, ranking, order.nvars) for kind, ranking in order.parts]
     if len(keys) == 1:
@@ -317,9 +320,18 @@ def _fields(indices):
     """mono -> its exponents at ``indices`` as 16-bit fields of one int, the first most significant."""
     if not indices:
         return lambda mono: 0
-    # array packs its first item least significant; an itemgetter of one index returns a bare item
+    # struct packs its first item least significant; an itemgetter of one index returns a bare item
     get = itemgetter(*indices[::-1]) if len(indices) > 1 else lambda mono: (mono[indices[0]],)
-    return lambda mono: int.from_bytes(array("H", get(mono)).tobytes(), _BYTEORDER)
+    pack = struct.Struct(f"={len(indices)}H").pack
+
+    def fields(mono):
+        items = get(mono)
+        try:
+            return int.from_bytes(pack(*items), _BYTEORDER)
+        except struct.error:  # array raises the documented OverflowError, or TypeError for a non-int
+            return int.from_bytes(array("H", items).tobytes(), _BYTEORDER)
+
+    return fields
 
 
 def _part_key(kind, ranking, nvars):

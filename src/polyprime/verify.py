@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import contextlib
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from polyprime.algebra import (
@@ -125,7 +124,7 @@ def verify_polyomino(poly, config=VerifyConfig()):
         if config.search_quadratic:
             found = staged(
                 "quadratic_order",
-                lambda: find_quadratic_order(gens, gvars, budgets=config.budgets))
+                lambda: find_quadratic_order(gens, gvars, budgets=config.budgets, basis=gb_inner))
             report.quadratic_order = None if found is None else found.to_json(gvars)
     except (BudgetExceededError, LimitExceededError) as exc:
         report.error = str(exc)
@@ -195,6 +194,9 @@ def sweep(n_max, config=VerifyConfig()):
     # one pool for all sizes, shut down before returning so that the
     # workers' CPU time is reaped into this process's children
     pooled = config.workers > 1
+    if pooled:
+        # imported here: multiprocessing costs every unpooled run memory and startup time
+        from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=config.workers) if pooled else contextlib.nullcontext() as pool:
         for n in range(1, n_max + 1):
             shapes = list(enumerate_polyominoes(n))

@@ -562,6 +562,29 @@ class TestQuadraticOrderSearch:
             gens = inner_minors(poly, gvars)
             assert find_quadratic_order(gens, gvars) == oracles.full_quadratic_order_search(gens, gvars), poly
 
+    def test_reused_basis_gives_the_same_order(self, monkeypatch):
+        # every shape up to 6 cells, and the 41 holed octominoes: the default
+        # order's reduced basis stands in for the first candidate's run
+        shapes = [p for n in range(1, 7) for p in enumerate_polyominoes(n)]
+        holed = [p for p in enumerate_polyominoes(8) if not is_simple(p)]
+        assert len(holed) == 41
+        engine = algebra.buchberger
+        calls = []
+
+        def spy(gens, order, **kwargs):
+            calls.append(order)
+            return engine(gens, order, **kwargs)
+
+        monkeypatch.setattr(algebra, "buchberger", spy)
+        for poly in shapes + holed:
+            gvars = grid_variables(poly)
+            gens = inner_minors(poly, gvars)
+            known = engine(gens, default_grid_order(gvars))
+            without = find_quadratic_order(gens, gvars)
+            calls.clear()
+            assert find_quadratic_order(gens, gvars, basis=known) == without, poly
+            assert known.order not in calls, poly
+
     def test_max_degree_raises_exactly_on_a_cubic_basis(self):
         # on every shape up to 5 cells, under each of the nine orders
         family = OrderSearchConfig()

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import operator
 import random
 import re
 import shlex
@@ -288,6 +289,45 @@ def test_normal_form_exponent_limit(kern):
         with pytest.raises(ValueError, match="exponent tuple has wrong length"):
             basis.append(wrong, (0, 0))
     assert len(basis) == 1
+
+
+@pytest.mark.parametrize("bad", [(1.5, 0), ("a", 0), (None, 0)], ids=["float", "str", "none"])
+def test_non_int_exponent_raises_type_error(kern, bad):
+    # the TypeError of CPython's own int conversion, never LimitExceededError
+    basis = kern.Basis(2)
+    basis.append((1, 0), (0, 1))
+    calls = (lambda k, b: b.normal_form(bad, 10),
+             lambda k, b: b.normal_form_until(bad, 10, (0, 1)),
+             lambda k, b: k.Basis(2).append(bad, (0, 0)),
+             lambda k, b: k.Basis(2).append((0, 0), bad))
+    reference = pure.Basis(2)
+    reference.append((1, 0), (0, 1))
+    expected = outcome(operator.index, bad[0])
+    assert expected[0] is TypeError
+    for call in calls:
+        assert outcome(call, kern, basis) == outcome(call, pure, reference) == expected
+    assert len(basis) == 1
+
+
+def test_bool_and_list_exponents_accepted_alike(fast):
+    results = []
+    for kern in (pure, fast):
+        basis = kern.Basis(2)
+        basis.append([True, 0], (0, 1))  # x -> y, the lead a list holding a bool
+        results.append((basis.normal_form((True, 0), 10), basis.normal_form([2, 0], 10),
+                        basis.normal_form_until([True, 1], 10, (0, 2)), len(basis)))
+    assert results[0] == results[1] == ((0, 1), (0, 2), (0, 2), 1)
+    assert all(type(e) is int for mono in results[0][:3] for e in mono)
+
+
+@pytest.mark.parametrize("bad", [2 ** 16, -1])
+@pytest.mark.parametrize("kind", ["lex", "deglex", "degrevlex"])
+def test_order_key_rejects_a_packed_exponent_out_of_range(kind, bad):
+    # the middle variable has a 16-bit field under every kind, which holds 65535
+    key = order_key(MonomialOrder(kind, 3, (0, 1, 2)))
+    assert key((0, 2 ** 16 - 1, 0)) != key((0, 0, 0))
+    with pytest.raises(OverflowError):
+        key((0, bad, 0))
 
 
 @pytest.mark.parametrize("nvars", [-1, 2 ** 28, 2 ** 40], ids=["-1", "2**28", "2**40"])

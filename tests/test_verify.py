@@ -1,7 +1,9 @@
 import json
+import subprocess
 import sys
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -204,6 +206,18 @@ class TestSweep:
             assert entry["error"].startswith(report.error)
             assert "while verifying" in entry["error"]
         assert sweep_to_json(summary)["budget_errors"] == summary.budget_errors
+
+    def test_unpooled_run_leaves_the_pool_unimported(self):
+        # only a pooled sweep needs multiprocessing; the pooled tests above cover that path
+        code = (f"import sys\nsys.path.insert(0, {str(Path(verify.__file__).resolve().parents[1])!r})\n"
+                "import polyprime.cli\n"
+                "from polyprime import parse_grid\n"
+                "from polyprime.verify import verify_polyomino\n"
+                "assert verify_polyomino(parse_grid('###\\n#.#\\n###')).ideals_equal is False\n"
+                "print('concurrent.futures.process' in sys.modules)")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              check=True, timeout=300)
+        assert done.stdout == "False\n"
 
     def test_budget_errors_same_on_pool_path(self):
         config = VerifyConfig(budgets=EngineBudgets(pairs=20))
