@@ -60,7 +60,7 @@ class GroebnerBasis:
 
 def _orient(order, a, b):
     """(lead, tail): the larger of two distinct monomials under ``order`` first."""
-    return (a, b) if _kernel.get_kernel().compare(order, a, b) == GREATER else (b, a)
+    return (a, b) if _kernel.compare(order, a, b) == GREATER else (b, a)
 
 
 class Reducer:
@@ -73,7 +73,7 @@ class Reducer:
     __slots__ = ("kb", "steps")
 
     def __init__(self, elements, order, budgets=DEFAULT_BUDGETS):
-        self.kb = _kernel.get_kernel().Basis(order.nvars)
+        self.kb = _kernel.Basis(order.nvars)
         self.steps = budgets.reduction_steps
         for b in elements:
             self.kb.append(b.plus, b.minus)

@@ -23,7 +23,6 @@ from polyprime.errors import (
     GridInputError,
     InternalInconsistencyError,
     InvariantViolationError,
-    LimitExceededError,
     PolyprimeError,
 )
 
@@ -218,7 +217,7 @@ def main(argv=None):
     except (InvariantViolationError, InternalInconsistencyError) as exc:
         print(f"polyprime: VIOLATION: {exc}", file=sys.stderr)
         return FAILURE_EXIT
-    except (BudgetExceededError, LimitExceededError) as exc:
+    except BudgetExceededError as exc:
         print(f"polyprime: budget exhausted: {exc}", file=sys.stderr)
         return FAILURE_EXIT
     except PolyprimeError as exc:

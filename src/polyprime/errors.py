@@ -25,12 +25,12 @@ class CapExceededError(PolyprimeError):
     """Requested enumeration size exceeds the configured cap."""
 
 
-class LimitExceededError(PolyprimeError):
-    """Cycle enumeration budget exhausted, or an exponent beyond the kernel limit."""
-
-
 class BudgetExceededError(PolyprimeError):
-    """Groebner engine budget (S-pairs, basis size, or reduction steps) exhausted."""
+    """An exhausted budget: the Groebner engine's (S-pairs, basis size, reduction steps), or a LimitExceededError."""
+
+
+class LimitExceededError(BudgetExceededError):
+    """Cycle enumeration budget exhausted, or an exponent beyond the kernel limit."""
 
 
 class DegreeExceededError(PolyprimeError):

@@ -11,18 +11,35 @@ from __future__ import annotations
 from polyprime.binomials import Binomial, mono_from_indices
 from polyprime.errors import LimitExceededError
 
-DEFAULT_CYCLE_BUDGET = 10 ** 6
+CYCLE_BUDGET = 10 ** 6
 
 
 # ---------------------------------------------------------------------------
-# induced (chordless) cycle enumeration
+# chordless cycle enumeration
 
-def induced_cycles(masks, min_len, max_len, budget):
-    """Yield every chordless cycle once as a vertex-id list (min id first).
+def chordless_cycles(graph, min_len=4, max_len=None):
+    """Chordless cycles of a bipartite graph with length in [min_len, max_len].
 
-    ``masks[x]`` is the neighbour bitmask of vertex id x. Neighbours are
-    taken in ascending id order, lowest set bit first.
+    Each cycle v_{i1}, h_{j1}, ..., v_{ir}, h_{jr} comes as its pairs
+    ((i1, j1), ..., (ir, jr)) in canonical form, the least such tuple over
+    all rotations and the reflection: i1 is the least v-index, and j1 the
+    smaller of the two h-neighbours of v_{i1}.
+
+    From each start vertex s the search grows induced paths through higher
+    ids, lowest set bit of ``graph.adjacency`` first. A search that takes
+    more than ``CYCLE_BUDGET`` paths off its stack raises LimitExceededError.
     """
+    if min_len < 4:
+        raise ValueError("min_len must be at least 4")
+    if max_len is not None and max_len < 4:
+        raise ValueError(
+            f"max_len must be at least 4, the length of the shortest chordless cycle, got {max_len}")
+    masks = graph.adjacency
+    if max_len is None:
+        max_len = len(masks)
+    if max_len < min_len:
+        return
+    budget = CYCLE_BUDGET
     spent = 0
     for s, s_adj in enumerate(masks):
         s_bit = 1 << s
@@ -50,34 +67,11 @@ def induced_cycles(masks, min_len, max_len, budget):
                         if len(path) + 2 <= max_len:
                             stack.append((path + [y], pmask | y_bit, y))
                     elif inter == x_bit | s_bit:
-                        if len(path) + 1 >= max(min_len, 4) and y > path[1]:
-                            yield path + [y]
-
-
-def chordless_cycles(graph, min_len=4, max_len=None, budget=DEFAULT_CYCLE_BUDGET):
-    """Chordless cycles of a bipartite graph with length in [min_len, max_len].
-
-    Each cycle v_{i1}, h_{j1}, ..., v_{ir}, h_{jr} comes as its pairs
-    ((i1, j1), ..., (ir, jr)) in canonical form, the least such tuple over
-    all rotations and the reflection: i1 is the least v-index, and j1 the
-    smaller of the two h-neighbours of v_{i1}.
-    """
-    if min_len < 4:
-        raise ValueError("min_len must be at least 4")
-    if max_len is not None and max_len < 4:
-        raise ValueError(
-            f"max_len must be at least 4, the length of the shortest chordless cycle, got {max_len}")
-    if budget < 0:
-        raise ValueError(f"cycle budget must be >= 0, got {budget}")
-    masks = graph.adjacency
-    total = len(masks)
-    max_len = total if max_len is None else min(max_len, total)
-    if max_len < min_len:
-        return
-    for ids in induced_cycles(masks, min_len, max_len, budget):
-        # the smallest id is a v-side vertex, so even positions are v-side, and
-        # the walk goes on to its smaller h-neighbour (``y > path[1]``): canonical form
-        yield tuple((ids[2 * k], ids[2 * k + 1] - graph.m) for k in range(len(ids) // 2))
+                        # s, the least id, is v-side, so even positions are; y > path[1]
+                        # leaves s by its smaller h-neighbour: canonical form
+                        if len(path) + 1 >= min_len and y > path[1]:
+                            ids = path + [y]
+                            yield tuple((ids[k], ids[k + 1] - graph.m) for k in range(0, len(ids), 2))
 
 
 def is_weakly_chordal(graph):

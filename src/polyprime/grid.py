@@ -138,6 +138,9 @@ def from_json_dict(data):
     if not isinstance(cells, list) or not all(
             isinstance(c, list) and len(c) == 2 and all(type(v) is int for v in c) for c in cells):
         raise BadCharError("expected an object whose 'cells' is a list of [x, y] integer pairs")
+    extra = set(data) - {"cells"}
+    if extra:
+        raise BadCharError(f"grid object has unknown keys {sorted(extra, key=str)}")
     if not cells:
         raise EmptyInputError("'cells' list is empty")
     return Polyomino(cells)
@@ -233,43 +236,29 @@ def enumeration_cap():
     return cap
 
 
-def _grow(shapes, n):
-    """Every fixed n-cell polyomino, grown by one cell from ``shapes``, the (n - 1)-cell ones.
+def _grow(masks, n):
+    """Every fixed polyomino one cell larger than one of ``masks``, as a set of masks.
 
-    Returns a sorted tuple of sorted cell tuples. The growth runs on int bitmasks: cell (x, y) is bit ``x * n + y``. No
-    n-cell shape is taller than n, so a column of n bits never spills into
-    the next. A cell added below row 0 or left of column 0 shifts the shape
-    instead, which keeps every mask canonical.
+    A mask is an int with bit ``x * n + y`` set for cell (x, y), where n is
+    the final size. A shape with fewer than n cells is lower than n, so
+    growing it by one never spills a column into the next. A cell added
+    below row 0 or left of column 0 shifts the shape instead, which keeps
+    every mask canonical.
     """
+    column = (1 << n) - 1                 # the n bits of column 0
     bottom = 0                            # bit y = 0 of every column
     for x in range(n):
         bottom |= 1 << (x * n)
     grown = set()
-    for shape in shapes:
-        mask = 0
-        for x, y in shape:
-            mask |= 1 << (x * n + y)
+    for mask in masks:
         free = (mask << 1 | (mask & ~bottom) >> 1 | mask << n | mask >> n) & ~mask
-        while free:
-            bit = free & -free
-            grown.add(mask | bit)
-            free ^= bit
-        for x, y in shape:
-            if y == 0:
-                grown.add(mask << 1 | 1 << (x * n))
-            if x == 0:
-                grown.add(mask << n | 1 << y)
-    cell_at = [(i // n, i % n) for i in range(n * n)]
-    out = []
-    for mask in grown:
-        cells = []
-        while mask:
-            bit = mask & -mask
-            cells.append(cell_at[bit.bit_length() - 1])
-            mask ^= bit
-        out.append(tuple(cells))
-    out.sort()
-    return tuple(out)
+        # a free cell as it is, or one below a cell of row 0 or left of a cell of column 0
+        for shifted, new in ((mask, free), (mask << 1, mask & bottom), (mask << n, mask & column)):
+            while new:
+                bit = new & -new
+                grown.add(shifted | bit)
+                new ^= bit
+    return grown
 
 
 def check_cell_count(n):
@@ -284,13 +273,24 @@ def check_cell_count(n):
 def enumerate_polyominoes(n):
     """Yield every fixed polyomino with n cells once, in sorted canonical order.
 
-    Grows one size at a time from the monomino and keeps only the size
-    being grown, so nothing outlives the call.
+    Grows one size at a time from the monomino, as masks in the layout of
+    the last size, and keeps only the size being grown, so nothing
+    outlives the call. Only the last size is decoded to cell tuples.
     """
     check_cell_count(n)
-    shapes = (((0, 0),),)
-    for k in range(2, n + 1):
-        shapes = _grow(shapes, k)
+    masks = {1}
+    for _ in range(n - 1):
+        masks = _grow(masks, n)
+    cell_at = [(i // n, i % n) for i in range(n * n)]
+    shapes = []
+    for mask in masks:
+        cells = []
+        while mask:
+            bit = mask & -mask
+            cells.append(cell_at[bit.bit_length() - 1])
+            mask ^= bit
+        shapes.append(tuple(cells))
+    shapes.sort()
     for shape in shapes:
         yield Polyomino._trusted(shape)
 

@@ -6,9 +6,9 @@ This module is the kernel namespace. ``Basis``, ``BACKEND``,
 implement the identical contract (see ``_kernel_py``), so the choice only
 affects speed, never results. ``compare`` is ``binomials.compare``, the
 one monomial comparison, exported here whichever kernel rewrites. Callers
-look up ``compare`` and the ``Basis`` methods on the namespace that
-``get_kernel`` returns each time they call them, so that wrappers set on
-those attributes see every call.
+look up ``compare``, ``Basis`` and its methods on this module at each
+call, so that wrappers set on them see every call; ``get_kernel`` returns
+the module itself, for code that takes the kernel as a value.
 """
 
 import sys

@@ -28,7 +28,6 @@ from polyprime.errors import (
     BudgetExceededError,
     InternalInconsistencyError,
     InvariantViolationError,
-    LimitExceededError,
 )
 from polyprime.graph import graph_is_connected, is_weakly_chordal
 from polyprime.grid import (
@@ -46,6 +45,10 @@ class VerifyConfig:
     workers: int = 1
 
     def __post_init__(self):
+        if not isinstance(self.budgets, EngineBudgets):
+            raise ValueError(f"budgets must be an EngineBudgets, got {self.budgets!r}")
+        if type(self.search_quadratic) is not bool:
+            raise ValueError(f"search_quadratic must be a bool, got {self.search_quadratic!r}")
         if type(self.workers) is not int or self.workers < 1:
             raise ValueError(f"workers must be an int >= 1, got {self.workers!r}")
 
@@ -126,7 +129,7 @@ def verify_polyomino(poly, config=VerifyConfig()):
                 "quadratic_order",
                 lambda: find_quadratic_order(gens, gvars, budgets=config.budgets, basis=gb_inner))
             report.quadratic_order = None if found is None else found.to_json(gvars)
-    except (BudgetExceededError, LimitExceededError) as exc:
+    except BudgetExceededError as exc:
         report.error = str(exc)
         err = BudgetExceededError(_while_verifying(exc, poly.cells_sorted))
         err.report = report
@@ -173,7 +176,8 @@ def _verify_or_partial(poly, config):
 
 def _verify_shard(args):
     cells, config = args
-    return _verify_or_partial(Polyomino(cells), config)
+    # the enumeration's canonical cells: checking them again in each worker finds nothing
+    return _verify_or_partial(Polyomino._trusted(cells), config)
 
 
 def sweep(n_max, config=VerifyConfig()):

@@ -6,8 +6,9 @@ cell tuples, hole detection via the Euler characteristic, induced-cycle
 search by subset inspection, alternating cycle search by DFS over
 segments, dense linear algebra for degree-bounded ideal membership,
 Hilbert numerators of monomial ideals by pivoting, rook polynomials by
-subset counting, textbook monomial-order comparators, a dense weight-row
-comparator, and normal forms rewritten on exponent tuples.
+subset counting, plain and up to switches, textbook monomial-order
+comparators, a dense weight-row comparator, and normal forms rewritten on
+exponent tuples.
 
 The last five sections are the exceptions. One is the Buchberger engine
 as it was before it worked over lead supports, scanning dense exponent
@@ -360,8 +361,8 @@ def divide_by_one_minus_t(coeffs, times):
     return _trim(coeffs)
 
 
-def rook_polynomial(cells):
-    """r_0, r_1, ...: r_k counts the k-sets of cells no two of which share a segment.
+def rook_placements(cells):
+    """For each k, the rook placements of k rooks: the k-sets of cells no two sharing a segment.
 
     A segment is a maximal run of cells in one row or one column, so two
     cells of one row with a gap between them do not attack each other.
@@ -375,11 +376,54 @@ def rook_polynomial(cells):
         return (dx, x, y)
 
     segments = {c: (segment_start(c, 1, 0), segment_start(c, 0, 1)) for c in cells}
-    counts = [0] * (len(cells) + 1)
+    placements = []
     for k in range(len(cells) + 1):
+        placements.append(set())
         for chosen in combinations(cells, k):
             used = [seg for c in chosen for seg in segments[c]]
-            counts[k] += len(used) == len(set(used))
+            if len(used) == len(set(used)):
+                placements[k].add(frozenset(chosen))
+    return placements
+
+
+def rook_polynomial(cells):
+    """r_0, r_1, ...: r_k counts the rook placements of k rooks on the cells."""
+    return _trim(len(placed) for placed in rook_placements(cells))
+
+
+def switching_rook_polynomial(cells):
+    """r_0, r_1, ...: r_k counts the rook placements of k rooks up to switches.
+
+    A switch takes two rooks on opposite corner cells of a rectangle of
+    cells inside the polyomino and moves them to the other two corners
+    (Qureshi, Rinaldo and Romeo, "Hilbert series of parallelogram
+    polyominoes", Res. Math. Sci. 2022). It keeps the placement
+    non-attacking: each moved rook stays in a segment of one of the two.
+    """
+    cells = set(cells)
+    counts = []
+    for placed in rook_placements(cells):
+        classes = 0
+        seen = set()
+        for start in placed:
+            if start in seen:
+                continue
+            classes += 1
+            seen.add(start)
+            stack = [start]
+            while stack:
+                rooks = stack.pop()
+                for (x1, y1), (x2, y2) in combinations(rooks, 2):
+                    inside = x1 != x2 and y1 != y2 and all(
+                        (x, y) in cells
+                        for x in range(min(x1, x2), max(x1, x2) + 1)
+                        for y in range(min(y1, y2), max(y1, y2) + 1))
+                    if inside:
+                        switched = rooks - {(x1, y1), (x2, y2)} | {(x1, y2), (x2, y1)}
+                        if switched not in seen:
+                            seen.add(switched)
+                            stack.append(switched)
+        counts.append(classes)
     return _trim(counts)
 
 

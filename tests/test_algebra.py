@@ -306,14 +306,29 @@ class TestMembershipAgainstDenseOracle:
             assert member(f, gb) == oracles.dense_member(f.plus, f.minus, gen_pairs, len(gvars))
 
 
+def h_polynomial(poly):
+    """The h-polynomial of K[P], read off the leads of the reduced inner basis."""
+    gvars = grid_variables(poly)
+    gb = buchberger(inner_minors(poly, gvars), default_grid_order(gvars))
+    numerator = oracles.hilbert_numerator([b.plus for b in gb.elements])
+    return oracles.divide_by_one_minus_t(numerator, len(poly))
+
+
+def is_thin(poly):
+    return not any({(x + 1, y), (x, y + 1), (x + 1, y + 1)} <= poly.cells for x, y in poly.cells)
+
+
 class TestHilbertSeriesAgainstRookPolynomial:
     """The inner basis has the Hilbert series that combinatorics predicts.
 
     For a simple thin polyomino P (no 2x2 block of cells), the h-polynomial
     of K[P] is the rook polynomial of P (Rinaldo and Romeo, "Hilbert series
-    of simple thin polyominoes", J. Algebraic Combin. 2021). The Hilbert
-    series of K[P] is that of its initial ideal, generated by the leads of
-    the reduced basis, and K[P] has dimension |V(P)| - |P|.
+    of simple thin polyominoes", J. Algebraic Combin. 2021). For a simple
+    P it is conjectured to be the switching rook polynomial, proved for
+    parallelogram polyominoes (Qureshi, Rinaldo and Romeo, Res. Math. Sci.
+    2022). The Hilbert series of K[P] is that of its initial ideal,
+    generated by the leads of the reduced basis, and K[P] has dimension
+    |V(P)| - |P|.
     """
 
     def test_oracles_on_small_inputs(self):
@@ -329,18 +344,32 @@ class TestHilbertSeriesAgainstRookPolynomial:
         assert oracles.rook_polynomial({(0, 0), (1, 0), (0, 1)}) == [1, 3, 1]
         # a gap splits a row into two segments
         assert oracles.rook_polynomial({(0, 0), (0, 1), (1, 1), (2, 1), (2, 0)}) == [1, 5, 5, 1]
+        # the two diagonal placements of the 2x2 square are one switch apart
+        square = {(0, 0), (1, 0), (0, 1), (1, 1)}
+        assert oracles.rook_polynomial(square) == [1, 4, 2]
+        assert oracles.switching_rook_polynomial(square) == [1, 4, 1]
+        # a thin shape has no rectangle to switch in
+        arch = {(0, 0), (0, 1), (1, 1), (2, 1), (2, 0)}
+        assert oracles.switching_rook_polynomial(arch) == oracles.rook_polynomial(arch)
 
     def test_every_thin_simple_shape_up_to_six_cells(self):
         shapes = [poly for n in range(1, 7) for poly in enumerate_polyominoes(n)
-                  if is_simple(poly) and not any(
-                      {(x + 1, y), (x, y + 1), (x + 1, y + 1)} <= poly.cells for x, y in poly.cells)]
+                  if is_simple(poly) and is_thin(poly)]
         assert len(shapes) == 256
         for poly in shapes:
-            gvars = grid_variables(poly)
-            gb = buchberger(inner_minors(poly, gvars), default_grid_order(gvars))
-            numerator = oracles.hilbert_numerator([b.plus for b in gb.elements])
-            h = oracles.divide_by_one_minus_t(numerator, len(poly))
-            assert h == oracles.rook_polynomial(poly.cells), poly
+            assert h_polynomial(poly) == oracles.rook_polynomial(poly.cells), poly
+
+    def test_every_simple_shape_up_to_six_cells_switching(self):
+        shapes = [poly for n in range(1, 7) for poly in enumerate_polyominoes(n) if is_simple(poly)]
+        assert len(shapes) == 307
+        for poly in shapes:
+            assert h_polynomial(poly) == oracles.switching_rook_polynomial(poly.cells), poly
+
+    def test_every_thin_simple_heptomino(self):
+        shapes = [poly for poly in enumerate_polyominoes(7) if is_simple(poly) and is_thin(poly)]
+        assert len(shapes) == 566
+        for poly in shapes:
+            assert h_polynomial(poly) == oracles.rook_polynomial(poly.cells), poly
 
 
 class TestIdealEqual:

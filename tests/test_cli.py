@@ -76,6 +76,12 @@ class TestParse:
         assert out == ""
         assert "input error: expected an object whose 'cells' is a list of [x, y] integer pairs" in err
 
+    def test_unknown_grid_key_exits_2(self, capsys):
+        code, out, err = run(capsys, "parse", "--grid", '{"cells": [[0, 0], [0, 1]], "x": 1}')
+        assert code == 2
+        assert out == ""
+        assert err == "polyprime: input error: grid object has unknown keys ['x']\n"
+
 
 class TestCheckSimple:
     def test_annulus_false(self, capsys):

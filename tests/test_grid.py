@@ -1,6 +1,7 @@
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -98,6 +99,15 @@ class TestParse:
     @given(random_polys)
     def test_json_round_trip(self, poly):
         assert from_json_dict(to_json_dict(poly)) == poly
+
+    @pytest.mark.parametrize("data, extra", [
+        ({"cells": [[0, 0]], "x": 1}, "['x']"),
+        ({"cells": [[0, 0]], "size": 1, "name": "a"}, "['name', 'size']"),
+        ({"cells": [], "x": 1}, "['x']"),
+    ], ids=["one", "two", "empty-cells"])
+    def test_json_rejects_unknown_keys(self, data, extra):
+        with pytest.raises(BadCharError, match=re.escape(f"grid object has unknown keys {extra}")):
+            from_json_dict(data)
 
 
 class TestConnectivity:
@@ -224,6 +234,14 @@ class TestEnumeration:
         expected = {1: 1, 2: 2, 3: 6, 4: 19, 5: 63, 6: 216, 7: 760}
         for n, count in expected.items():
             assert sum(1 for _ in enumerate_polyominoes(n)) == count
+
+    @pytest.mark.parametrize("n, count", [(9, 9910), (10, 36446)])
+    def test_counts_above_default_cap(self, monkeypatch, n, count):
+        # OEIS A001168; a 10-cell strip fills a whole bitmask column
+        monkeypatch.setenv("POLYPRIME_CAP", "10")
+        shapes = [p.cells_sorted for p in enumerate_polyominoes(n)]
+        assert len(shapes) == count
+        assert shapes == sorted(set(shapes))
 
     def test_matches_naive_subset_filter(self):
         for n in range(1, 6):

@@ -151,6 +151,14 @@ class TestVerifyConfig:
         with pytest.raises(ValueError, match="workers must be an int >= 1"):
             VerifyConfig(workers=workers)
 
+    @pytest.mark.parametrize("bad", [5, None, "no", 1])
+    def test_budgets_and_search_quadratic_are_type_checked(self, bad):
+        # neither may reach the engine: "no" would switch the order search on
+        with pytest.raises(ValueError, match=f"budgets must be an EngineBudgets, got {bad!r}"):
+            VerifyConfig(budgets=bad)
+        with pytest.raises(ValueError, match=f"search_quadratic must be a bool, got {bad!r}"):
+            VerifyConfig(search_quadratic=bad)
+
 
 class TestSweep:
     def test_sweep3_counts(self):
