@@ -40,11 +40,26 @@ scan stops at its first divisor or past the best index found so far; the
 smallest index found is the first divisible lead in append order, as
 before. The first rule whose lead is 1 divides everything; every step
 starts from it.
+
+``s_pair(i, j, budget)`` reduces the S-pair of rules ``i`` and ``j``, by
+append index, without a monomial leaving the packed form. The lcm of the
+two leads takes three operations on the packed ints: ``ge = ((a | G) -
+b) & G`` marks the fields where ``a >= b``, ``full = (ge - (ge >> 15)) |
+ge`` widens each mark to its whole field, and ``lcm = (a & full) | (b &
+~full)``. A cofactor ``tail + lcm - lead`` cannot carry out of a field,
+whose value is at most 0x7FFF + 0x7FFF; past ``MAX_EXPONENT`` it sets
+the guard bit. The first cofactor is rewritten to its normal form ``A``
+and the second until its chain reaches ``A``, each under ``budget``, as
+``normal_form`` and then ``normal_form_until`` would; errors name the
+cofactor tuple and come in the same order. The result is ``()`` when the
+pair reduces to zero, the two normal forms as tuples otherwise, and None
+past the budget.
 """
 
 import struct
 import sys
 from array import array
+from operator import index
 
 from polyprime.errors import LimitExceededError
 
@@ -57,13 +72,14 @@ _BYTEORDER = sys.byteorder
 
 
 class Basis:
-    __slots__ = ("nvars", "size", "buckets", "keys", "unit", "guard", "ones", "nbytes", "fields")
+    __slots__ = ("nvars", "size", "rules", "buckets", "keys", "unit", "guard", "ones", "nbytes", "fields")
 
     def __init__(self, nvars):
         if not 0 <= nvars <= MAX_NVARS:
             raise ValueError(f"nvars must be in 0..{MAX_NVARS}")
         self.nvars = nvars
         self.size = 0
+        self.rules = []  # (append index, lead, tail) by append index
         self.buckets = {}  # key -> [(append index, lead, tail), ...] in append order
         self.keys = 0  # the guard bits of the keys that have a bucket
         self.unit = None  # (append index, lead, tail) of the first rule whose lead is 1
@@ -95,6 +111,9 @@ class Basis:
                 f"exponent of {tuple(mono)} outside the kernel limit 0..{MAX_EXPONENT}")
         return packed
 
+    def _unpack(self, m):
+        return self.fields.unpack(m.to_bytes(self.nbytes, _BYTEORDER))
+
     def append(self, lead, tail):
         rule = (self.size, self._pack(lead), self._pack(tail))
         g = self.guard
@@ -105,22 +124,58 @@ class Basis:
             self.buckets.setdefault(low.bit_length(), []).append(rule)
         elif self.unit is None:
             self.unit = rule
+        self.rules.append(rule)
         self.size += 1
 
     def normal_form(self, mono, budget):
         """Fully rewrite ``mono``; returns None if ``budget`` steps were not enough."""
-        return self._rewrite(self._pack(mono), budget, -1, mono, None)  # no packed monomial is -1
+        m = self._rewrite(self._pack(mono), budget, -1, mono)  # no packed monomial is -1
+        return None if m is None else self._unpack(m)
 
     def normal_form_until(self, mono, budget, target):
         """``normal_form(mono, budget)``, but returns ``target`` once the chain reaches it."""
-        return self._rewrite(self._pack(mono), budget, self._pack(target), mono, target)
+        m, t = self._pack(mono), self._pack(target)  # the monomial is checked first
+        m = self._rewrite(m, budget, t, mono)
+        if m is None:
+            return None
+        return target if m == t else self._unpack(m)
 
-    def _rewrite(self, m, budget, t, mono, target):
+    def s_pair(self, i, j, budget):
+        """The S-pair of rules ``i`` and ``j`` reduced: ``()`` for zero, else
+        the normal forms of its two cofactors; None past the budget."""
+        i, j = index(i), index(j)  # the TypeError of a non-int that the compiled kernel raises too
+        if not (0 <= i < self.size and 0 <= j < self.size):
+            raise IndexError("rule index out of range")
+        _, a, tail_a = self.rules[i]
+        _, b, tail_b = self.rules[j]
+        g = self.guard
+        ge = ((a | g) - b) & g  # the guard bits of the fields where a >= b
+        full = (ge - (ge >> 15)) | ge
+        lcm = (a & full) | (b & ~full)
+        m = self._rewrite(self._cofactor(tail_a + lcm - a), budget, -1, None)
+        if m is None:
+            return None
+        n = self._rewrite(self._cofactor(tail_b + lcm - b), budget, m, None)
+        if n is None:
+            return None
+        return () if n == m else (self._unpack(m), self._unpack(n))
+
+    def _cofactor(self, m):
+        if m & self.guard:
+            raise LimitExceededError(
+                f"exponent of {self._unpack(m)} outside the kernel limit 0..{MAX_EXPONENT}")
+        return m
+
+    def _rewrite(self, m, budget, t, mono):
+        """Rewrite packed ``m`` until no lead divides it or it equals ``t``;
+        None past the budget. ``mono`` names the start in the error, or None
+        for the tuple of ``m``."""
         buckets = self.buckets
         g = self.guard
         ones = self.ones
         keys = self.keys
         first = self.unit or (self.size, None, None)  # no index reaches self.size
+        start = m
         steps = 0
         while m != t:
             mg = m | g
@@ -136,12 +191,13 @@ class Basis:
                         best, lead, tail = i, bl, bt
                         break
             if lead is None:
-                return self.fields.unpack(m.to_bytes(self.nbytes, _BYTEORDER))
+                return m
             if steps >= budget:
                 return None
             steps += 1
             m = m - lead + tail
             if m & g:
+                named = tuple(mono) if mono is not None else self._unpack(start)
                 raise LimitExceededError(
-                    f"rewriting {tuple(mono)} pushed an exponent past the kernel limit {MAX_EXPONENT}")
-        return target
+                    f"rewriting {named} pushed an exponent past the kernel limit {MAX_EXPONENT}")
+        return m

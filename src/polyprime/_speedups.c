@@ -4,10 +4,12 @@
    rewrites with the first divisible lead in append order, restarting after
    every hit, until no lead divides or the step budget is spent (None).
    normal_form_until walks the same chain and returns its target once the
-   chain reaches it. An exponent outside 0..MAX_EXPONENT, given or made by a
-   rewrite, raises LimitExceededError and a wrong width raises ValueError,
-   with the pure kernel's messages; the monomial is checked before the
-   target. */
+   chain reaches it. s_pair(i, j, budget) forms the two lcm cofactors of
+   rules i and j in place and reduces them as normal_form and then
+   normal_form_until would, with no tuple in between. An exponent outside
+   0..MAX_EXPONENT, given or made by a rewrite, raises LimitExceededError
+   and a wrong width raises ValueError, with the pure kernel's messages;
+   the monomial is checked before the target. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -18,6 +20,8 @@
 #define FASTCALL(f) (PyCFunction)(void (*)(void))(f), METH_FASTCALL
 
 static const char WIDTH_MESSAGE[] = "exponent tuple has wrong length";
+static const char LIMIT_FORMAT[] = "exponent of %R outside the kernel limit 0..%d";
+static const char REWRITE_FORMAT[] = "rewriting %R pushed an exponent past the kernel limit %d";
 static PyObject *LimitExceededError;  /* polyprime.errors.LimitExceededError */
 
 static PyObject *error(PyObject *type, const char *message) { PyErr_SetString(type, message); return NULL; }
@@ -73,7 +77,7 @@ static int fill(int *dst, PyObject *mono, Py_ssize_t n) {
         long e = PyLong_AsLongAndOverflow(PySequence_Fast_GET_ITEM(seq, i), &overflow);
         ok = !(e == -1 && PyErr_Occurred());
         if (ok && (overflow || e < 0 || e > MAX_EXPONENT)) {
-            limit_error("exponent of %R outside the kernel limit 0..%d", mono);
+            limit_error(LIMIT_FORMAT, mono);
             ok = 0;
         }
         dst[i] = (int)e;
@@ -99,36 +103,48 @@ static PyObject *Basis_append(BasisObject *self, PyObject *const *args, Py_ssize
     Py_RETURN_NONE;
 }
 
-/* Rewrite m in place: the normal form as a tuple, None past the budget, or
-   target (new reference) once m equals t, when t is not NULL. */
-static PyObject *rewrite(BasisObject *self, int *m, long long budget, PyObject *mono,
-                         const int *t, PyObject *target) {
+enum { NORMAL, REACHED, OVER_BUDGET, OVER_LIMIT };
+
+/* Rewrite m in place until no lead divides it (NORMAL) or, when t is not
+   NULL, it equals t (REACHED); OVER_BUDGET once budget steps are spent,
+   OVER_LIMIT once a rewrite pushes an exponent past MAX_EXPONENT. */
+static int rewrite(BasisObject *self, int *m, long long budget, const int *t) {
     Py_ssize_t n = self->nvars, k;
     long long steps = 0;
-    if (t != NULL && memcmp(m, t, n * sizeof(int)) == 0) goto reached;
+    if (t != NULL && memcmp(m, t, n * sizeof(int)) == 0) return REACHED;
     for (Py_ssize_t i = 0; i < self->count; i++) {
         const int *lead = self->rules + i * 2 * n, *tail = lead + n;
         for (k = 0; k < n && lead[k] <= m[k]; k++) {}
         if (k < n) continue;
-        if (steps++ >= budget) Py_RETURN_NONE;
+        if (steps++ >= budget) return OVER_BUDGET;
         int over = 0;
         for (k = 0; k < n; k++) {
             m[k] += tail[k] - lead[k];
             over |= m[k] > MAX_EXPONENT;
         }
-        if (over) return limit_error("rewriting %R pushed an exponent past the kernel limit %d", mono);
-        if (t != NULL && memcmp(m, t, n * sizeof(int)) == 0) goto reached;
+        if (over) return OVER_LIMIT;
+        if (t != NULL && memcmp(m, t, n * sizeof(int)) == 0) return REACHED;
         i = -1;  /* restart the scan */
     }
+    return NORMAL;
+}
+
+/* A new tuple of the n exponents at m. */
+static PyObject *as_tuple(const int *m, Py_ssize_t n) {
     PyObject *out = PyTuple_New(n);
-    for (k = 0; out != NULL && k < n; k++) {
+    for (Py_ssize_t k = 0; out != NULL && k < n; k++) {
         PyTuple_SET_ITEM(out, k, PyLong_FromLong(m[k]));  /* a tuple frees a NULL item safely */
         if (PyTuple_GET_ITEM(out, k) == NULL) Py_CLEAR(out);
     }
     return out;
-reached:
-    Py_INCREF(target);
-    return target;
+}
+
+/* limit_error naming the tuple of the n exponents at m; NULL. */
+static PyObject *limit_error_at(const char *format, const int *m, Py_ssize_t n) {
+    PyObject *mono = as_tuple(m, n);
+    if (mono != NULL) limit_error(format, mono);
+    Py_XDECREF(mono);
+    return NULL;
 }
 
 /* A new buffer holding the exponents of mono, or NULL with the pure kernel's
@@ -145,17 +161,31 @@ static int *exponents(PyObject *mono, Py_ssize_t n) {
     return dst;
 }
 
+/* The step budget in obj, clamped to the range of long long; -1 on error. */
+static int get_budget(PyObject *obj, long long *budget) {
+    int overflow;
+    *budget = PyLong_AsLongLongAndOverflow(obj, &overflow);
+    if (*budget == -1 && PyErr_Occurred()) return -1;
+    if (overflow) *budget = overflow > 0 ? LLONG_MAX : LLONG_MIN;
+    return 0;
+}
+
 /* normal_form(mono, budget) for nargs == 2, normal_form_until(mono, budget,
    target) for nargs == 3; the monomial is checked before the target. */
 static PyObject *normal_form(BasisObject *self, PyObject *const *args, Py_ssize_t nargs) {
-    int overflow;
-    long long budget = PyLong_AsLongLongAndOverflow(args[1], &overflow);
-    if (budget == -1 && PyErr_Occurred()) return NULL;
-    if (overflow) budget = overflow > 0 ? LLONG_MAX : LLONG_MIN;
+    long long budget;
+    if (get_budget(args[1], &budget) < 0) return NULL;
     Py_ssize_t n = self->nvars;
     PyObject *target = nargs == 3 ? args[2] : NULL, *out = NULL;
     int *m = exponents(args[0], n), *t = m != NULL && target != NULL ? exponents(target, n) : NULL;
-    if (m != NULL && (target == NULL || t != NULL)) out = rewrite(self, m, budget, args[0], t, target);
+    if (m != NULL && (target == NULL || t != NULL)) {
+        switch (rewrite(self, m, budget, t)) {
+        case NORMAL: out = as_tuple(m, n); break;
+        case REACHED: out = Py_NewRef(target); break;
+        case OVER_BUDGET: out = Py_NewRef(Py_None); break;
+        default: limit_error(REWRITE_FORMAT, args[0]);
+        }
+    }
     PyMem_Free(m);
     PyMem_Free(t);
     return out;
@@ -171,11 +201,71 @@ static PyObject *Basis_normal_form_until(BasisObject *self, PyObject *const *arg
     return normal_form(self, args, nargs);
 }
 
+/* Write tail + lcm(lead, other) - lead to dst; nonzero if an exponent
+   passes MAX_EXPONENT (each is at most 2 * MAX_EXPONENT, so none wraps). */
+static int cofactor(int *dst, const int *lead, const int *tail, const int *other, Py_ssize_t n) {
+    int over = 0;
+    for (Py_ssize_t k = 0; k < n; k++) {
+        dst[k] = tail[k] + (other[k] > lead[k] ? other[k] - lead[k] : 0);
+        over |= dst[k] > MAX_EXPONENT;
+    }
+    return over;
+}
+
+/* s_pair(i, j, budget): the S-pair of rules i and j by append index. The
+   cofactor of i is rewritten to its normal form a, then that of j until it
+   reaches a, each under budget, as normal_form and normal_form_until would:
+   () if they meet, else (a, b); None past the budget. An exponent past the
+   limit, in a cofactor or made by a rewrite, names the cofactor, which
+   start holds while its side is reduced. */
+static PyObject *Basis_s_pair(BasisObject *self, PyObject *const *args, Py_ssize_t nargs) {
+    if (nargs != 3) return error(PyExc_TypeError, "s_pair(i, j, budget) takes three arguments");
+    Py_ssize_t n = self->nvars, i = PyNumber_AsSsize_t(args[0], NULL), j;
+    if (i == -1 && PyErr_Occurred()) return NULL;
+    j = PyNumber_AsSsize_t(args[1], NULL);
+    if (j == -1 && PyErr_Occurred()) return NULL;
+    if (i < 0 || i >= self->count || j < 0 || j >= self->count)
+        return error(PyExc_IndexError, "rule index out of range");
+    long long budget;
+    if (get_budget(args[2], &budget) < 0) return NULL;
+    int *start = PyMem_Malloc(3 * n * sizeof(int) + 1), *a = start + n, *b = a + n;
+    if (start == NULL) return PyErr_NoMemory();
+    const int *lead_i = self->rules + i * 2 * n, *lead_j = self->rules + j * 2 * n;
+    PyObject *out = NULL;
+    int status = NORMAL;
+    for (int side = 0; side < 2 && status == NORMAL; side++) {
+        const int *lead = side ? lead_j : lead_i;
+        if (cofactor(start, lead, lead + n, side ? lead_i : lead_j, n)) {
+            limit_error_at(LIMIT_FORMAT, start, n);
+            status = -1;
+        } else {
+            memcpy(side ? b : a, start, n * sizeof(int));
+            status = rewrite(self, side ? b : a, budget, side ? a : NULL);
+        }
+    }
+    if (status == REACHED) {
+        out = PyTuple_New(0);
+    } else if (status == NORMAL) {
+        PyObject *ta = as_tuple(a, n), *tb = ta != NULL ? as_tuple(b, n) : NULL;
+        out = tb != NULL ? PyTuple_Pack(2, ta, tb) : NULL;
+        Py_XDECREF(ta);
+        Py_XDECREF(tb);
+    } else if (status == OVER_BUDGET) {
+        out = Py_NewRef(Py_None);
+    } else if (status == OVER_LIMIT) {
+        limit_error_at(REWRITE_FORMAT, start, n);
+    }
+    PyMem_Free(start);
+    return out;
+}
+
 static PyMethodDef Basis_methods[] = {
     {"append", FASTCALL(Basis_append), "append(lead, tail): add the rule lead -> tail."},
     {"normal_form", FASTCALL(Basis_normal_form), "normal_form(mono, budget): the normal form, or None."},
     {"normal_form_until", FASTCALL(Basis_normal_form_until),
      "normal_form_until(mono, budget, target): target once the rewrite chain reaches it, else as normal_form."},
+    {"s_pair", FASTCALL(Basis_s_pair),
+     "s_pair(i, j, budget): the S-pair of rules i and j reduced: () if zero, else its two normal forms, or None."},
     {NULL},
 };
 

@@ -98,6 +98,14 @@ class Reducer:
             raise BudgetExceededError(f"reduction step budget {self.steps} exhausted")
         return out
 
+    def s_pair(self, i, j):
+        """The S-pair of rules ``i`` and ``j`` reduced: ``()`` if it is zero,
+        else the normal forms of its two cofactors (``Basis.s_pair``)."""
+        out = self.kb.s_pair(i, j, self.steps)
+        if out is None:
+            raise BudgetExceededError(f"reduction step budget {self.steps} exhausted")
+        return out
+
     def divisible(self, mono):
         """True iff some lead divides ``mono``: budget 0 stops at the first rewrite."""
         return self.kb.normal_form(mono, 0) is None
@@ -156,15 +164,6 @@ def _groebner(gens, order, budgets, max_degree=None):
                 shared += x if x < y else y
             heapq.heappush(pairs, (degrees[i] + deg - shared, i, k))
 
-    def cofactor_times(tail, lead, other, other_support):
-        """tail * lcm(lead, other) / lead: add the positive part of other - lead."""
-        out = list(tail)
-        for v in other_support:
-            d = other[v] - lead[v]
-            if d > 0:
-                out[v] += d
-        return tuple(out)
-
     pairs = []
     for g in gens:
         if g is ZERO:
@@ -179,16 +178,14 @@ def _groebner(gens, order, budgets, max_degree=None):
         processed += 1
         if processed > budgets.pairs:
             raise BudgetExceededError(f"S-pair budget {budgets.pairs} exhausted")
-        lead_i, tail_i = basis[i]
-        lead_j, tail_j = basis[j]
-        # S-binomial of (lead_i - tail_i, lead_j - tail_j): both lcm cofactors applied
-        a = red.monomial(cofactor_times(tail_i, lead_i, lead_j, supports[j]))
-        # a zero pair stops where the second chain meets a, without a
-        # second scan proving irreducibility
-        b = red.monomial_until(cofactor_times(tail_j, lead_j, lead_i, supports[i]), a)
+        # S-binomial of rules i and j: the kernel applies both lcm cofactors,
+        # rewrites the first to its normal form a and the second only until
+        # its chain meets a, with no second scan proving a irreducible
+        reduced = red.s_pair(i, j)
         # a and b are normal forms modulo every lead so far, so the new lead
         # is divisible by none of them and cannot repeat an element
-        if a != b:
+        if reduced:
+            a, b = reduced
             if max_degree is not None:
                 degree = max(sum(a), sum(b))
                 if degree > max_degree:

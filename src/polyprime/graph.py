@@ -28,15 +28,19 @@ def chordless_cycles(graph, min_len=4, max_len=None):
     From each start vertex s the search grows induced paths through higher
     ids, lowest set bit of ``graph.adjacency`` first. A search that takes
     more than ``CYCLE_BUDGET`` paths off its stack raises LimitExceededError.
+    The lengths are checked at the call, and the search runs as the
+    returned iterator is read.
     """
     if min_len < 4:
         raise ValueError("min_len must be at least 4")
     if max_len is not None and max_len < 4:
         raise ValueError(
             f"max_len must be at least 4, the length of the shortest chordless cycle, got {max_len}")
+    return _chordless_cycles(graph, min_len, len(graph.adjacency) if max_len is None else max_len)
+
+
+def _chordless_cycles(graph, min_len, max_len):
     masks = graph.adjacency
-    if max_len is None:
-        max_len = len(masks)
     if max_len < min_len:
         return
     budget = CYCLE_BUDGET

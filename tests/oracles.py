@@ -526,6 +526,31 @@ def tuple_normal_form(rules, mono, budget, target=None):
     return m
 
 
+def tuple_cofactors(rules, i, j):
+    """The two cofactors of the S-pair of rules i and j: tail * lcm(lead_i, lead_j) / lead."""
+    (lead_i, tail_i), (lead_j, tail_j) = rules[i], rules[j]
+    lcm = [x if x > y else y for x, y in zip(lead_i, lead_j)]
+    return (tuple(c - x + t for c, x, t in zip(lcm, lead_i, tail_i)),
+            tuple(c - y + t for c, y, t in zip(lcm, lead_j, tail_j)))
+
+
+def tuple_s_pair(rules, i, j, budget):
+    """The kernel's ``s_pair`` on plain tuples, exponent limits aside.
+
+    The first cofactor is rewritten to its normal form a, the second until
+    its chain reaches a, each under ``budget``: () if it does, else (a, b);
+    None past the budget.
+    """
+    first, second = tuple_cofactors(rules, i, j)
+    a = tuple_normal_form(rules, first, budget)
+    if a is None:
+        return None
+    b = tuple_normal_form(rules, second, budget, a)
+    if b is None:
+        return None
+    return () if b == a else (a, b)
+
+
 def tuple_rewrite_chain(rules, mono):
     """Every monomial the rewrite of ``mono`` passes through, ``mono`` first, its normal form last."""
     chain = [tuple(mono)]
@@ -588,11 +613,10 @@ def dense_buchberger(gens, order, budgets=DEFAULT_BUDGETS):
         processed += 1
         if processed > budgets.pairs:
             raise BudgetExceededError(f"S-pair budget {budgets.pairs} exhausted")
-        lead_i, tail_i = basis[i]
-        lead_j, tail_j = basis[j]
         # S-binomial of (lead_i - tail_i, lead_j - tail_j): both lcm cofactors applied
-        a = nf(tuple((y if y > x else x) - x + t for x, y, t in zip(lead_i, lead_j, tail_i)))
-        b = nf(tuple((y if y > x else x) - y + t for x, y, t in zip(lead_i, lead_j, tail_j)), a)
+        first, second = tuple_cofactors(basis, i, j)
+        a = nf(first)
+        b = nf(second, a)
         if a == b:
             continue
         c = kern.compare(order, a, b)

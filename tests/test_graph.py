@@ -94,6 +94,15 @@ class TestChordlessCycles:
             m + n, {(p, m + q) for p, q in pairs}, 4, m + n))
         assert ours == brute
 
+    @pytest.mark.parametrize("lengths, message", [
+        ({"min_len": 3}, "min_len must be at least 4"),
+        ({"max_len": 3}, "max_len must be at least 4, the length of the shortest chordless cycle, got 3"),
+    ], ids=["min_len", "max_len"])
+    def test_lengths_rejected_before_iteration(self, lengths, message):
+        # the call raises: a caller that hands the iterator on gets no late error
+        with pytest.raises(ValueError, match=message):
+            chordless_cycles(k33(), **lengths)
+
     def test_budget_exhaustion_raises(self, monkeypatch):
         # the search reads the budget when it starts
         monkeypatch.setattr(graph_module, "CYCLE_BUDGET", 2)

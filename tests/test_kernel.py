@@ -19,7 +19,7 @@ import oracles
 import polyprime
 from polyprime import _kernel_py as pure, buchberger, build_interval_graph, grid_variables, inner_minors, kernel
 from polyprime import parse_grid
-from polyprime.algebra import EngineBudgets, named_ranking, toric_ideal_elimination
+from polyprime.algebra import EngineBudgets, ideal_equal_paths, named_ranking, toric_ideal_elimination
 from polyprime.binomials import (
     Binomial, MonomialOrder, block_order, compare, default_grid_order, degrevlex_order, mono_from_indices,
     order_key)
@@ -143,13 +143,15 @@ def test_engine_calls_kernel_through_module_attributes(monkeypatch, annulus):
         return wrapper
 
     monkeypatch.setattr(kern, "compare", counted("compare", kern.compare))
-    methods = ("normal_form", "normal_form_until")
+    methods = ("append", "s_pair", "normal_form", "normal_form_until")
     if kern.Basis is pure.Basis:
         # a compiled extension type's methods cannot be replaced
         for name in methods:
             monkeypatch.setattr(kern.Basis, name, counted(name, getattr(kern.Basis, name)))
     gvars = grid_variables(annulus)
-    buchberger(inner_minors(annulus, gvars), default_grid_order(gvars))
+    gb = buchberger(inner_minors(annulus, gvars), default_grid_order(gvars))
+    # membership reduces with normal_form_until, which the pair loop no longer calls
+    ideal_equal_paths(gb, gb)
     assert counts["compare"] > 0
     if kern.Basis is pure.Basis:
         assert all(counts[name] > 0 for name in methods)
@@ -184,21 +186,31 @@ def traced_engine(engine, gens, order, budgets):
 
     Wraps the kernel attributes the way perfbench's tracer does; the
     compiled kernel's Basis methods cannot be replaced, so there only
-    ``compare`` is logged.
+    ``compare`` is logged. A Basis call is logged with the number of its
+    basis, in order of first use, its arguments and its result.
     """
     kern = kernel.get_kernel()
-    calls = []
+    calls, bases = [], []
+    compare_ = kern.compare
+
+    def logged_compare(order, a, b):
+        calls.append(("compare", a, b))
+        return compare_(order, a, b)
 
     def logged(name, fn):
-        def wrapper(*args):
-            calls.append((name,) + args[1:])
-            return fn(*args)
+        def wrapper(self, *args):
+            number = next((k for k, b in enumerate(bases) if b is self), len(bases))
+            if number == len(bases):
+                bases.append(self)
+            out = fn(self, *args)
+            calls.append((name, number) + args + (out,))
+            return out
         return wrapper
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(kern, "compare", logged("compare", kern.compare))
+        mp.setattr(kern, "compare", logged_compare)
         if kern.Basis is pure.Basis:
-            for name in ("append", "normal_form", "normal_form_until"):
+            for name in ("append", "s_pair", "normal_form", "normal_form_until"):
                 mp.setattr(kern.Basis, name, logged(name, getattr(kern.Basis, name)))
         try:
             out = engine(gens, order, budgets=budgets).elements
@@ -207,12 +219,40 @@ def traced_engine(engine, gens, order, budgets):
     return out, calls
 
 
+def popped_pairs(calls):
+    """``calls`` with every popped pair as one ("s_pair", basis, result) entry.
+
+    The engine's ``s_pair`` entry keeps its result. The dense engine's pair
+    loop makes a ``normal_form`` call on its first basis and, unless that
+    ran out of budget, a ``normal_form_until`` call towards its result;
+    the two fold into the result ``s_pair`` would give.
+    """
+    out = []
+    calls = iter(calls)
+    for call in calls:
+        if call[0] == "s_pair":
+            call = call[:2] + call[-1:]
+        elif call[:2] == ("normal_form", 0):
+            a = call[-1]
+            if a is not None:
+                until = next(calls)
+                assert until[:2] == ("normal_form_until", 0) and until[-2] is a
+                b = until[-1]
+                a = None if b is None else () if b == a else (a, b)
+            call = ("s_pair", 0, a)
+        out.append(call)
+    return out
+
+
 def assert_same_engine_run(gens, order, budgets):
     got, got_calls = traced_engine(buchberger, gens, order, budgets)
     want, want_calls = traced_engine(oracles.dense_buchberger, gens, order, budgets)
     assert got == want
-    # the same calls with the same arguments in the same order, so the same counts
-    assert got_calls == want_calls
+    # every pair's s_pair result is the dense pair loop's two normal forms,
+    # and append, compare and the inter-reduction's calls match one for one
+    assert popped_pairs(got_calls) == popped_pairs(want_calls)
+    # the engine hands the kernel its per-normal-form budget on every pair
+    assert all(call[4] == budgets.reduction_steps for call in got_calls if call[0] == "s_pair")
 
 
 @settings(max_examples=200, deadline=None)
@@ -527,6 +567,111 @@ def test_normal_form_until_identical_across_kernels(fast, system, data):
         assert got == outcome(fb.normal_form_until, bad_mono, steps, target)
 
 
+@st.composite
+def s_pair_systems(draw, exponents=st.integers(0, 5)):
+    """(rules, i, j): at least one rule in up to 6 variables, oriented by degrevlex, and two rule indices."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    monos = st.tuples(*[exponents] * n)
+    rules = []
+    for a, b in draw(st.lists(st.tuples(monos, monos).filter(lambda t: t[0] != t[1]), min_size=1, max_size=6)):
+        rules.append((a, b) if oracles.direct_degrevlex(a, b, range(n)) > 0 else (b, a))
+    index = st.integers(0, len(rules) - 1)
+    return rules, draw(index), draw(index)
+
+
+@settings(max_examples=300, deadline=None)
+@given(s_pair_systems())
+def test_python_s_pair_matches_tuple_oracle(system):
+    rules, i, j = system
+    basis = built(pure, rules, len(rules[0][0]))
+    # every budget from 0 up, through the first one that completes both sides
+    budget = 0
+    while True:
+        got = basis.s_pair(i, j, budget)
+        assert got == oracles.tuple_s_pair(rules, i, j, budget)
+        if got is not None:
+            break
+        budget += 1
+    if got:
+        # the normal forms of the two cofactors, which differ
+        first, second = oracles.tuple_cofactors(rules, i, j)
+        assert got == (basis.normal_form(first, budget), basis.normal_form(second, budget))
+        assert got[0] != got[1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(s_pair_systems(exponents=st.sampled_from((0, 1, 2, 3) * 3 + (32766, 32767))), st.data())
+def test_s_pair_identical_across_kernels(fast, system, data):
+    # exponents at the kernel limit make cofactors and rewrites overflow;
+    # indices outside the basis raise; both kernels must agree on all of it
+    rules, i, j = system
+    n = len(rules[0][0])
+    pb, fb = built(pure, rules, n), built(fast, rules, n)
+    index = st.integers(-2, len(rules) + 1)
+    pairs = [(i, j), (j, i), (data.draw(index), data.draw(index))]
+    for a, b in pairs:
+        for budget in (0, 1, 2, 3, 5, 8, 100):
+            got = outcome(pb.s_pair, a, b, budget)
+            assert got == outcome(fb.s_pair, a, b, budget)
+    assert len(pb) == len(fb) == len(rules)
+
+
+def test_s_pair_edges(kern):
+    # x^2 -> y, x y -> z, y^2 -> z^2 in (x, y, z): S(0, 1) has the cofactors
+    # y^2, one step from z^2, and x z, already reduced
+    rules = [((2, 0, 0), (0, 1, 0)), ((1, 1, 0), (0, 0, 1)), ((0, 2, 0), (0, 0, 2))]
+    basis = built(kern, rules, 3)
+    cases = [
+        (0, 1, 0, None),  # the first side runs out of budget
+        (0, 1, 1, ((0, 0, 2), (1, 0, 1))),
+        (1, 0, 0, None),  # x z is reduced; the second side runs out of budget
+        (1, 0, 1, ((1, 0, 1), (0, 0, 2))),
+        (2, 2, 0, ()),    # a rule with itself: one irreducible cofactor, zero
+        (1, 2, 5, ((0, 1, 1), (1, 0, 2))),  # z y and z^2 x, both reduced
+    ]
+    for i, j, budget, want in cases:
+        assert basis.s_pair(i, j, budget) == oracles.tuple_s_pair(rules, i, j, budget) == want
+    # a rule repeated: its S-pair with the first copy is zero
+    twice = built(kern, rules[:1] * 2, 3)
+    assert twice.s_pair(0, 1, 0) == twice.s_pair(1, 0, 10) == ()
+    for i, j in ((3, 0), (0, 3), (-1, 0), (0, -1), (2 ** 70, 0)):
+        assert outcome(basis.s_pair, i, j, 10) == (IndexError, "rule index out of range")
+    assert outcome(kern.Basis(3).s_pair, 0, 0, 10) == (IndexError, "rule index out of range")
+    # an index that is not an int raises the TypeError of Python's own index conversion
+    for bad in (1.0, "0", None):
+        expected = outcome(operator.index, bad)
+        assert outcome(basis.s_pair, bad, 0, 10) == outcome(basis.s_pair, 0, bad, 10) == expected
+    assert basis.s_pair(True, False, 1) == basis.s_pair(1, 0, 1)
+
+
+def test_s_pair_unit_lead(kern):
+    # a lead of 1 divides every cofactor, so only the budget ends the rewrite
+    rules = [((1, 0), (0, 1)), ((0, 0), (1, 1))]
+    basis = built(kern, rules, 2)
+    for i, j in ((0, 1), (1, 0), (1, 1)):
+        for budget in range(6):
+            assert basis.s_pair(i, j, budget) is None
+            assert oracles.tuple_s_pair(rules, i, j, budget) is None
+
+
+def test_s_pair_exponent_limit(kern):
+    limit = kern.MAX_EXPONENT
+    # x -> y^32767 and y z -> 1: the cofactor y^32767 * y z of rule 0 is past
+    # the limit, the cofactor x of rule 1 rewrites to y^32767 in one step
+    basis = built(kern, [((1, 0, 0), (0, limit, 0)), ((0, 1, 1), (0, 0, 0))], 3)
+    message = (LimitExceededError, f"exponent of (0, {limit + 1}, 1) outside the kernel limit 0..{limit}")
+    assert outcome(basis.s_pair, 0, 1, 0) == message  # the first cofactor is checked before any step
+    assert basis.s_pair(1, 0, 0) is None  # the first side runs out before the second is formed
+    assert outcome(basis.s_pair, 1, 0, 1) == message
+    # x -> z^32767 and x y -> x z: the cofactor x z of rule 1 rewrites past
+    # the limit after y z^32767, the cofactor of rule 0, is reduced
+    basis = built(kern, [((1, 0, 0), (0, 0, limit)), ((1, 1, 0), (1, 0, 1))], 3)
+    message = (LimitExceededError, f"rewriting (1, 0, 1) pushed an exponent past the kernel limit {limit}")
+    assert basis.s_pair(0, 1, 0) is None  # the second side needs a step
+    assert outcome(basis.s_pair, 0, 1, 1) == message
+    assert outcome(basis.s_pair, 1, 0, 1) == message
+
+
 def test_earliest_divisor_wins_across_buckets(kern):
     # the pure kernel files a rule under its lead's lowest variable and
     # scans x2's bucket before x0's: rules 0 and 1 share x0's bucket, rule 2
@@ -584,7 +729,8 @@ def wide_cases():
     ``oracles.tuple_normal_form``, over a sample of the monomials the engine
     rewrote with that system and products of two of its leads, whose
     supports span several variables and so several of the pure kernel's
-    lead buckets at once.
+    lead buckets at once; and from ``oracles.tuple_s_pair``, over a sample
+    of the pairs the engine reduced.
     """
     kern = kernel.get_kernel()
     real = kern.Basis
@@ -593,8 +739,8 @@ def wide_cases():
     class Recording:
         def __init__(self, nvars):
             self.basis = real(nvars)
-            self.rules, self.monos = [], []
-            systems.append((nvars, self.rules, self.monos))
+            self.rules, self.monos, self.pairs = [], [], []
+            systems.append((nvars, self.rules, self.monos, self.pairs))
 
         def append(self, lead, tail):
             self.rules.append((lead, tail))
@@ -608,6 +754,12 @@ def wide_cases():
             self.monos.append(mono)
             return self.basis.normal_form_until(mono, budget, target)
 
+        def s_pair(self, i, j, budget):
+            # the two cofactors the kernel forms for the pair
+            self.monos.extend(oracles.tuple_cofactors(self.rules, i, j))
+            self.pairs.append((i, j))
+            return self.basis.s_pair(i, j, budget)
+
     for text in WIDE_SHAPES:
         systems = []
         poly = parse_grid(text)
@@ -615,7 +767,7 @@ def wide_cases():
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(kern, "Basis", Recording)
             toric_ideal_elimination(build_interval_graph(poly), gvars, default_grid_order(gvars))
-        nvars, rules, monos = max(systems, key=lambda s: len(s[1]))
+        nvars, rules, monos, pairs = max(systems, key=lambda s: len(s[1]))
         rng = random.Random(text)
         distinct = sorted(set(monos))
         sample = rng.sample(distinct, min(25, len(distinct)))
@@ -633,6 +785,9 @@ def wide_cases():
                 for budget in sorted({max(k - 1, 0), k, steps}):
                     cases.append(("normal_form_until", (mono, budget, target),
                                   oracles.tuple_normal_form(rules, mono, budget, target)))
+        for i, j in rng.sample(pairs, 15):
+            for budget in (0, 1, 10 ** 6):
+                cases.append(("s_pair", (i, j, budget), oracles.tuple_s_pair(rules, i, j, budget)))
         out[text] = nvars, rules, cases
     return out
 
