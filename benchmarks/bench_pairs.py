@@ -13,8 +13,8 @@ not always fall on the same side. Both sides must report the same kernel.
 The record holds, per workload and end-to-end metric, each side's median
 and quartiles, the number of pairs the change won, the relative change
 of the medians and whether that change exceeds the parent's interquartile
-range; and, for every run, whether its outputs matched the reference and
-how many items failed.
+range; and, for every run, whether its outputs matched the reference,
+how many items failed and its value of each end-to-end metric.
 
 Usage, from the repository root:
 
@@ -145,7 +145,9 @@ def main():
                 kernels.add(result.get("kernel"))
                 run = {"workload": workload, "seed": seed, "side": side, "first": position == 0,
                        "correct": result["correct"], "attempted": result["attempted"],
-                       "failed": result["failed"]}
+                       "failed": result["failed"],
+                       "metrics": {name: result["metrics"][name]["value"]
+                                   for name in metrics_spec if name in result["metrics"]}}
                 if "error" in result:
                     run["error"] = result["error"]
                 runs.append(run)

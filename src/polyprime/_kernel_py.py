@@ -4,15 +4,21 @@ Monomials are tuples of non-negative ints (dense exponent vectors). A
 Basis holds oriented rewrite rules lead -> tail with lead > tail, with
 the same contract and the same surface (``BACKEND``, ``MAX_EXPONENT``,
 ``MAX_NVARS``, ``Basis``) as the compiled kernel in ``_speedups``; the
-caller orients each rule with ``binomials.compare``. ``normal_form``
-rewrites a monomial with the first divisible lead in append order,
-restarting the scan after every hit, until no lead divides.
-``normal_form_until`` rewrites the same chain but returns a given target
-as soon as the chain reaches it, so a caller holding an irreducible
-monomial learns whether another one reduces to it without the final scan
-that proves irreducibility. With budget 0, ``normal_form`` returns None
-exactly when some lead divides the monomial. Both kernels must produce
-bit-identical results; the engine picks whichever is available.
+caller orients each rule with ``binomials.compare``. A rewrite step uses
+the first divisible lead in append order. ``normal_form`` rewrites a
+monomial until no lead divides it. ``meet(m, n, budget)`` rewrites two
+monomials one step at a time in lockstep, ``n`` first in each round, and
+returns ``()`` as soon as either chain reaches the other's start or the
+monomial the other chain is at: rewriting is deterministic, so both then
+end at one normal form. Otherwise it runs both chains to their ends and
+returns ``()`` if the normal forms are equal, else both of them. It holds
+four monomials, each chain's start and current one, and no set of
+visited ones. Each side may take ``budget`` steps; the first side, in
+lockstep order, that needs one more makes the result None. The budget
+goes through ``operator.index`` before any other work (in ``s_pair``,
+right after the two indices), as in the compiled kernel. With budget 0, ``normal_form`` returns None exactly when some lead divides the
+monomial. Both kernels must produce bit-identical results; the engine
+picks whichever is available.
 
 A Basis stores each monomial packed into one Python int, after Monagan
 and Pearce's packed exponent vectors: variable ``i`` owns the 16-bit
@@ -48,12 +54,11 @@ b) & G`` marks the fields where ``a >= b``, ``full = (ge - (ge >> 15)) |
 ge`` widens each mark to its whole field, and ``lcm = (a & full) | (b &
 ~full)``. A cofactor ``tail + lcm - lead`` cannot carry out of a field,
 whose value is at most 0x7FFF + 0x7FFF; past ``MAX_EXPONENT`` it sets
-the guard bit. The first cofactor is rewritten to its normal form ``A``
-and the second until its chain reaches ``A``, each under ``budget``, as
-``normal_form`` and then ``normal_form_until`` would; errors name the
-cofactor tuple and come in the same order. The result is ``()`` when the
-pair reduces to zero, the two normal forms as tuples otherwise, and None
-past the budget.
+the guard bit. Both cofactors are formed and checked, that of ``i``
+first, and then met as ``meet`` would; errors name the cofactor tuple.
+The result is ``()`` when the pair reduces to zero, the two normal forms
+as tuples otherwise, and None past the budget. One loop, ``_meet``,
+makes every rewrite: ``normal_form`` is a meet with no second chain.
 """
 
 import struct
@@ -129,58 +134,61 @@ class Basis:
 
     def normal_form(self, mono, budget):
         """Fully rewrite ``mono``; returns None if ``budget`` steps were not enough."""
-        m = self._rewrite(self._pack(mono), budget, -1, mono)  # no packed monomial is -1
-        return None if m is None else self._unpack(m)
+        budget = index(budget)  # the TypeError of a non-int that the compiled kernel raises too
+        out = self._meet(self._pack(mono), -1, budget, mono, None)  # no packed monomial is -1
+        return None if out is None else self._unpack(out[0])
 
-    def normal_form_until(self, mono, budget, target):
-        """``normal_form(mono, budget)``, but returns ``target`` once the chain reaches it."""
-        m, t = self._pack(mono), self._pack(target)  # the monomial is checked first
-        m = self._rewrite(m, budget, t, mono)
-        if m is None:
-            return None
-        return target if m == t else self._unpack(m)
+    def meet(self, m, n, budget):
+        """Rewrite ``m`` and ``n`` in lockstep: ``()`` once the two chains
+        meet, else their two normal forms; None past the budget."""
+        budget = index(budget)
+        out = self._meet(self._pack(m), self._pack(n), budget, m, n)  # m is checked first
+        return out and (self._unpack(out[0]), self._unpack(out[1]))
 
     def s_pair(self, i, j, budget):
         """The S-pair of rules ``i`` and ``j`` reduced: ``()`` for zero, else
         the normal forms of its two cofactors; None past the budget."""
-        i, j = index(i), index(j)  # the TypeError of a non-int that the compiled kernel raises too
+        i, j = index(i), index(j)
         if not (0 <= i < self.size and 0 <= j < self.size):
             raise IndexError("rule index out of range")
+        budget = index(budget)
         _, a, tail_a = self.rules[i]
         _, b, tail_b = self.rules[j]
         g = self.guard
         ge = ((a | g) - b) & g  # the guard bits of the fields where a >= b
         full = (ge - (ge >> 15)) | ge
         lcm = (a & full) | (b & ~full)
-        m = self._rewrite(self._cofactor(tail_a + lcm - a), budget, -1, None)
-        if m is None:
-            return None
-        n = self._rewrite(self._cofactor(tail_b + lcm - b), budget, m, None)
-        if n is None:
-            return None
-        return () if n == m else (self._unpack(m), self._unpack(n))
-
-    def _cofactor(self, m):
-        if m & self.guard:
+        m, n = tail_a + lcm - a, tail_b + lcm - b
+        if (m | n) & g:  # name the first cofactor with an exponent past the limit
             raise LimitExceededError(
-                f"exponent of {self._unpack(m)} outside the kernel limit 0..{MAX_EXPONENT}")
-        return m
+                f"exponent of {self._unpack(m if m & g else n)} outside the kernel limit 0..{MAX_EXPONENT}")
+        out = self._meet(m, n, budget, None, None)
+        return out and (self._unpack(out[0]), self._unpack(out[1]))
 
-    def _rewrite(self, m, budget, t, mono):
-        """Rewrite packed ``m`` until no lead divides it or it equals ``t``;
-        None past the budget. ``mono`` names the start in the error, or None
-        for the tuple of ``m``."""
+    def _meet(self, m, n, budget, m_name, n_name):
+        """Rewrite packed ``m`` and ``n`` one step at a time, ``n`` first in
+        each round: ``()`` once either chain reaches the other's start or
+        current monomial, else the normal forms ``(m, n)``; None once a side
+        needs step ``budget + 1``. ``n`` is -1 to rewrite ``m`` alone.
+        ``m_name`` and ``n_name`` name each start in an error, or None for
+        its tuple."""
+        if m == n:
+            return ()
         buckets = self.buckets
         g = self.guard
         ones = self.ones
         keys = self.keys
         first = self.unit or (self.size, None, None)  # no index reaches self.size
-        start = m
-        steps = 0
-        while m != t:
-            mg = m | g
+        # x is the side to step next, started at x0 and stepped xs times; y is
+        # the other side, live until its chain ends
+        if n < 0:
+            x, x0, xs, y, y0, ys, live = m, m, 0, n, n, 0, False
+        else:
+            x, x0, xs, y, y0, ys, live = n, n, 0, m, m, 0, True
+        while True:
+            mg = x | g
             best, lead, tail = first
-            nz = (mg - ones) & keys  # the keys of m's nonzero fields
+            nz = (mg - ones) & keys  # the keys of x's nonzero fields
             while nz:
                 key = nz.bit_length()
                 nz ^= 1 << (key - 1)
@@ -191,13 +199,21 @@ class Basis:
                         best, lead, tail = i, bl, bt
                         break
             if lead is None:
-                return m
-            if steps >= budget:
-                return None
-            steps += 1
-            m = m - lead + tail
-            if m & g:
-                named = tuple(mono) if mono is not None else self._unpack(start)
-                raise LimitExceededError(
-                    f"rewriting {named} pushed an exponent past the kernel limit {MAX_EXPONENT}")
-        return m
+                if not live:
+                    return (x, y) if x0 == m else (y, x)
+                live = False
+            else:
+                if xs >= budget:
+                    return None
+                xs += 1
+                x = x - lead + tail
+                if x & g:
+                    named = m_name if x0 == m else n_name
+                    named = tuple(named) if named is not None else self._unpack(x0)
+                    raise LimitExceededError(
+                        f"rewriting {named} pushed an exponent past the kernel limit {MAX_EXPONENT}")
+                if x == y or x == y0:
+                    return ()
+                if not live:
+                    continue
+            x, x0, xs, y, y0, ys = y, y0, ys, x, x0, xs

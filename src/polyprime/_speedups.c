@@ -1,15 +1,16 @@
 /* Compiled rewrite kernel for the binomial Groebner engine, with the Basis
    contract of _kernel_py; monomial comparison lives only in _kernel_py. A
-   Basis holds rules lead -> tail in one flat C array, and normal_form
-   rewrites with the first divisible lead in append order, restarting after
-   every hit, until no lead divides or the step budget is spent (None).
-   normal_form_until walks the same chain and returns its target once the
-   chain reaches it. s_pair(i, j, budget) forms the two lcm cofactors of
-   rules i and j in place and reduces them as normal_form and then
-   normal_form_until would, with no tuple in between. An exponent outside
-   0..MAX_EXPONENT, given or made by a rewrite, raises LimitExceededError
-   and a wrong width raises ValueError, with the pure kernel's messages;
-   the monomial is checked before the target. */
+   Basis holds rules lead -> tail in one flat C array. Every rewrite goes
+   through meet_chains, which steps with the first divisible lead in append
+   order: normal_form walks one chain until no lead divides or the step
+   budget is spent (None); meet(m, n, budget) walks two in lockstep, n
+   first in each round, and returns () once either chain reaches the
+   other's start or current monomial, else both normal forms. s_pair(i, j,
+   budget) forms the two lcm cofactors of rules i and j in place and meets
+   them, with no tuple in between. An exponent outside 0..MAX_EXPONENT,
+   given or made by a rewrite, raises LimitExceededError and a wrong width
+   raises ValueError, with the pure kernel's messages; the budget is read
+   first, and m is checked before n. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -103,30 +104,51 @@ static PyObject *Basis_append(BasisObject *self, PyObject *const *args, Py_ssize
     Py_RETURN_NONE;
 }
 
-enum { NORMAL, REACHED, OVER_BUDGET, OVER_LIMIT };
-
-/* Rewrite m in place until no lead divides it (NORMAL) or, when t is not
-   NULL, it equals t (REACHED); OVER_BUDGET once budget steps are spent,
-   OVER_LIMIT once a rewrite pushes an exponent past MAX_EXPONENT. */
-static int rewrite(BasisObject *self, int *m, long long budget, const int *t) {
+/* The lead of the first rule that divides m, in append order, or NULL. */
+static const int *divisor(const BasisObject *self, const int *m) {
     Py_ssize_t n = self->nvars, k;
-    long long steps = 0;
-    if (t != NULL && memcmp(m, t, n * sizeof(int)) == 0) return REACHED;
     for (Py_ssize_t i = 0; i < self->count; i++) {
-        const int *lead = self->rules + i * 2 * n, *tail = lead + n;
+        const int *lead = self->rules + i * 2 * n;
         for (k = 0; k < n && lead[k] <= m[k]; k++) {}
-        if (k < n) continue;
-        if (steps++ >= budget) return OVER_BUDGET;
-        int over = 0;
-        for (k = 0; k < n; k++) {
-            m[k] += tail[k] - lead[k];
-            over |= m[k] > MAX_EXPONENT;
-        }
-        if (over) return OVER_LIMIT;
-        if (t != NULL && memcmp(m, t, n * sizeof(int)) == 0) return REACHED;
-        i = -1;  /* restart the scan */
+        if (k == n) return lead;
     }
-    return NORMAL;
+    return NULL;
+}
+
+static int same(const int *a, const int *b, Py_ssize_t n) { return memcmp(a, b, n * sizeof(int)) == 0; }
+
+enum { MET, APART, OVER_BUDGET, OVER_LIMIT_M, OVER_LIMIT_N };
+
+/* Rewrite m and n in place one step at a time, n first in each round, with
+   the first divisible lead: MET as soon as either chain reaches the other's
+   start (m0, n0) or current monomial, APART once both chains have ended
+   apart; OVER_BUDGET once a side needs step budget + 1, OVER_LIMIT_M or _N
+   once a rewrite of that side pushes an exponent past MAX_EXPONENT. With n
+   NULL, m is rewritten alone to its normal form (APART). */
+static int meet_chains(BasisObject *self, int *m, int *n, const int *m0, const int *n0, long long budget) {
+    Py_ssize_t w = self->nvars, k;
+    int *side[2] = {n, m};
+    const int *start[2] = {n0, m0};
+    long long steps[2] = {0, 0};
+    int live[2] = {n != NULL, 1};
+    if (n != NULL && same(m, n, w)) return MET;
+    for (int s = live[0] ? 0 : 1; live[0] || live[1]; s = live[1 - s] ? 1 - s : s) {
+        int *x = side[s], over = 0;
+        const int *lead = divisor(self, x), *tail;
+        if (lead == NULL) {
+            live[s] = 0;
+            continue;
+        }
+        tail = lead + w;
+        if (steps[s]++ >= budget) return OVER_BUDGET;
+        for (k = 0; k < w; k++) {
+            x[k] += tail[k] - lead[k];
+            over |= x[k] > MAX_EXPONENT;
+        }
+        if (over) return s ? OVER_LIMIT_M : OVER_LIMIT_N;
+        if (n != NULL && (same(x, side[1 - s], w) || same(x, start[1 - s], w))) return MET;
+    }
+    return APART;
 }
 
 /* A new tuple of the n exponents at m. */
@@ -170,35 +192,64 @@ static int get_budget(PyObject *obj, long long *budget) {
     return 0;
 }
 
-/* normal_form(mono, budget) for nargs == 2, normal_form_until(mono, budget,
-   target) for nargs == 3; the monomial is checked before the target. */
-static PyObject *normal_form(BasisObject *self, PyObject *const *args, Py_ssize_t nargs) {
+static PyObject *Basis_normal_form(BasisObject *self, PyObject *const *args, Py_ssize_t nargs) {
+    if (nargs != 2) return error(PyExc_TypeError, "normal_form(mono, budget) takes two arguments");
     long long budget;
     if (get_budget(args[1], &budget) < 0) return NULL;
     Py_ssize_t n = self->nvars;
-    PyObject *target = nargs == 3 ? args[2] : NULL, *out = NULL;
-    int *m = exponents(args[0], n), *t = m != NULL && target != NULL ? exponents(target, n) : NULL;
-    if (m != NULL && (target == NULL || t != NULL)) {
-        switch (rewrite(self, m, budget, t)) {
-        case NORMAL: out = as_tuple(m, n); break;
-        case REACHED: out = Py_NewRef(target); break;
+    int *m = exponents(args[0], n);
+    PyObject *out = NULL;
+    if (m != NULL) {
+        switch (meet_chains(self, m, NULL, NULL, NULL, budget)) {
+        case APART: out = as_tuple(m, n); break;
         case OVER_BUDGET: out = Py_NewRef(Py_None); break;
         default: limit_error(REWRITE_FORMAT, args[0]);
         }
     }
     PyMem_Free(m);
-    PyMem_Free(t);
     return out;
 }
 
-static PyObject *Basis_normal_form(BasisObject *self, PyObject *const *args, Py_ssize_t nargs) {
-    if (nargs != 2) return error(PyExc_TypeError, "normal_form(mono, budget) takes two arguments");
-    return normal_form(self, args, nargs);
+/* The result of meet_chains on m and n, started at m0 and n0: () if they
+   met, else (m, n) as tuples, or None past the budget. A rewrite past the
+   limit names m_name or n_name, or the tuple at m0 or n0 where that is NULL. */
+static PyObject *meet_result(BasisObject *self, int *m, int *n, const int *m0, const int *n0, long long budget,
+                             PyObject *m_name, PyObject *n_name) {
+    Py_ssize_t w = self->nvars;
+    int status = meet_chains(self, m, n, m0, n0, budget);
+    if (status == MET) return PyTuple_New(0);
+    if (status == OVER_BUDGET) return Py_NewRef(Py_None);
+    if (status == APART) {
+        PyObject *tm = as_tuple(m, w), *tn = tm != NULL ? as_tuple(n, w) : NULL;
+        PyObject *out = tn != NULL ? PyTuple_Pack(2, tm, tn) : NULL;
+        Py_XDECREF(tm);
+        Py_XDECREF(tn);
+        return out;
+    }
+    PyObject *name = status == OVER_LIMIT_M ? m_name : n_name;
+    if (name != NULL) return limit_error(REWRITE_FORMAT, name);
+    return limit_error_at(REWRITE_FORMAT, status == OVER_LIMIT_M ? m0 : n0, w);
 }
 
-static PyObject *Basis_normal_form_until(BasisObject *self, PyObject *const *args, Py_ssize_t nargs) {
-    if (nargs != 3) return error(PyExc_TypeError, "normal_form_until(mono, budget, target) takes three arguments");
-    return normal_form(self, args, nargs);
+/* meet(m, n, budget): the budget is checked first, then m, then n. */
+static PyObject *Basis_meet(BasisObject *self, PyObject *const *args, Py_ssize_t nargs) {
+    if (nargs != 3) return error(PyExc_TypeError, "meet(m, n, budget) takes three arguments");
+    long long budget;
+    if (get_budget(args[2], &budget) < 0) return NULL;
+    Py_ssize_t w = self->nvars;
+    PyObject *out = NULL;
+    int *m = exponents(args[0], w), *n = m != NULL ? exponents(args[1], w) : NULL;
+    int *starts = n != NULL ? PyMem_Malloc(2 * w * sizeof(int) + 1) : NULL;
+    if (n != NULL && starts == NULL) PyErr_NoMemory();
+    if (starts != NULL) {
+        memcpy(starts, m, w * sizeof(int));
+        memcpy(starts + w, n, w * sizeof(int));
+        out = meet_result(self, m, n, starts, starts + w, budget, args[0], args[1]);
+    }
+    PyMem_Free(m);
+    PyMem_Free(n);
+    PyMem_Free(starts);
+    return out;
 }
 
 /* Write tail + lcm(lead, other) - lead to dst; nonzero if an exponent
@@ -212,15 +263,13 @@ static int cofactor(int *dst, const int *lead, const int *tail, const int *other
     return over;
 }
 
-/* s_pair(i, j, budget): the S-pair of rules i and j by append index. The
-   cofactor of i is rewritten to its normal form a, then that of j until it
-   reaches a, each under budget, as normal_form and normal_form_until would:
-   () if they meet, else (a, b); None past the budget. An exponent past the
-   limit, in a cofactor or made by a rewrite, names the cofactor, which
-   start holds while its side is reduced. */
+/* s_pair(i, j, budget): the S-pair of rules i and j by append index. Both
+   cofactors are formed and checked, that of i first, then meet_chains
+   reduces them as meet would; an exponent past the limit, in a cofactor or
+   made by a rewrite, names the cofactor. */
 static PyObject *Basis_s_pair(BasisObject *self, PyObject *const *args, Py_ssize_t nargs) {
     if (nargs != 3) return error(PyExc_TypeError, "s_pair(i, j, budget) takes three arguments");
-    Py_ssize_t n = self->nvars, i = PyNumber_AsSsize_t(args[0], NULL), j;
+    Py_ssize_t w = self->nvars, i = PyNumber_AsSsize_t(args[0], NULL), j;
     if (i == -1 && PyErr_Occurred()) return NULL;
     j = PyNumber_AsSsize_t(args[1], NULL);
     if (j == -1 && PyErr_Occurred()) return NULL;
@@ -228,42 +277,27 @@ static PyObject *Basis_s_pair(BasisObject *self, PyObject *const *args, Py_ssize
         return error(PyExc_IndexError, "rule index out of range");
     long long budget;
     if (get_budget(args[2], &budget) < 0) return NULL;
-    int *start = PyMem_Malloc(3 * n * sizeof(int) + 1), *a = start + n, *b = a + n;
-    if (start == NULL) return PyErr_NoMemory();
-    const int *lead_i = self->rules + i * 2 * n, *lead_j = self->rules + j * 2 * n;
+    int *m0 = PyMem_Malloc(4 * w * sizeof(int) + 1), *n0 = m0 + w, *m = n0 + w, *n = m + w;
+    if (m0 == NULL) return PyErr_NoMemory();
+    const int *lead_i = self->rules + i * 2 * w, *lead_j = self->rules + j * 2 * w;
     PyObject *out = NULL;
-    int status = NORMAL;
-    for (int side = 0; side < 2 && status == NORMAL; side++) {
-        const int *lead = side ? lead_j : lead_i;
-        if (cofactor(start, lead, lead + n, side ? lead_i : lead_j, n)) {
-            limit_error_at(LIMIT_FORMAT, start, n);
-            status = -1;
-        } else {
-            memcpy(side ? b : a, start, n * sizeof(int));
-            status = rewrite(self, side ? b : a, budget, side ? a : NULL);
-        }
+    if (cofactor(m0, lead_i, lead_i + w, lead_j, w)) {
+        limit_error_at(LIMIT_FORMAT, m0, w);
+    } else if (cofactor(n0, lead_j, lead_j + w, lead_i, w)) {
+        limit_error_at(LIMIT_FORMAT, n0, w);
+    } else {
+        memcpy(m, m0, 2 * w * sizeof(int));  /* m and n follow m0 and n0 */
+        out = meet_result(self, m, n, m0, n0, budget, NULL, NULL);
     }
-    if (status == REACHED) {
-        out = PyTuple_New(0);
-    } else if (status == NORMAL) {
-        PyObject *ta = as_tuple(a, n), *tb = ta != NULL ? as_tuple(b, n) : NULL;
-        out = tb != NULL ? PyTuple_Pack(2, ta, tb) : NULL;
-        Py_XDECREF(ta);
-        Py_XDECREF(tb);
-    } else if (status == OVER_BUDGET) {
-        out = Py_NewRef(Py_None);
-    } else if (status == OVER_LIMIT) {
-        limit_error_at(REWRITE_FORMAT, start, n);
-    }
-    PyMem_Free(start);
+    PyMem_Free(m0);
     return out;
 }
 
 static PyMethodDef Basis_methods[] = {
     {"append", FASTCALL(Basis_append), "append(lead, tail): add the rule lead -> tail."},
     {"normal_form", FASTCALL(Basis_normal_form), "normal_form(mono, budget): the normal form, or None."},
-    {"normal_form_until", FASTCALL(Basis_normal_form_until),
-     "normal_form_until(mono, budget, target): target once the rewrite chain reaches it, else as normal_form."},
+    {"meet", FASTCALL(Basis_meet),
+     "meet(m, n, budget): rewrite m and n in lockstep: () once the chains meet, else both normal forms, or None."},
     {"s_pair", FASTCALL(Basis_s_pair),
      "s_pair(i, j, budget): the S-pair of rules i and j reduced: () if zero, else its two normal forms, or None."},
     {NULL},

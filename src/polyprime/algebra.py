@@ -7,6 +7,15 @@ needed. The engine is deterministic: pairs are processed in (lcm degree,
 age) order, rewriting always uses the first divisible lead in basis order,
 and the returned reduced basis is the canonical one for (ideal, order),
 sorted by leading monomial.
+
+One run builds one kernel ``Basis``. Each popped pair is one
+``Basis.s_pair`` call, which rewrites the two cofactors in lockstep until
+their chains meet or end. When an element is pushed, it marks every
+element whose lead its lead divides as redundant, and a generator whose
+lead an earlier lead divides marks itself. Once the pair loop
+ends, the basis holds a Groebner basis, so the kept tails are reduced in
+that same basis: a normal form modulo a Groebner basis does not depend
+on which reducers it uses.
 """
 
 from __future__ import annotations
@@ -82,40 +91,23 @@ class Reducer:
         self.kb.append(lead, tail)
 
     def monomial(self, mono):
-        out = self.kb.normal_form(tuple(mono), self.steps)
-        if out is None:
-            raise BudgetExceededError(f"reduction step budget {self.steps} exhausted")
-        return out
-
-    def monomial_until(self, mono, target):
-        """The normal form of ``mono``, or ``target`` once its rewrite chain reaches it.
-
-        With ``target`` irreducible, that is the normal form too: rewriting
-        is deterministic, so a chain through ``target`` ends there.
-        """
-        out = self.kb.normal_form_until(tuple(mono), self.steps, target)
-        if out is None:
-            raise BudgetExceededError(f"reduction step budget {self.steps} exhausted")
-        return out
+        return self._within(self.kb.normal_form(tuple(mono), self.steps))
 
     def s_pair(self, i, j):
         """The S-pair of rules ``i`` and ``j`` reduced: ``()`` if it is zero,
         else the normal forms of its two cofactors (``Basis.s_pair``)."""
-        out = self.kb.s_pair(i, j, self.steps)
+        return self._within(self.kb.s_pair(i, j, self.steps))
+
+    def binomial(self, b):
+        """``b`` reduced: ZERO if its two sides meet (``Basis.meet``), else
+        the binomial of their normal forms."""
+        out = self._within(self.kb.meet(tuple(b.plus), tuple(b.minus), self.steps))
+        return Binomial(*out) if out else ZERO
+
+    def _within(self, out):
         if out is None:
             raise BudgetExceededError(f"reduction step budget {self.steps} exhausted")
         return out
-
-    def divisible(self, mono):
-        """True iff some lead divides ``mono``: budget 0 stops at the first rewrite."""
-        return self.kb.normal_form(mono, 0) is None
-
-    def binomial(self, b):
-        plus = self.monomial(b.plus)
-        minus = self.monomial_until(b.minus, plus)
-        if plus == minus:
-            return ZERO
-        return Binomial(plus, minus)
 
 
 def buchberger(gens, order, budgets=DEFAULT_BUDGETS, max_degree=None):
@@ -124,15 +116,19 @@ def buchberger(gens, order, budgets=DEFAULT_BUDGETS, max_degree=None):
     With ``max_degree`` set, raises DegreeExceededError as soon as an S-pair
     leaves a nonzero remainder of higher degree.
     """
-    return _inter_reduce(_groebner(gens, order, budgets, max_degree), order, budgets)
+    rules, red = _groebner(gens, order, budgets, max_degree)
+    return _reduced(rules, red, order)
 
 
 def _groebner(gens, order, budgets, max_degree=None):
-    """A Groebner basis of the ideal of ``gens``, as unreduced (lead, tail) pairs in append order."""
+    """(rules, reducer) for the ideal of ``gens``: the Groebner basis that
+    the reducer holds, in append order, and its rules whose lead no other
+    lead divides, as (lead, tail) pairs; of equal leads the last is kept."""
     red = Reducer((), order, budgets=budgets)
     basis = []
     supports = []     # per element: the variables its lead uses
     degrees = []      # per element: the total degree of its lead
+    redundant = []    # per element: whether another element's lead divides its lead
     by_variable = {}  # variable -> elements whose lead uses it
 
     def push_element(plus, minus):
@@ -144,6 +140,7 @@ def _groebner(gens, order, budgets, max_degree=None):
         basis.append((plus, minus))
         supports.append(support)
         degrees.append(deg)
+        redundant.append(False)
         red.append(plus, minus)
         # leads sharing no variable with this one are coprime: their S-pair
         # reduces to zero, so only partners found through the index are
@@ -162,6 +159,13 @@ def _groebner(gens, order, budgets, max_degree=None):
             for v in supports[i]:
                 x, y = lead_i[v], plus[v]
                 shared += x if x < y else y
+            # shared is the degree of gcd(lead_i, plus): it is deg exactly
+            # when plus divides lead_i, and degrees[i] when lead_i divides
+            # plus, which only a generator's lead can be
+            if shared == deg:
+                redundant[i] = True
+            elif shared == degrees[i]:
+                redundant[k] = True
             heapq.heappush(pairs, (degrees[i] + deg - shared, i, k))
 
     pairs = []
@@ -169,7 +173,7 @@ def _groebner(gens, order, budgets, max_degree=None):
         if g is ZERO:
             raise ValueError("generators must be nonzero")
         # a repeated generator is harmless: its S-pair with the first copy
-        # reduces to zero, and inter-reduction drops its repeated lead
+        # reduces to zero, and the later copy's lead marks the first redundant
         push_element(*_orient(order, g.plus, g.minus))
 
     processed = 0
@@ -178,9 +182,8 @@ def _groebner(gens, order, budgets, max_degree=None):
         processed += 1
         if processed > budgets.pairs:
             raise BudgetExceededError(f"S-pair budget {budgets.pairs} exhausted")
-        # S-binomial of rules i and j: the kernel applies both lcm cofactors,
-        # rewrites the first to its normal form a and the second only until
-        # its chain meets a, with no second scan proving a irreducible
+        # S-binomial of rules i and j: the kernel applies both lcm cofactors
+        # and rewrites the two in lockstep until their chains meet or end
         reduced = red.s_pair(i, j)
         # a and b are normal forms modulo every lead so far, so the new lead
         # is divisible by none of them and cannot repeat an element
@@ -192,22 +195,21 @@ def _groebner(gens, order, budgets, max_degree=None):
                     raise DegreeExceededError(f"an S-pair left a remainder of degree {degree} > {max_degree}")
             push_element(*_orient(order, a, b))
 
-    return basis
+    return [rule for rule, dropped in zip(basis, redundant) if not dropped], red
 
 
-def _inter_reduce(basis, order, budgets):
-    """Canonical reduced basis from a (possibly redundant) Groebner basis of (lead, tail) pairs."""
+def _reduced(rules, red, order, cut=0):
+    """The reduced basis under ``order`` of the rules that ``_groebner`` kept,
+    with the first ``cut`` variables, which no rule uses, dropped.
+
+    Each tail is rewritten in ``red`` itself: its rules are a Groebner basis
+    of the ideal, so the normal form is the unique one, whichever leads the
+    chain meets on the way.
+    """
     key = order_key(order)
-    red = Reducer((), order, budgets=budgets)
-    kept = []
-    # leads compare like their keys; the sort is stable, so a repeated lead keeps its input order
-    for lead, tail in sorted(basis, key=lambda rule: key(rule[0])):
-        # only a smaller lead can divide this one, and every smaller one that
-        # is not itself redundant is already kept
-        if not red.divisible(lead):
-            red.append(lead, tail)
-            kept.append((lead, tail))
-    return GroebnerBasis(order, tuple(Binomial(lead, red.monomial(tail)) for lead, tail in kept))
+    return GroebnerBasis(order, tuple(
+        Binomial(lead[cut:], red.monomial(tail)[cut:])
+        for lead, tail in sorted(rules, key=lambda rule: key(rule[0][cut:]))))
 
 
 def ideal_equal_paths(gb_inner, gb_toric, budgets=DEFAULT_BUDGETS):
@@ -236,9 +238,9 @@ def toric_ideal_elimination(graph, variables, grid_order, budgets=DEFAULT_BUDGET
     ring, under the block order that ranks the auxiliary variables above all
     grid variables and compares grid monomials by ``grid_order``. By the
     elimination theorem its elements free of auxiliary variables form a
-    Groebner basis of the toric ideal under ``grid_order``, so only that
-    slice is inter-reduced. A monomial parametrization needs no saturation
-    step.
+    Groebner basis of the toric ideal under ``grid_order``, so only the
+    kept elements of that slice are reduced, then cut down to the grid
+    variables. A monomial parametrization needs no saturation step.
     """
     # the auxiliary variables v_1..v_m, h_1..h_n come first, as one block
     aux_count = graph.m + graph.n
@@ -252,10 +254,10 @@ def toric_ideal_elimination(graph, variables, grid_order, budgets=DEFAULT_BUDGET
         gens[idx] = Binomial(mono_from_indices(total, (p, graph.m + q)),
                              mono_from_indices(total, (aux_count + idx,)))
     # a lead free of auxiliary variables has a tail free of them too, and
-    # only such leads divide monomials free of them
-    return _inter_reduce([(lead[aux_count:], tail[aux_count:])
-                          for lead, tail in _groebner(gens, elim_order, budgets)
-                          if not any(lead[:aux_count])], grid_order, budgets)
+    # only such leads divide monomials free of them, so a tail's chain in
+    # the whole basis never leaves the slice
+    rules, red = _groebner(gens, elim_order, budgets)
+    return _reduced([rule for rule in rules if not any(rule[0][:aux_count])], red, grid_order, aux_count)
 
 
 def toric_ideal_cycles(poly, max_len=None, variables=None):

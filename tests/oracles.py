@@ -7,14 +7,16 @@ search by subset inspection, alternating cycle search by DFS over
 segments, dense linear algebra for degree-bounded ideal membership,
 Hilbert numerators of monomial ideals by pivoting, rook polynomials by
 subset counting, plain and up to switches, textbook monomial-order
-comparators, a dense weight-row comparator, and normal forms rewritten on
-exponent tuples.
+comparators, a dense weight-row comparator, and normal forms and
+two-ended meetings rewritten on exponent tuples.
 
 The last five sections are the exceptions. One is the Buchberger engine
 as it was before it worked over lead supports, scanning dense exponent
-tuples; it runs on the package's kernel, so that a differential test can
-check that the two engines make the same kernel calls. The next is the
-interval graph as it was built before it was read off the runs, every
+tuples: it reads each pair's result off the tuple rewrite chains of its
+cofactors, finds redundant elements by a dense divisibility scan and
+reduces the kept tails on the package's kernel, so that a differential
+test can check that the two engines make the same kernel calls. The
+next is the interval graph as it was built before it was read off the runs, every
 vertical interval tested against every horizontal one, next to the map
 from each vertex to its intervals, read off the graph's edges, and the
 test that a binomial is balanced under the toric map. The next is block
@@ -39,7 +41,7 @@ from polyprime import kernel as _kernel
 from polyprime.algebra import DEFAULT_BUDGETS, GroebnerBasis, OrderSearchConfig, buchberger
 from polyprime.binomials import (
     GREATER, ZERO, Binomial, MonomialOrder, block_order, mono_from_indices, named_ranking, order_key)
-from polyprime.errors import BudgetExceededError
+from polyprime.errors import BudgetExceededError, LimitExceededError
 from polyprime.grid import Polyomino
 from polyprime.intervals import maximal_edge_intervals
 
@@ -503,17 +505,16 @@ def direct_block(a, b, blocks):
 # ---------------------------------------------------------------------------
 # normal form on exponent tuples
 
-def tuple_normal_form(rules, mono, budget, target=None):
+def tuple_normal_form(rules, mono, budget):
     """Rewrite ``mono`` by the first divisible lead of ``rules`` [(lead, tail)].
 
     The scan restarts after every hit; returns None when ``budget`` steps
-    were not enough, and stops early once the chain reaches ``target``.
-    This is the kernel contract on plain tuples.
+    were not enough. This is the kernel contract on plain tuples.
     """
     m = tuple(mono)
     steps = 0
     changed = True
-    while changed and m != target:
+    while changed:
         changed = False
         for lead, tail in rules:
             if all(le <= me for le, me in zip(lead, m)):
@@ -534,40 +535,69 @@ def tuple_cofactors(rules, i, j):
             tuple(c - y + t for c, y, t in zip(lcm, lead_j, tail_j)))
 
 
-def tuple_s_pair(rules, i, j, budget):
-    """The kernel's ``s_pair`` on plain tuples, exponent limits aside.
+def tuple_meet(rules, m, n, budget, limit=None):
+    """The kernel's ``meet`` on plain tuples, read off the two rewrite chains.
 
-    The first cofactor is rewritten to its normal form a, the second until
-    its chain reaches a, each under ``budget``: () if it does, else (a, b);
-    None past the budget.
+    In round k, ``n``'s chain takes its k-th step, then ``m``'s. The result
+    is () as soon as a chain reaches the other's start or the monomial the
+    other chain is at, None when a side needs step ``budget + 1``, and
+    otherwise () or the two normal forms (m's, n's) once both chains end.
+    With ``limit`` set, a step to an exponent past it raises
+    LimitExceededError naming the chain's start.
     """
-    first, second = tuple_cofactors(rules, i, j)
-    a = tuple_normal_form(rules, first, budget)
-    if a is None:
-        return None
-    b = tuple_normal_form(rules, second, budget, a)
-    if b is None:
-        return None
-    return () if b == a else (a, b)
+    if tuple(m) == tuple(n):
+        return ()
+    # one step past the budget, so that a side that needs it shows
+    a = tuple_rewrite_chain(rules, m, max(budget, 0) + 1)
+    b = tuple_rewrite_chain(rules, n, max(budget, 0) + 1)
+    for k in range(1, max(len(a), len(b))):
+        # n's step k finds m after k - 1 steps; m's step k finds n after k
+        for chain, other, at in ((b, a, k - 1), (a, b, k)):
+            if k < len(chain):
+                if k > budget:
+                    return None
+                if limit is not None and any(e > limit for e in chain[k]):
+                    raise LimitExceededError(
+                        f"rewriting {chain[0]} pushed an exponent past the kernel limit {limit}")
+                if chain[k] in (other[0], other[min(at, len(other) - 1)]):
+                    return ()
+    return () if a[-1] == b[-1] else (a[-1], b[-1])
 
 
-def tuple_rewrite_chain(rules, mono):
-    """Every monomial the rewrite of ``mono`` passes through, ``mono`` first, its normal form last."""
+def tuple_s_pair(rules, i, j, budget, limit=None):
+    """The kernel's ``s_pair`` on plain tuples: ``tuple_meet`` of the two
+    cofactors, the first checked against ``limit`` before the second."""
+    cofactors = tuple_cofactors(rules, i, j)
+    for c in cofactors if limit is not None else ():
+        if any(e > limit for e in c):
+            raise LimitExceededError(f"exponent of {c} outside the kernel limit 0..{limit}")
+    return tuple_meet(rules, *cofactors, budget, limit)
+
+
+def tuple_rewrite_chain(rules, mono, steps=None):
+    """Every monomial the rewrite of ``mono`` passes through, ``mono`` first,
+    its normal form last; with ``steps`` set, at most that many steps."""
     chain = [tuple(mono)]
-    while True:
+    while steps is None or len(chain) <= steps:
         for lead, tail in rules:
             if mono_divides(lead, chain[-1]):
                 chain.append(tuple(me - le + te for me, le, te in zip(chain[-1], lead, tail)))
                 break
         else:
-            return chain
+            break
+    return chain
 
 
 # ---------------------------------------------------------------------------
 # reference engine: dense exponent-tuple loops, on the package's kernel
 
 def dense_buchberger(gens, order, budgets=DEFAULT_BUDGETS):
-    """Canonical reduced Groebner basis of a pure-difference binomial ideal."""
+    """Canonical reduced Groebner basis of a pure-difference binomial ideal.
+
+    Each pair's result comes from the rewrite chains of its two cofactors
+    (``tuple_s_pair``, looked up at each call), with no kernel call. The
+    kernel basis holds every element and reduces the kept tails.
+    """
     kern = _kernel.get_kernel()
     kb = kern.Basis(order.nvars)
     basis = []
@@ -593,13 +623,6 @@ def dense_buchberger(gens, order, budgets=DEFAULT_BUDGETS):
             if not coprime:
                 heapq.heappush(pairs, (lcm_deg, i, k))
 
-    def nf(mono, target=None):
-        steps = budgets.reduction_steps
-        out = kb.normal_form(mono, steps) if target is None else kb.normal_form_until(mono, steps, target)
-        if out is None:
-            raise BudgetExceededError(f"reduction step budget {steps} exhausted")
-        return out
-
     pairs = []
     for g in gens:
         if g is ZERO:
@@ -614,37 +637,26 @@ def dense_buchberger(gens, order, budgets=DEFAULT_BUDGETS):
         if processed > budgets.pairs:
             raise BudgetExceededError(f"S-pair budget {budgets.pairs} exhausted")
         # S-binomial of (lead_i - tail_i, lead_j - tail_j): both lcm cofactors applied
-        first, second = tuple_cofactors(basis, i, j)
-        a = nf(first)
-        b = nf(second, a)
-        if a == b:
-            continue
-        c = kern.compare(order, a, b)
-        push_element(*((a, b) if c == GREATER else (b, a)))
+        reduced = tuple_s_pair(basis, i, j, budgets.reduction_steps)
+        if reduced is None:
+            raise BudgetExceededError(f"reduction step budget {budgets.reduction_steps} exhausted")
+        if reduced:
+            a, b = reduced
+            c = kern.compare(order, a, b)
+            push_element(*((a, b) if c == GREATER else (b, a)))
 
-    return dense_inter_reduce(basis, order, budgets)
-
-
-def dense_inter_reduce(basis, order, budgets):
-    """Canonical reduced basis from a (possibly redundant) Groebner basis."""
-    kern = _kernel.get_kernel()
+    # a lead that another element's lead divides is redundant; of equal leads the last stays
+    kept = [(lead, tail) for k, (lead, tail) in enumerate(basis)
+            if not any(mono_divides(other, lead) and (other != lead or m > k)
+                       for m, (other, _) in enumerate(basis) if m != k)]
     key = order_key(order)
-    by_lead = sorted(basis, key=lambda rule: key(rule[0]))
+    by_lead = sorted(kept, key=lambda rule: key(rule[0]))
     # the key must sort as a comparator does; the dense rows' comparator
     # makes no kernel call, so the engine's calls still compare like with like
     rows = dense_rows(order)
-    assert by_lead == sorted(basis, key=functools.cmp_to_key(lambda a, b: weight_row_compare(rows, a[0], b[0])))
-    kb = kern.Basis(order.nvars)
-    kept = []
-    for lead, tail in by_lead:
-        # the kernel's budget-0 test, as the engine asks it, checked against a dense scan
-        divisible = kb.normal_form(lead, 0) is None
-        assert divisible == any(mono_divides(kl, lead) for kl, _ in kept)
-        if not divisible:
-            kb.append(lead, tail)
-            kept.append((lead, tail))
+    assert by_lead == sorted(kept, key=functools.cmp_to_key(lambda a, b: weight_row_compare(rows, a[0], b[0])))
     elements = []
-    for lead, tail in kept:
+    for lead, tail in by_lead:
         nf_tail = kb.normal_form(tail, budgets.reduction_steps)
         if nf_tail is None:
             raise BudgetExceededError(f"reduction step budget {budgets.reduction_steps} exhausted")

@@ -219,7 +219,7 @@ class TestBuchberger:
     @pytest.mark.parametrize("kind", ["degrevlex", "lex"])
     def test_repeated_generators_same_basis(self, annulus, kind):
         # the engine keeps no set of seen generators: a repeat's S-pair with
-        # its first copy reduces to zero, and inter-reduction drops its lead
+        # its first copy reduces to zero, and one of the equal leads is kept
         gvars = grid_variables(annulus)
         order = MonomialOrder(kind, len(gvars), named_ranking("row-major", gvars))
         gens = inner_minors(annulus, gvars)

@@ -143,14 +143,14 @@ def test_engine_calls_kernel_through_module_attributes(monkeypatch, annulus):
         return wrapper
 
     monkeypatch.setattr(kern, "compare", counted("compare", kern.compare))
-    methods = ("append", "s_pair", "normal_form", "normal_form_until")
+    methods = ("append", "s_pair", "normal_form", "meet")
     if kern.Basis is pure.Basis:
         # a compiled extension type's methods cannot be replaced
         for name in methods:
             monkeypatch.setattr(kern.Basis, name, counted(name, getattr(kern.Basis, name)))
     gvars = grid_variables(annulus)
     gb = buchberger(inner_minors(annulus, gvars), default_grid_order(gvars))
-    # membership reduces with normal_form_until, which the pair loop no longer calls
+    # membership reduces with meet, which the engine calls nowhere else
     ideal_equal_paths(gb, gb)
     assert counts["compare"] > 0
     if kern.Basis is pure.Basis:
@@ -187,11 +187,14 @@ def traced_engine(engine, gens, order, budgets):
     Wraps the kernel attributes the way perfbench's tracer does; the
     compiled kernel's Basis methods cannot be replaced, so there only
     ``compare`` is logged. A Basis call is logged with the number of its
-    basis, in order of first use, its arguments and its result.
+    basis, in order of first use, its arguments and its result. The dense
+    engine reduces each pair with ``oracles.tuple_s_pair``, logged with the
+    Basis calls as an ``s_pair`` call on its one basis.
     """
     kern = kernel.get_kernel()
     calls, bases = [], []
     compare_ = kern.compare
+    tuple_s_pair = oracles.tuple_s_pair
 
     def logged_compare(order, a, b):
         calls.append(("compare", a, b))
@@ -207,10 +210,16 @@ def traced_engine(engine, gens, order, budgets):
             return out
         return wrapper
 
+    def logged_pair(rules, i, j, budget):
+        out = tuple_s_pair(rules, i, j, budget)
+        calls.append(("s_pair", 0, i, j, budget, out))
+        return out
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kern, "compare", logged_compare)
         if kern.Basis is pure.Basis:
-            for name in ("append", "s_pair", "normal_form", "normal_form_until"):
+            mp.setattr(oracles, "tuple_s_pair", logged_pair)
+            for name in ("append", "s_pair", "normal_form", "meet"):
                 mp.setattr(kern.Basis, name, logged(name, getattr(kern.Basis, name)))
         try:
             out = engine(gens, order, budgets=budgets).elements
@@ -219,38 +228,14 @@ def traced_engine(engine, gens, order, budgets):
     return out, calls
 
 
-def popped_pairs(calls):
-    """``calls`` with every popped pair as one ("s_pair", basis, result) entry.
-
-    The engine's ``s_pair`` entry keeps its result. The dense engine's pair
-    loop makes a ``normal_form`` call on its first basis and, unless that
-    ran out of budget, a ``normal_form_until`` call towards its result;
-    the two fold into the result ``s_pair`` would give.
-    """
-    out = []
-    calls = iter(calls)
-    for call in calls:
-        if call[0] == "s_pair":
-            call = call[:2] + call[-1:]
-        elif call[:2] == ("normal_form", 0):
-            a = call[-1]
-            if a is not None:
-                until = next(calls)
-                assert until[:2] == ("normal_form_until", 0) and until[-2] is a
-                b = until[-1]
-                a = None if b is None else () if b == a else (a, b)
-            call = ("s_pair", 0, a)
-        out.append(call)
-    return out
-
-
 def assert_same_engine_run(gens, order, budgets):
     got, got_calls = traced_engine(buchberger, gens, order, budgets)
     want, want_calls = traced_engine(oracles.dense_buchberger, gens, order, budgets)
     assert got == want
-    # every pair's s_pair result is the dense pair loop's two normal forms,
-    # and append, compare and the inter-reduction's calls match one for one
-    assert popped_pairs(got_calls) == popped_pairs(want_calls)
+    # every pair's s_pair result is the one the dense engine reads off the
+    # two tuple chains, and append, compare and the tail reductions match
+    # one for one, all on one basis
+    assert got_calls == want_calls
     # the engine hands the kernel its per-normal-form budget on every pair
     assert all(call[4] == budgets.reduction_steps for call in got_calls if call[0] == "s_pair")
 
@@ -270,6 +255,77 @@ def test_engine_matches_dense_reference_on_annulus(annulus, kind, ranking):
     gvars = grid_variables(annulus)
     order = MonomialOrder(kind, len(gvars), named_ranking(ranking, gvars))
     assert_same_engine_run(inner_minors(annulus, gvars), order, EngineBudgets())
+
+
+def appended_leads(gens, order):
+    """The leads the engine appends to its kernel basis, in append order."""
+    leads = []
+    real = kernel.get_kernel().Basis
+
+    class Logging:
+        def __init__(self, nvars):
+            self.basis = real(nvars)
+
+        def append(self, lead, tail):
+            leads.append(lead)
+            self.basis.append(lead, tail)
+
+        def __getattr__(self, name):
+            return getattr(self.basis, name)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernel.get_kernel(), "Basis", Logging)
+        buchberger(gens, order)
+    return leads
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_later_lead_divides_an_earlier_one(kind):
+    # x y - x^2 y^2 and x - x y^2 in (x, y): under each order an S-pair
+    # leaves a lead that divides an earlier element's lead, which the
+    # reduced basis drops
+    gens = [Binomial((1, 1), (2, 2)), Binomial((1, 0), (1, 2))]
+    order = MonomialOrder(kind, 2, (0, 1))
+    leads = appended_leads(gens, order)
+    assert any(oracles.mono_divides(leads[k], leads[i]) and leads[k] != leads[i]
+               for k in range(len(gens), len(leads)) for i in range(k))
+    want = {(1, 2): (1, 0), (2, 0): (1, 1)}
+    assert {b.plus: b.minus for b in buchberger(gens, order).elements} == want
+    assert_same_engine_run(gens, order, EngineBudgets())
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("first", [0, 1])
+def test_generator_lead_divides_another_generator(kind, first):
+    # x - y and x y - y^2 = y (x - y): the lead x divides x y whichever
+    # generator comes first, and the reduced basis is x - y alone
+    gens = [Binomial((1, 0), (0, 1)), Binomial((1, 1), (0, 2))]
+    gens = gens[first:] + gens[:first]
+    order = MonomialOrder(kind, 2, (0, 1))
+    assert buchberger(gens, order).elements == (Binomial((1, 0), (0, 1)),)
+    assert_same_engine_run(gens, order, EngineBudgets())
+
+
+def test_one_kernel_basis_per_run(annulus):
+    # the engine reduces the kept tails in the basis its pair loop built, so
+    # a run constructs one kernel Basis, looked up on the kernel module
+    kern = kernel.get_kernel()
+    real = kern.Basis
+    built_widths = []
+
+    def counting(nvars):
+        built_widths.append(nvars)
+        return real(nvars)
+
+    gvars = grid_variables(annulus)
+    order = default_grid_order(gvars)
+    graph = build_interval_graph(annulus)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kern, "Basis", counting)
+        buchberger(inner_minors(annulus, gvars), order)
+        assert built_widths == [len(gvars)]
+        toric_ideal_elimination(graph, gvars, order)
+        assert built_widths == [len(gvars), graph.m + graph.n + len(gvars)]
 
 
 @st.composite
@@ -337,7 +393,8 @@ def test_non_int_exponent_raises_type_error(kern, bad):
     basis = kern.Basis(2)
     basis.append((1, 0), (0, 1))
     calls = (lambda k, b: b.normal_form(bad, 10),
-             lambda k, b: b.normal_form_until(bad, 10, (0, 1)),
+             lambda k, b: b.meet(bad, (0, 1), 10),
+             lambda k, b: b.meet((0, 1), bad, 10),
              lambda k, b: k.Basis(2).append(bad, (0, 0)),
              lambda k, b: k.Basis(2).append((0, 0), bad))
     reference = pure.Basis(2)
@@ -355,9 +412,10 @@ def test_bool_and_list_exponents_accepted_alike(fast):
         basis = kern.Basis(2)
         basis.append([True, 0], (0, 1))  # x -> y, the lead a list holding a bool
         results.append((basis.normal_form((True, 0), 10), basis.normal_form([2, 0], 10),
-                        basis.normal_form_until([True, 1], 10, (0, 2)), len(basis)))
-    assert results[0] == results[1] == ((0, 1), (0, 2), (0, 2), 1)
-    assert all(type(e) is int for mono in results[0][:3] for e in mono)
+                        *basis.meet([True, 1], [True, False], 10), basis.meet((True, 1), (0, 2), 10),
+                        len(basis)))
+    assert results[0] == results[1] == ((0, 1), (0, 2), (0, 2), (0, 1), (), 1)
+    assert all(type(e) is int for mono in results[0][:4] for e in mono)
 
 
 @pytest.mark.parametrize("bad", [2 ** 16, -1])
@@ -427,7 +485,7 @@ def test_wrong_width_raises_before_allocating(kern):
     # a wide basis must not allocate for a monomial it is about to reject
     basis = kern.Basis(10 ** 6)
     calls = (lambda: basis.normal_form((0,), 1),
-             lambda: basis.normal_form_until((0,), 1, (0,)),
+             lambda: basis.meet((0,), (0,), 1),
              lambda: basis.append((0,), (0,)))
     tracemalloc.start()
     try:
@@ -522,8 +580,8 @@ def built(kern, rules, nvars):
 @settings(max_examples=200, deadline=None)
 @given(rewrite_systems())
 def test_budget_zero_tests_lead_divisibility(fast, system):
-    # inter-reduction relies on this: budget 0 returns None exactly when
-    # some appended lead divides the monomial, and the monomial otherwise
+    # budget 0 returns None exactly when some appended lead divides the
+    # monomial, and the monomial otherwise
     rules, mono = system
     for m in [mono] + [lead for lead, _ in rules]:
         divisible = any(oracles.mono_divides(lead, m) for lead, _ in rules)
@@ -534,37 +592,46 @@ def test_budget_zero_tests_lead_divisibility(fast, system):
 
 @settings(max_examples=200, deadline=None)
 @given(rewrite_systems(), st.data())
-def test_normal_form_until_identical_across_kernels(fast, system, data):
+def test_meet_identical_across_kernels(fast, system, data):
     rules, mono = system
     n = len(mono)
+    limit = pure.MAX_EXPONENT
     pb, fb = built(pure, rules, n), built(fast, rules, n)
     chain = oracles.tuple_rewrite_chain(rules, mono)
     steps, nf = len(chain) - 1, chain[-1]
     for k, target in enumerate(chain):
-        # early return: k steps reach chain[k], where the full normal form
-        # needs all of them
-        assert pb.normal_form_until(mono, k, target) == target
+        # the chain of mono reaches chain[k], the other chain's start, at
+        # its step k and no sooner, where the full normal form needs all
+        assert pb.meet(mono, target, k) == ()
+        if k:
+            assert pb.meet(mono, target, k - 1) is None
         if k < steps:
             assert pb.normal_form(mono, k) is None
     unrelated = data.draw(st.tuples(*[st.integers(0, 5)] * n))
     for target in (nf, unrelated):
-        # at the end of the chain or off it: exactly normal_form, budget errors included
-        if target not in chain[:-1]:
-            for budget in range(steps + 1):
-                assert pb.normal_form_until(mono, budget, target) == pb.normal_form(mono, budget)
+        # once both chains fit in the budget: () exactly when the normal
+        # forms are equal, else the two normal forms, mono's first
+        other = oracles.tuple_rewrite_chain(rules, target)
+        fits = max(steps, len(other) - 1)
+        for budget in range(fits + 2):
+            got = pb.meet(mono, target, budget)
+            assert got == oracles.tuple_meet(rules, mono, target, budget)
+            if budget >= fits:
+                assert got == (() if other[-1] == nf else (nf, other[-1]))
     bad_exponent = data.draw(st.sampled_from(EDGE_EXPONENTS))
     targets = chain + [unrelated, nf + (0,), nf[:-1], nf[:-1] + (bad_exponent,)]
     for target in targets:
         for budget in range(steps + 1):
-            got = outcome(pb.normal_form_until, mono, budget, target)
-            assert got == outcome(fb.normal_form_until, mono, budget, target)
-            if len(target) == n and all(0 <= e <= pure.MAX_EXPONENT for e in target):
-                assert got == oracles.tuple_normal_form(rules, mono, budget, target)
-    # the monomial is checked before the target
+            for args in ((mono, target, budget), (target, mono, budget)):
+                got = outcome(pb.meet, *args)
+                assert got == outcome(fb.meet, *args)
+                if len(target) == n and all(0 <= e <= limit for e in target):
+                    assert got == outcome(oracles.tuple_meet, rules, *args, limit)
+    # the first monomial is checked before the second
     bad_mono = mono[:-1] + (bad_exponent,)
     for target in (nf, nf[:-1]):
-        got = outcome(pb.normal_form_until, bad_mono, steps, target)
-        assert got == outcome(fb.normal_form_until, bad_mono, steps, target)
+        for args in ((bad_mono, target, steps), (target, bad_mono, steps)):
+            assert outcome(pb.meet, *args) == outcome(fb.meet, *args)
 
 
 @st.composite
@@ -645,13 +712,22 @@ def test_s_pair_edges(kern):
 
 
 def test_s_pair_unit_lead(kern):
-    # a lead of 1 divides every cofactor, so only the budget ends the rewrite
+    # a lead of 1 divides every monomial, so no chain ends: only a meeting
+    # or the budget stops the rewrite. The cofactors y and x^2 y of S(0, 1)
+    # meet at x y^2, one step each; S(1, 1) has one cofactor twice
     rules = [((1, 0), (0, 1)), ((0, 0), (1, 1))]
     basis = built(kern, rules, 2)
     for i, j in ((0, 1), (1, 0), (1, 1)):
         for budget in range(6):
-            assert basis.s_pair(i, j, budget) is None
-            assert oracles.tuple_s_pair(rules, i, j, budget) is None
+            want = () if budget or i == j else None
+            assert basis.s_pair(i, j, budget) == oracles.tuple_s_pair(rules, i, j, budget) == want
+    # x -> y and 1 -> x^2 keep the parity of the degree, so the chains of y
+    # and y^2 never meet
+    rules = [((1, 0), (0, 1)), ((0, 0), (2, 0))]
+    basis = built(kern, rules, 2)
+    for budget in range(6):
+        assert basis.meet((0, 1), (0, 2), budget) is None
+        assert oracles.tuple_meet(rules, (0, 1), (0, 2), budget) is None
 
 
 def test_s_pair_exponent_limit(kern):
@@ -660,27 +736,125 @@ def test_s_pair_exponent_limit(kern):
     # the limit, the cofactor x of rule 1 rewrites to y^32767 in one step
     basis = built(kern, [((1, 0, 0), (0, limit, 0)), ((0, 1, 1), (0, 0, 0))], 3)
     message = (LimitExceededError, f"exponent of (0, {limit + 1}, 1) outside the kernel limit 0..{limit}")
-    assert outcome(basis.s_pair, 0, 1, 0) == message  # the first cofactor is checked before any step
-    assert basis.s_pair(1, 0, 0) is None  # the first side runs out before the second is formed
-    assert outcome(basis.s_pair, 1, 0, 1) == message
+    # both cofactors are checked before any step, whichever comes first
+    for i, j, budget in ((0, 1, 0), (1, 0, 0), (1, 0, 1)):
+        assert outcome(basis.s_pair, i, j, budget) == message
     # x -> z^32767 and x y -> x z: the cofactor x z of rule 1 rewrites past
-    # the limit after y z^32767, the cofactor of rule 0, is reduced
-    basis = built(kern, [((1, 0, 0), (0, 0, limit)), ((1, 1, 0), (1, 0, 1))], 3)
+    # the limit, while y z^32767, the cofactor of rule 0, is reduced
+    rules = [((1, 0, 0), (0, 0, limit)), ((1, 1, 0), (1, 0, 1))]
+    basis = built(kern, rules, 3)
     message = (LimitExceededError, f"rewriting (1, 0, 1) pushed an exponent past the kernel limit {limit}")
     assert basis.s_pair(0, 1, 0) is None  # the second side needs a step
     assert outcome(basis.s_pair, 0, 1, 1) == message
     assert outcome(basis.s_pair, 1, 0, 1) == message
+    for i, j, budget in ((0, 1, 0), (0, 1, 1), (1, 0, 1)):
+        assert outcome(basis.s_pair, i, j, budget) == outcome(oracles.tuple_s_pair, rules, i, j, budget, limit)
+    # meet names the start of the chain that overflows, whichever side it is
+    for args in (((1, 0, 1), (0, 1, 0)), ((0, 1, 0), (1, 0, 1))):
+        assert outcome(basis.meet, *args, 1) == message
+        assert outcome(oracles.tuple_meet, rules, *args, 1, limit) == message
+
+
+@pytest.mark.parametrize("budget", ["x", 1.5, None, True], ids=["str", "float", "none", "bool"])
+def test_budget_checked_up_front(kern, budget):
+    # the budget goes through operator.index before any work, so a call
+    # that needs no step, or whose monomial is out of range, still rejects
+    # it with the TypeError of the compiled kernel; a bool is an int
+    basis = built(kern, [((1, 0), (0, 1))], 2)  # x -> y
+    calls = {
+        "irreducible": (lambda: basis.normal_form((0, 3), budget), (0, 3)),
+        "bad monomial": (lambda: basis.normal_form((0, 2 ** 16), budget),
+                         (LimitExceededError, "exponent of (0, 65536) outside the kernel limit 0..32767")),
+        "equal starts": (lambda: basis.meet((0, 3), (0, 3), budget), ()),
+        "one step": (lambda: basis.meet((1, 0), (0, 1), budget), ()),
+        "zero pair": (lambda: basis.s_pair(0, 0, budget), ()),
+    }
+    expected = outcome(operator.index, budget)
+    assert budget is True or expected[0] is TypeError
+    for name, (call, when_int) in calls.items():
+        assert outcome(call) == (when_int if budget is True else expected), name
+
+
+@pytest.fixture(scope="module")
+def kernels(request):
+    """The pure kernel, and the compiled one where it builds."""
+    try:
+        return pure, request.getfixturevalue("fast")
+    except pytest.skip.Exception:
+        return (pure,)
+
+
+@st.composite
+def meet_systems(draw):
+    """(rules, m, n): up to 5 rules in up to 4 variables and two monomials.
+
+    Half the systems orient their rules by degrevlex, so every chain ends;
+    the others do not, so a chain may cycle, and have tails at the kernel
+    limit and sometimes a unit lead. n is m, a monomial on m's chain or any
+    other, and the two trade places half the time.
+    """
+    nvars = draw(st.integers(min_value=1, max_value=4))
+    small = st.tuples(*[st.integers(0, 3)] * nvars)
+    tails = st.tuples(*[st.sampled_from((0, 1, 2, 3) * 2 + (32766, 32767))] * nvars)
+    oriented = draw(st.booleans())
+    rules = draw(st.lists(st.tuples(small, small if oriented else tails).filter(lambda r: r[0] != r[1]),
+                          min_size=1, max_size=5))
+    if oriented:
+        rules = [(a, b) if oracles.direct_degrevlex(a, b, range(nvars)) > 0 else (b, a) for a, b in rules]
+    elif draw(st.booleans()):
+        rules.insert(draw(st.integers(0, len(rules))), ((0,) * nvars, draw(small)))
+    m = draw(small)
+    kind = draw(st.sampled_from(("equal", "on the chain", "other", "other")))
+    n = draw(small) if kind == "other" else m
+    if kind == "on the chain":
+        n = draw(st.sampled_from(oracles.tuple_rewrite_chain(rules, m, 6)))
+        if max(n) > pure.MAX_EXPONENT:
+            n = m
+    return (rules, n, m) if draw(st.booleans()) else (rules, m, n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(meet_systems())
+def test_meet_matches_tuple_oracle(kernels, system):
+    # equal starts, a unit lead, cycles, the budget binding on either side,
+    # overflow on either side and a chain through the other's start
+    rules, m, n = system
+    for kern in kernels:
+        basis = built(kern, rules, len(m))
+        for budget in range(8):
+            want = outcome(oracles.tuple_meet, rules, m, n, budget, kern.MAX_EXPONENT)
+            assert outcome(basis.meet, m, n, budget) == want, (kern.BACKEND, budget)
+
+
+@settings(max_examples=300, deadline=None)
+@given(s_pair_systems(exponents=st.sampled_from((0, 1, 2, 3) * 3 + (32766, 32767))), st.data())
+def test_s_pair_matches_tuple_oracle_at_the_limit(kernels, system, data):
+    # cofactors and rewrites past the limit, budgets on either side and
+    # indices outside the basis, in both kernels against the tuple oracle
+    rules, i, j = system
+    index = st.integers(-2, len(rules) + 1)
+    pairs = [(i, j), (j, i), (data.draw(index), data.draw(index))]
+    for kern in kernels:
+        basis = built(kern, rules, len(rules[0][0]))
+        for a, b in pairs:
+            for budget in range(6):
+                if 0 <= a < len(rules) and 0 <= b < len(rules):
+                    want = outcome(oracles.tuple_s_pair, rules, a, b, budget, kern.MAX_EXPONENT)
+                else:
+                    want = (IndexError, "rule index out of range")
+                assert outcome(basis.s_pair, a, b, budget) == want, (kern.BACKEND, a, b, budget)
 
 
 def test_earliest_divisor_wins_across_buckets(kern):
     # the pure kernel files a rule under its lead's lowest variable and
     # scans x2's bucket before x0's: rules 0 and 1 share x0's bucket, rule 2
-    # alone is in x2's, and both 1 and 2 divide m, so rule 1 must rewrite
+    # alone is in x2's, and both 1 and 2 divide m, so rule 1 must rewrite;
+    # only its step takes m to the other chain's start within the budget
     rules = [((3, 0, 0), (0, 0, 0)), ((1, 0, 0), (0, 0, 2)), ((0, 0, 1), (0, 0, 0))]
     mono = (1, 1, 1)
     basis = built(kern, rules, 3)
-    assert basis.normal_form_until(mono, 1, (0, 1, 3)) == (0, 1, 3)
-    assert basis.normal_form_until(mono, 1, (1, 1, 0)) is None
+    assert basis.meet(mono, (0, 1, 3), 1) == ()
+    assert basis.meet(mono, (1, 1, 0), 1) is None
     chain = oracles.tuple_rewrite_chain(rules, mono)
     assert chain == [(1, 1, 1), (0, 1, 3), (0, 1, 2), (0, 1, 1), (0, 1, 0)]
     for budget in range(len(chain) + 1):
@@ -699,21 +873,23 @@ def test_unit_lead_divides_everything(kern):
             assert basis.normal_form(mono, budget) is None
         for target in ((0, 1), (2, 0), (0, 2), (1, 1)):
             for budget in range(4):
-                assert (basis.normal_form_until(mono, budget, target)
-                        == oracles.tuple_normal_form(rules, mono, budget, target))
-    assert basis.normal_form_until((1, 0), 2, (2, 1)) == (2, 1)  # x -> y, then 1 -> x^2
+                assert basis.meet(mono, target, budget) == oracles.tuple_meet(rules, mono, target, budget)
+    # x -> y, then 1 -> x^2 reaches the other chain's start, which has
+    # stepped twice by then
+    assert basis.meet((1, 0), (2, 1), 2) == ()
+    assert basis.meet((1, 0), (2, 1), 1) is None
 
 
 def test_basis_without_variables(kern):
     basis = kern.Basis(0)
     assert basis.normal_form((), 5) == ()
-    assert basis.normal_form_until((), 0, ()) == ()
+    assert basis.meet((), (), 0) == ()
     basis.append((), ())
     assert len(basis) == 1
     for budget in (0, 1, 7):
         assert basis.normal_form((), budget) is None
         assert oracles.tuple_normal_form([((), ())], (), budget) is None
-    assert basis.normal_form_until((), 0, ()) == ()
+    assert basis.meet((), (), 0) == ()
 
 
 # shapes whose elimination rings have 29 to 32 variables and 96 to 135 rules
@@ -726,11 +902,11 @@ def wide_cases():
     ``toric_ideal_elimination`` appends, in append order.
 
     Each case is (method, args, expected), expected from
-    ``oracles.tuple_normal_form``, over a sample of the monomials the engine
-    rewrote with that system and products of two of its leads, whose
-    supports span several variables and so several of the pure kernel's
-    lead buckets at once; and from ``oracles.tuple_s_pair``, over a sample
-    of the pairs the engine reduced.
+    ``oracles.tuple_normal_form`` and ``oracles.tuple_meet``, over a sample
+    of the monomials the engine rewrote with that system and products of two
+    of its leads, whose supports span several variables and so several of
+    the pure kernel's lead buckets at once; and from ``oracles.tuple_s_pair``,
+    over a sample of the pairs the engine reduced.
     """
     kern = kernel.get_kernel()
     real = kern.Basis
@@ -750,9 +926,9 @@ def wide_cases():
             self.monos.append(mono)
             return self.basis.normal_form(mono, budget)
 
-        def normal_form_until(self, mono, budget, target):
-            self.monos.append(mono)
-            return self.basis.normal_form_until(mono, budget, target)
+        def meet(self, m, n, budget):
+            self.monos.extend((m, n))
+            return self.basis.meet(m, n, budget)
 
         def s_pair(self, i, j, budget):
             # the two cofactors the kernel forms for the pair
@@ -783,8 +959,8 @@ def wide_cases():
             unrelated = rng.choice(sample)
             for k, target in enumerate(chain + [unrelated]):
                 for budget in sorted({max(k - 1, 0), k, steps}):
-                    cases.append(("normal_form_until", (mono, budget, target),
-                                  oracles.tuple_normal_form(rules, mono, budget, target)))
+                    cases.append(("meet", (mono, target, budget),
+                                  oracles.tuple_meet(rules, mono, target, budget)))
         for i, j in rng.sample(pairs, 15):
             for budget in (0, 1, 10 ** 6):
                 cases.append(("s_pair", (i, j, budget), oracles.tuple_s_pair(rules, i, j, budget)))
