@@ -234,16 +234,24 @@ def toric_ideal_elimination(graph, variables, grid_order, budgets=DEFAULT_BUDGET
     """Kernel of the edge-ring parametrization, computed by block elimination.
 
     ``graph`` is the polyomino's interval graph and ``variables`` its grid
-    variables. Builds a Groebner basis of <x_a - v_p h_q> in the combined
-    ring, under the block order that ranks the auxiliary variables above all
-    grid variables and compares grid monomials by ``grid_order``. By the
-    elimination theorem its elements free of auxiliary variables form a
-    Groebner basis of the toric ideal under ``grid_order``, so only the
-    kept elements of that slice are reduced, then cut down to the grid
+    variables; the map sends x_pq to v_p h_q. The torus action v -> t v,
+    h -> h / t leaves every image fixed, so v_0 is set to 1 and the m + n - 1
+    auxiliary variables v_1..v_{m-1}, h_0..h_{n-1} remain. The kernel does
+    not change: every image of x^a has v-degree and h-degree |a|, so two
+    monomials with one image under v_0 = 1 have the same h-degree, hence the
+    same degree and the same exponent of v_0 (Sturmfels, *Groebner Bases and
+    Convex Polytopes*, 1996, Ch. 4).
+
+    Builds a Groebner basis of <x_0q - h_q, x_pq - v_p h_q (p > 0)> in the
+    combined ring, under the block order that ranks the auxiliary variables
+    above all grid variables and compares grid monomials by ``grid_order``.
+    By the elimination theorem its elements free of auxiliary variables
+    form a Groebner basis of the toric ideal under ``grid_order``, so only
+    the kept elements of that slice are reduced, then cut down to the grid
     variables. A monomial parametrization needs no saturation step.
     """
-    # the auxiliary variables v_1..v_m, h_1..h_n come first, as one block
-    aux_count = graph.m + graph.n
+    # the auxiliary variables v_1..v_{m-1}, h_0..h_{n-1} come first, as one block
+    aux_count = graph.m - 1 + graph.n
     total = aux_count + len(variables)
     elim_order = block_order(total, [("degrevlex", range(aux_count))] + [
         (kind, [aux_count + i for i in ranking]) for kind, ranking in grid_order.parts])
@@ -251,7 +259,8 @@ def toric_ideal_elimination(graph, variables, grid_order, budgets=DEFAULT_BUDGET
     gens = [None] * len(variables)
     for p, q, point in graph.edges:
         idx = variables.index(point)
-        gens[idx] = Binomial(mono_from_indices(total, (p, graph.m + q)),
+        image = (graph.m - 1 + q,) if p == 0 else (p - 1, graph.m - 1 + q)
+        gens[idx] = Binomial(mono_from_indices(total, image),
                              mono_from_indices(total, (aux_count + idx,)))
     # a lead free of auxiliary variables has a tail free of them too, and
     # only such leads divide monomials free of them, so a tail's chain in

@@ -20,8 +20,10 @@ next is the interval graph as it was built before it was read off the runs, ever
 vertical interval tested against every horizontal one, next to the map
 from each vertex to its intervals, read off the graph's edges, and the
 test that a binomial is balanced under the toric map. The next is block
-elimination as it was before it inter-reduced only the eliminated slice:
-the whole basis is reduced, then sliced. The next is the
+elimination as it was before v_0 was set to 1, with one auxiliary
+variable per interval: once on the package's engine, only the eliminated
+slice reduced, and once with the whole basis reduced, then sliced. The
+next is the
 quadratic-order search as it was before it stopped a failing order at its
 first cubic: every candidate's basis is computed in full. The last holds
 the polyomino-cycle model (a graph cycle mapped to its grid points, and the
@@ -38,7 +40,8 @@ from itertools import accumulate, combinations
 from math import comb
 
 from polyprime import kernel as _kernel
-from polyprime.algebra import DEFAULT_BUDGETS, GroebnerBasis, OrderSearchConfig, buchberger
+from polyprime.algebra import (
+    DEFAULT_BUDGETS, GroebnerBasis, OrderSearchConfig, _groebner, _reduced, buchberger)
 from polyprime.binomials import (
     GREATER, ZERO, Binomial, MonomialOrder, block_order, mono_from_indices, named_ranking, order_key)
 from polyprime.errors import BudgetExceededError, LimitExceededError
@@ -700,10 +703,11 @@ def balanced(graph, variables, binomial):
 
 
 # ---------------------------------------------------------------------------
-# block elimination, the whole basis reduced before it is sliced
+# block elimination with every auxiliary variable, v_0 included
 
-def reduced_then_sliced_elimination(graph, variables, grid_order, budgets=DEFAULT_BUDGETS):
-    """The toric ideal's reduced basis: the elements of the reduced elimination basis free of auxiliary variables."""
+def _full_elimination_ring(graph, variables, grid_order):
+    """(aux_count, order, gens): one auxiliary variable per interval, v_0..v_{m-1}
+    then h_0..h_{n-1}, as the first block, and x_pq - v_p h_q per edge in variable order."""
     aux_count = graph.m + graph.n
     total = aux_count + len(variables)
     elim_order = block_order(total, [("degrevlex", range(aux_count))] + [
@@ -711,6 +715,20 @@ def reduced_then_sliced_elimination(graph, variables, grid_order, budgets=DEFAUL
     through = intervals_through(graph)
     gens = [Binomial(mono_from_indices(total, (p, graph.m + q)), mono_from_indices(total, (aux_count + idx,)))
             for idx, (p, q) in enumerate(through[point] for point in variables.points)]
+    return aux_count, elim_order, gens
+
+
+def full_elimination(graph, variables, grid_order, budgets=DEFAULT_BUDGETS):
+    """The toric ideal's reduced basis by elimination over all m + n auxiliary
+    variables: the kept elements of the slice free of them, reduced."""
+    aux_count, elim_order, gens = _full_elimination_ring(graph, variables, grid_order)
+    rules, red = _groebner(gens, elim_order, budgets)
+    return _reduced([rule for rule in rules if not any(rule[0][:aux_count])], red, grid_order, aux_count)
+
+
+def reduced_then_sliced_elimination(graph, variables, grid_order, budgets=DEFAULT_BUDGETS):
+    """The toric ideal's reduced basis: the elements of the reduced elimination basis free of auxiliary variables."""
+    aux_count, elim_order, gens = _full_elimination_ring(graph, variables, grid_order)
     gb = buchberger(gens, elim_order, budgets=budgets)
     return GroebnerBasis(grid_order, tuple(Binomial(b.plus[aux_count:], b.minus[aux_count:])
                                            for b in gb.elements if not any(b.plus[:aux_count])))

@@ -478,6 +478,20 @@ class TestToricIdeal:
             assert toric_ideal_elimination(graph, gvars, order) == \
                 oracles.reduced_then_sliced_elimination(graph, gvars, order)
 
+    @pytest.mark.parametrize("spec", ["default", ("lex", "column-major"), ("deglex", "diagonal"), "two-block"],
+                             ids=lambda spec: spec if isinstance(spec, str) else "-".join(spec))
+    def test_gauged_elimination_equals_full_elimination(self, spec):
+        # every image of x^a has v-degree |a|, so setting v_0 to 1 keeps the
+        # kernel, and the reduced basis, of the map with all m + n variables
+        shapes = [p for n in range(1, 7) for p in enumerate_polyominoes(n)]
+        shapes += [p for p in enumerate_polyominoes(8) if not is_simple(p)]
+        assert len(shapes) == 307 + 41
+        for poly in shapes:
+            graph, gvars = build_interval_graph(poly), grid_variables(poly)
+            order = default_grid_order(gvars) if spec == "default" else grid_order(spec, gvars)
+            assert toric_ideal_elimination(graph, gvars, order) == \
+                oracles.full_elimination(graph, gvars, order), (poly.cells_sorted, spec)
+
     def test_inner_minors_are_balanced(self, square2):
         gvars = grid_variables(square2)
         graph = build_interval_graph(square2)
