@@ -9,9 +9,9 @@ drift in the host's speed falls on both sides of the speedup column. The
 compiled column is left out when the extension does not load.
 
 Three granularities:
-  * micro: raw normal-form rewrites against a packed basis, in full and
-    met by their irreducible normal form, as a zero S-pair's chain meets
-    the other chain's end;
+  * micro: raw normal-form rewrites against a packed basis, in full, and
+    as a zero S-pair whose two cofactors are the chain's start and its
+    irreducible normal form, so one chain meets the other's end;
   * macro: Groebner bases of the inner-minor ideal and the elimination-order
     toric ideal, their equality and the gap witness; the quadratic-order
     search;
@@ -52,15 +52,18 @@ def timed(fn, repeat):
     return best
 
 
-def chained_basis():
-    """(basis, start): x_i^2 -> x_{i+1} rules, so rewriting x_0^8 walks down the chain."""
-    n = 24
-    basis = kernel.get_kernel().Basis(n)
-    for i in range(n - 1):
-        lead = mono_from_indices(n, (i, i))
-        tail = mono_from_indices(n, (i + 1,))
+CHAIN = 24  # variables of the chain
+
+
+def chained_basis(nvars=CHAIN):
+    """(basis, start): x_i^2 -> x_{i+1} rules on the first CHAIN variables,
+    so rewriting x_0^8 walks down the chain; no rule uses the others."""
+    basis = kernel.get_kernel().Basis(nvars)
+    for i in range(CHAIN - 1):
+        lead = mono_from_indices(nvars, (i, i))
+        tail = mono_from_indices(nvars, (i + 1,))
         basis.append(lead, tail)
-    return basis, mono_from_indices(n, (0,) * 8)
+    return basis, mono_from_indices(nvars, (0,) * 8)
 
 
 def micro(rewrites):
@@ -73,14 +76,19 @@ def micro(rewrites):
     return run
 
 
-def micro_meet(rewrites):
-    # a zero pair: one chain starts at the other's normal form
-    basis, start = chained_basis()
-    end = basis.normal_form(start, 10 ** 6)
+def micro_pair(rewrites):
+    # a zero pair: with t a variable past the chain, the rules t -> x_0^8
+    # and t -> its normal form have the lcm t and those two cofactors, so
+    # one chain starts at the other's normal form
+    basis, start = chained_basis(CHAIN + 1)
+    t = mono_from_indices(CHAIN + 1, (CHAIN,))
+    basis.append(t, start)
+    basis.append(t, basis.normal_form(start, 10 ** 6))
+    first = CHAIN - 1  # the index of t -> x_0^8
 
     def run():
         for _ in range(rewrites):
-            basis.meet(start, end, 10 ** 6)
+            basis.s_pair(first, first + 1, 10 ** 6)
 
     return run
 
@@ -138,7 +146,7 @@ def workloads(quick):
     sweep_n = 5 if quick else 6
     rows = [
         (f"micro: {rewrites} chained normal forms", micro, rewrites, repeat),
-        (f"micro: {rewrites} chains met by their normal form", micro_meet, rewrites, repeat),
+        (f"micro: {rewrites} zero S-pairs, a chain and its end", micro_pair, rewrites, repeat),
         ("macro: ideal equality and witness on 4 shapes", macro, list(SHAPES.values()), repeat),
         (f"macro: inner-minor bases, all shapes <= {bases_n}", inner_bases, bases_n, repeat),
         ("macro: quadratic-order search, 41 holed octominoes", order_search, 8, repeat),

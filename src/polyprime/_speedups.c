@@ -1,16 +1,16 @@
 /* Compiled rewrite kernel for the binomial Groebner engine, with the Basis
-   contract of _kernel_py; monomial comparison lives only in _kernel_py. A
-   Basis holds rules lead -> tail in one flat C array. Every rewrite goes
-   through meet_chains, which steps with the first divisible lead in append
-   order: normal_form walks one chain until no lead divides or the step
-   budget is spent (None); meet(m, n, budget) walks two in lockstep, n
-   first in each round, and returns () once either chain reaches the
-   other's start or current monomial, else both normal forms. s_pair(i, j,
-   budget) forms the two lcm cofactors of rules i and j in place and meets
-   them, with no tuple in between. An exponent outside 0..MAX_EXPONENT,
-   given or made by a rewrite, raises LimitExceededError and a wrong width
-   raises ValueError, with the pure kernel's messages; the budget is read
-   first, and m is checked before n. */
+   contract of _kernel_py; monomials are compared by binomials.compare. A
+   Basis holds rules lead -> tail in one flat C array and has three
+   methods. append(lead, tail) adds a rule. normal_form(mono, budget)
+   rewrites mono, with the first divisible lead in append order, until no
+   lead divides it, or returns None once the step budget is spent.
+   s_pair(i, j, budget) forms the two lcm cofactors of rules i and j in
+   place and rewrites them in lockstep, j's first in each round: () once
+   either chain reaches the other's start or current monomial, else both
+   normal forms, or None. meet_chains makes every rewrite. An exponent
+   outside 0..MAX_EXPONENT, given or made by a rewrite, raises
+   LimitExceededError and a wrong width raises ValueError, with the pure
+   kernel's messages; the budget is read before any monomial. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -56,8 +56,6 @@ static void Basis_dealloc(BasisObject *self) {
     PyMem_Free(self->rules);
     Py_TYPE(self)->tp_free((PyObject *)self);
 }
-
-static Py_ssize_t Basis_len(BasisObject *self) { return self->count; }
 
 /* 0 if mono has n entries, else -1 with the pure kernel's error; callers
    check this before they allocate for mono. */
@@ -212,9 +210,8 @@ static PyObject *Basis_normal_form(BasisObject *self, PyObject *const *args, Py_
 
 /* The result of meet_chains on m and n, started at m0 and n0: () if they
    met, else (m, n) as tuples, or None past the budget. A rewrite past the
-   limit names m_name or n_name, or the tuple at m0 or n0 where that is NULL. */
-static PyObject *meet_result(BasisObject *self, int *m, int *n, const int *m0, const int *n0, long long budget,
-                             PyObject *m_name, PyObject *n_name) {
+   limit names the tuple at m0 or n0. */
+static PyObject *meet_result(BasisObject *self, int *m, int *n, const int *m0, const int *n0, long long budget) {
     Py_ssize_t w = self->nvars;
     int status = meet_chains(self, m, n, m0, n0, budget);
     if (status == MET) return PyTuple_New(0);
@@ -226,30 +223,7 @@ static PyObject *meet_result(BasisObject *self, int *m, int *n, const int *m0, c
         Py_XDECREF(tn);
         return out;
     }
-    PyObject *name = status == OVER_LIMIT_M ? m_name : n_name;
-    if (name != NULL) return limit_error(REWRITE_FORMAT, name);
     return limit_error_at(REWRITE_FORMAT, status == OVER_LIMIT_M ? m0 : n0, w);
-}
-
-/* meet(m, n, budget): the budget is checked first, then m, then n. */
-static PyObject *Basis_meet(BasisObject *self, PyObject *const *args, Py_ssize_t nargs) {
-    if (nargs != 3) return error(PyExc_TypeError, "meet(m, n, budget) takes three arguments");
-    long long budget;
-    if (get_budget(args[2], &budget) < 0) return NULL;
-    Py_ssize_t w = self->nvars;
-    PyObject *out = NULL;
-    int *m = exponents(args[0], w), *n = m != NULL ? exponents(args[1], w) : NULL;
-    int *starts = n != NULL ? PyMem_Malloc(2 * w * sizeof(int) + 1) : NULL;
-    if (n != NULL && starts == NULL) PyErr_NoMemory();
-    if (starts != NULL) {
-        memcpy(starts, m, w * sizeof(int));
-        memcpy(starts + w, n, w * sizeof(int));
-        out = meet_result(self, m, n, starts, starts + w, budget, args[0], args[1]);
-    }
-    PyMem_Free(m);
-    PyMem_Free(n);
-    PyMem_Free(starts);
-    return out;
 }
 
 /* Write tail + lcm(lead, other) - lead to dst; nonzero if an exponent
@@ -265,8 +239,8 @@ static int cofactor(int *dst, const int *lead, const int *tail, const int *other
 
 /* s_pair(i, j, budget): the S-pair of rules i and j by append index. Both
    cofactors are formed and checked, that of i first, then meet_chains
-   reduces them as meet would; an exponent past the limit, in a cofactor or
-   made by a rewrite, names the cofactor. */
+   reduces them; an exponent past the limit, in a cofactor or made by a
+   rewrite, names the cofactor. */
 static PyObject *Basis_s_pair(BasisObject *self, PyObject *const *args, Py_ssize_t nargs) {
     if (nargs != 3) return error(PyExc_TypeError, "s_pair(i, j, budget) takes three arguments");
     Py_ssize_t w = self->nvars, i = PyNumber_AsSsize_t(args[0], NULL), j;
@@ -287,7 +261,7 @@ static PyObject *Basis_s_pair(BasisObject *self, PyObject *const *args, Py_ssize
         limit_error_at(LIMIT_FORMAT, n0, w);
     } else {
         memcpy(m, m0, 2 * w * sizeof(int));  /* m and n follow m0 and n0 */
-        out = meet_result(self, m, n, m0, n0, budget, NULL, NULL);
+        out = meet_result(self, m, n, m0, n0, budget);
     }
     PyMem_Free(m0);
     return out;
@@ -296,21 +270,17 @@ static PyObject *Basis_s_pair(BasisObject *self, PyObject *const *args, Py_ssize
 static PyMethodDef Basis_methods[] = {
     {"append", FASTCALL(Basis_append), "append(lead, tail): add the rule lead -> tail."},
     {"normal_form", FASTCALL(Basis_normal_form), "normal_form(mono, budget): the normal form, or None."},
-    {"meet", FASTCALL(Basis_meet),
-     "meet(m, n, budget): rewrite m and n in lockstep: () once the chains meet, else both normal forms, or None."},
     {"s_pair", FASTCALL(Basis_s_pair),
      "s_pair(i, j, budget): the S-pair of rules i and j reduced: () if zero, else its two normal forms, or None."},
     {NULL},
 };
-
-static PySequenceMethods Basis_as_sequence = {.sq_length = (lenfunc)Basis_len};
 
 static PyTypeObject BasisType = {
     PyVarObject_HEAD_INIT(NULL, 0)
     .tp_name = "polyprime._speedups.Basis", .tp_doc = "Basis(nvars): rewrite rules lead -> tail.",
     .tp_basicsize = sizeof(BasisObject), .tp_flags = Py_TPFLAGS_DEFAULT,
     .tp_new = Basis_new, .tp_dealloc = (destructor)Basis_dealloc,
-    .tp_methods = Basis_methods, .tp_as_sequence = &Basis_as_sequence,
+    .tp_methods = Basis_methods,
 };
 
 static int exec_module(PyObject *module) {

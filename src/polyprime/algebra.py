@@ -99,10 +99,10 @@ class Reducer:
         return self._within(self.kb.s_pair(i, j, self.steps))
 
     def binomial(self, b):
-        """``b`` reduced: ZERO if its two sides meet (``Basis.meet``), else
+        """``b`` reduced: ZERO if its two sides have one normal form, else
         the binomial of their normal forms."""
-        out = self._within(self.kb.meet(tuple(b.plus), tuple(b.minus), self.steps))
-        return Binomial(*out) if out else ZERO
+        plus, minus = self.monomial(b.plus), self.monomial(b.minus)
+        return ZERO if plus == minus else Binomial(plus, minus)
 
     def _within(self, out):
         if out is None:

@@ -305,6 +305,26 @@ class TestMembershipAgainstDenseOracle:
             f = random_homog_binomial(rng, len(gvars), 3)
             assert member(f, gb) == oracles.dense_member(f.plus, f.minus, gen_pairs, len(gvars))
 
+    def test_polyomino_gaps_are_the_dense_non_members(self, three_six_cycles):
+        # the gaps of the holed heptominoes, the holed octominoes and a
+        # 19-cell shape are exactly the toric-basis elements outside the
+        # inner-minor ideal, as linear algebra decides membership
+        shapes = [p for n in (7, 8) for p in enumerate_polyominoes(n) if not is_simple(p)]
+        shapes.append(three_six_cycles)
+        assert len(shapes) == 46
+        degrees = set()
+        for poly in shapes:
+            gvars = grid_variables(poly)
+            order = default_grid_order(gvars)
+            minors = inner_minors(poly, gvars)
+            gb_toric = toric_ideal_elimination(build_interval_graph(poly), gvars, order)
+            gaps, _ = ideal_equal_paths(buchberger(minors, order), gb_toric)
+            gen_pairs = [(g.plus, g.minus) for g in minors]
+            assert gaps == [g for g in gb_toric.elements
+                            if not oracles.dense_member(g.plus, g.minus, gen_pairs, len(gvars))], poly
+            degrees.update(g.degree for g in gaps)
+        assert max(degrees) == 3
+
 
 def h_polynomial(poly):
     """The h-polynomial of K[P], read off the leads of the reduced inner basis."""

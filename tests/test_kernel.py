@@ -107,6 +107,17 @@ def outcome(fn, *args):
         return type(exc), str(exc)
 
 
+def rule_count(basis):
+    """The number of rules in ``basis``: the S-pair of a rule with itself is
+    zero, and ``s_pair`` raises IndexError from the first index past the
+    last rule."""
+    k = 0
+    while outcome(basis.s_pair, k, k, 0) == ():
+        k += 1
+    assert outcome(basis.s_pair, k, k, 0) == (IndexError, "rule index out of range")
+    return k
+
+
 # outside the kernel limit 0..32767, except 32767 itself, which a rewrite can push past it
 EDGE_EXPONENTS = (-1, 32767, 32768, 2 ** 16, 2 ** 70)
 
@@ -130,6 +141,17 @@ def test_default_prefers_compiled():
     assert not hasattr(pure, "compare") and not hasattr(pure, "Order")
 
 
+def test_basis_has_three_methods(kern):
+    # append, normal_form and s_pair are the whole Basis contract, which
+    # both kernels must keep call by call: the engine and perfbench call
+    # nothing else
+    basis = kern.Basis(2)
+    basis.append((1, 0), (0, 1))
+    for owner in (kern.Basis, basis):
+        assert {name for name in dir(owner) if not name.startswith("_")} == {"append", "normal_form", "s_pair"}
+    assert outcome(len, basis)[0] is TypeError
+
+
 def test_engine_calls_kernel_through_module_attributes(monkeypatch, annulus):
     # perfbench's tracer counts kernel calls by replacing these attributes;
     # an engine that bound them at import would bypass its wrappers
@@ -143,14 +165,14 @@ def test_engine_calls_kernel_through_module_attributes(monkeypatch, annulus):
         return wrapper
 
     monkeypatch.setattr(kern, "compare", counted("compare", kern.compare))
-    methods = ("append", "s_pair", "normal_form", "meet")
+    methods = ("append", "s_pair", "normal_form")
     if kern.Basis is pure.Basis:
         # a compiled extension type's methods cannot be replaced
         for name in methods:
             monkeypatch.setattr(kern.Basis, name, counted(name, getattr(kern.Basis, name)))
     gvars = grid_variables(annulus)
     gb = buchberger(inner_minors(annulus, gvars), default_grid_order(gvars))
-    # membership reduces with meet, which the engine calls nowhere else
+    # membership reduces both sides of each binomial with normal_form
     ideal_equal_paths(gb, gb)
     assert counts["compare"] > 0
     if kern.Basis is pure.Basis:
@@ -219,7 +241,7 @@ def traced_engine(engine, gens, order, budgets):
         mp.setattr(kern, "compare", logged_compare)
         if kern.Basis is pure.Basis:
             mp.setattr(oracles, "tuple_s_pair", logged_pair)
-            for name in ("append", "s_pair", "normal_form", "meet"):
+            for name in ("append", "s_pair", "normal_form"):
                 mp.setattr(kern.Basis, name, logged(name, getattr(kern.Basis, name)))
         try:
             out = engine(gens, order, budgets=budgets).elements
@@ -348,7 +370,7 @@ def test_python_normal_form_matches_tuple_oracle(system):
     basis = pure.Basis(len(mono))
     for lead, tail in rules:
         basis.append(lead, tail)
-    assert len(basis) == len(rules)
+    assert rule_count(basis) == len(rules)
     # every budget from 0 up, through the first one that completes
     budget = 0
     while True:
@@ -384,7 +406,7 @@ def test_normal_form_exponent_limit(kern):
             basis.normal_form(wrong, 10)
         with pytest.raises(ValueError, match="exponent tuple has wrong length"):
             basis.append(wrong, (0, 0))
-    assert len(basis) == 1
+    assert rule_count(basis) == 1
 
 
 @pytest.mark.parametrize("bad", [(1.5, 0), ("a", 0), (None, 0)], ids=["float", "str", "none"])
@@ -393,8 +415,8 @@ def test_non_int_exponent_raises_type_error(kern, bad):
     basis = kern.Basis(2)
     basis.append((1, 0), (0, 1))
     calls = (lambda k, b: b.normal_form(bad, 10),
-             lambda k, b: b.meet(bad, (0, 1), 10),
-             lambda k, b: b.meet((0, 1), bad, 10),
+             lambda k, b: b.s_pair(bad[0], 0, 10),
+             lambda k, b: b.s_pair(0, bad[0], 10),
              lambda k, b: k.Basis(2).append(bad, (0, 0)),
              lambda k, b: k.Basis(2).append((0, 0), bad))
     reference = pure.Basis(2)
@@ -403,18 +425,22 @@ def test_non_int_exponent_raises_type_error(kern, bad):
     assert expected[0] is TypeError
     for call in calls:
         assert outcome(call, kern, basis) == outcome(call, pure, reference) == expected
-    assert len(basis) == 1
+    assert rule_count(basis) == 1
 
 
 def test_bool_and_list_exponents_accepted_alike(fast):
     results = []
     for kern in (pure, fast):
-        basis = kern.Basis(2)
-        basis.append([True, 0], (0, 1))  # x -> y, the lead a list holding a bool
-        results.append((basis.normal_form((True, 0), 10), basis.normal_form([2, 0], 10),
-                        *basis.meet([True, 1], [True, False], 10), basis.meet((True, 1), (0, 2), 10),
-                        len(basis)))
-    assert results[0] == results[1] == ((0, 1), (0, 2), (0, 2), (0, 1), (), 1)
+        basis = kern.Basis(3)
+        basis.append([True, 0, 0], (0, 1, 0))  # x -> y, the lead a list holding a bool
+        # t -> x y, t -> x and t -> y^2, with a list and bools: the S-pairs
+        # of the t rules have the cofactors x y and x, then x y and y^2
+        basis.append((0, 0, 1), [True, 1, False])
+        basis.append((0, 0, True), (True, False, 0))
+        basis.append((0, 0, 1), (0, 2, 0))
+        results.append((basis.normal_form((True, 0, 0), 10), basis.normal_form([2, 0, 0], 10),
+                        *basis.s_pair(1, 2, 10), basis.s_pair(1, 3, 10), rule_count(basis)))
+    assert results[0] == results[1] == ((0, 1, 0), (0, 2, 0), (0, 2, 0), (0, 1, 0), (), 4)
     assert all(type(e) is int for mono in results[0][:4] for e in mono)
 
 
@@ -435,7 +461,7 @@ def test_basis_nvars_out_of_range(kern, nvars):
 
 
 @pytest.mark.parametrize("call, expected", [
-    (lambda k: len(k.Basis(nvars=3)), 0),
+    (lambda k: rule_count(k.Basis(nvars=3)), 0),
     (lambda k: k.Basis(3, foo=1), TypeError),
     (lambda k: k.Basis(3, nvars=3), TypeError),
 ], ids=["basis-nvars", "basis-stray", "basis-twice"])
@@ -461,7 +487,7 @@ def test_basis_allocates_nothing_up_front(kern):
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 20
-    assert len(basis) == 0
+    assert rule_count(basis) == 0
 
 
 def test_first_append_allocates_one_rule(kern):
@@ -478,14 +504,13 @@ def test_first_append_allocates_one_rule(kern):
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 24
-    assert len(basis) == 1
+    assert rule_count(basis) == 1
 
 
 def test_wrong_width_raises_before_allocating(kern):
     # a wide basis must not allocate for a monomial it is about to reject
     basis = kern.Basis(10 ** 6)
     calls = (lambda: basis.normal_form((0,), 1),
-             lambda: basis.meet((0,), (0,), 1),
              lambda: basis.append((0,), (0,)))
     tracemalloc.start()
     try:
@@ -495,7 +520,7 @@ def test_wrong_width_raises_before_allocating(kern):
     finally:
         tracemalloc.stop()
     assert peak < 64 * 1024
-    assert len(basis) == 0
+    assert rule_count(basis) == 0
 
 
 def test_compare_rejects_wrong_width():
@@ -557,7 +582,7 @@ def test_normal_form_identical_across_kernels(fast, seed):
         c = outcome(compare, order, a, b)
         lead, tail = (a, b) if c == 1 else (b, a)
         assert outcome(pb.append, lead, tail) == outcome(fb.append, lead, tail)
-    assert len(pb) == len(fb)
+    assert rule_count(pb) == rule_count(fb)
     mono = monomial(0, 6)
     assert outcome(pb.normal_form, mono, 10 ** 5) == outcome(fb.normal_form, mono, 10 ** 5)
 
@@ -575,6 +600,45 @@ def built(kern, rules, nvars):
     for lead, tail in rules:
         basis.append(lead, tail)
     return basis
+
+
+def lifted(mono):
+    """``mono`` with a last exponent 0, that of ``Meets``'s variable t."""
+    return tuple(mono) + (0,)
+
+
+class Meets:
+    """``meet(m, n, budget)`` in ``kern``: the S-pair of the rules t -> m
+    and t -> n, over ``rules`` in ``nvars`` variables and one more, t,
+    which none of them uses.
+
+    The lcm of the two leads is t, so the cofactors are m and n, lifted;
+    a lead that divides a monomial free of t is free of t, so the S-pair
+    rewrites m and n in lockstep as ``rules`` would, and an error names the
+    lifted start. The kernel meets two chains only inside ``s_pair``: this
+    gives it any two starts. The rule t -> mono is appended the first time
+    ``mono`` is a start.
+    """
+
+    def __init__(self, kern, rules, nvars):
+        self.basis = built(kern, [(lifted(a), lifted(b)) for a, b in rules], nvars + 1)
+        self.t = (0,) * nvars + (1,)
+        self.first = len(rules)
+        self.index = {}
+
+    def __call__(self, m, n, budget):
+        for mono in (m, n):
+            if mono not in self.index:
+                self.basis.append(self.t, lifted(mono))
+                self.index[mono] = self.first + len(self.index)
+        return self.basis.s_pair(self.index[m], self.index[n], budget)
+
+
+def oracle_meet(rules, m, n, budget, limit=None):
+    """What ``Meets`` must return: ``oracles.tuple_meet`` of m and n, lifted,
+    in the lifted ``rules``, where no rule t -> mono divides a chain's
+    monomial."""
+    return oracles.tuple_meet([(lifted(a), lifted(b)) for a, b in rules], lifted(m), lifted(n), budget, limit)
 
 
 @settings(max_examples=200, deadline=None)
@@ -596,15 +660,16 @@ def test_meet_identical_across_kernels(fast, system, data):
     rules, mono = system
     n = len(mono)
     limit = pure.MAX_EXPONENT
-    pb, fb = built(pure, rules, n), built(fast, rules, n)
+    pb = built(pure, rules, n)
+    pm, fm = Meets(pure, rules, n), Meets(fast, rules, n)
     chain = oracles.tuple_rewrite_chain(rules, mono)
     steps, nf = len(chain) - 1, chain[-1]
     for k, target in enumerate(chain):
         # the chain of mono reaches chain[k], the other chain's start, at
         # its step k and no sooner, where the full normal form needs all
-        assert pb.meet(mono, target, k) == ()
+        assert pm(mono, target, k) == ()
         if k:
-            assert pb.meet(mono, target, k - 1) is None
+            assert pm(mono, target, k - 1) is None
         if k < steps:
             assert pb.normal_form(mono, k) is None
     unrelated = data.draw(st.tuples(*[st.integers(0, 5)] * n))
@@ -614,24 +679,21 @@ def test_meet_identical_across_kernels(fast, system, data):
         other = oracles.tuple_rewrite_chain(rules, target)
         fits = max(steps, len(other) - 1)
         for budget in range(fits + 2):
-            got = pb.meet(mono, target, budget)
-            assert got == oracles.tuple_meet(rules, mono, target, budget)
+            got = pm(mono, target, budget)
+            assert got == oracle_meet(rules, mono, target, budget)
             if budget >= fits:
-                assert got == (() if other[-1] == nf else (nf, other[-1]))
+                assert got == (() if other[-1] == nf else (lifted(nf), lifted(other[-1])))
+    # a start of the wrong width or with an exponent out of range fails
+    # alike in both kernels
     bad_exponent = data.draw(st.sampled_from(EDGE_EXPONENTS))
     targets = chain + [unrelated, nf + (0,), nf[:-1], nf[:-1] + (bad_exponent,)]
     for target in targets:
         for budget in range(steps + 1):
             for args in ((mono, target, budget), (target, mono, budget)):
-                got = outcome(pb.meet, *args)
-                assert got == outcome(fb.meet, *args)
+                got = outcome(pm, *args)
+                assert got == outcome(fm, *args)
                 if len(target) == n and all(0 <= e <= limit for e in target):
-                    assert got == outcome(oracles.tuple_meet, rules, *args, limit)
-    # the first monomial is checked before the second
-    bad_mono = mono[:-1] + (bad_exponent,)
-    for target in (nf, nf[:-1]):
-        for args in ((bad_mono, target, steps), (target, bad_mono, steps)):
-            assert outcome(pb.meet, *args) == outcome(fb.meet, *args)
+                    assert got == outcome(oracle_meet, rules, *args, limit)
 
 
 @st.composite
@@ -680,7 +742,7 @@ def test_s_pair_identical_across_kernels(fast, system, data):
         for budget in (0, 1, 2, 3, 5, 8, 100):
             got = outcome(pb.s_pair, a, b, budget)
             assert got == outcome(fb.s_pair, a, b, budget)
-    assert len(pb) == len(fb) == len(rules)
+    assert rule_count(pb) == rule_count(fb) == len(rules)
 
 
 def test_s_pair_edges(kern):
@@ -724,10 +786,10 @@ def test_s_pair_unit_lead(kern):
     # x -> y and 1 -> x^2 keep the parity of the degree, so the chains of y
     # and y^2 never meet
     rules = [((1, 0), (0, 1)), ((0, 0), (2, 0))]
-    basis = built(kern, rules, 2)
+    meet = Meets(kern, rules, 2)
     for budget in range(6):
-        assert basis.meet((0, 1), (0, 2), budget) is None
-        assert oracles.tuple_meet(rules, (0, 1), (0, 2), budget) is None
+        assert meet((0, 1), (0, 2), budget) is None
+        assert oracle_meet(rules, (0, 1), (0, 2), budget) is None
 
 
 def test_s_pair_exponent_limit(kern):
@@ -749,10 +811,12 @@ def test_s_pair_exponent_limit(kern):
     assert outcome(basis.s_pair, 1, 0, 1) == message
     for i, j, budget in ((0, 1, 0), (0, 1, 1), (1, 0, 1)):
         assert outcome(basis.s_pair, i, j, budget) == outcome(oracles.tuple_s_pair, rules, i, j, budget, limit)
-    # meet names the start of the chain that overflows, whichever side it is
+    # an error names the start of the chain that overflows, whichever side it is
+    meet = Meets(kern, rules, 3)
+    message = (LimitExceededError, f"rewriting (1, 0, 1, 0) pushed an exponent past the kernel limit {limit}")
     for args in (((1, 0, 1), (0, 1, 0)), ((0, 1, 0), (1, 0, 1))):
-        assert outcome(basis.meet, *args, 1) == message
-        assert outcome(oracles.tuple_meet, rules, *args, 1, limit) == message
+        assert outcome(meet, *args, 1) == message
+        assert outcome(oracle_meet, rules, *args, 1, limit) == message
 
 
 @pytest.mark.parametrize("budget", ["x", 1.5, None, True], ids=["str", "float", "none", "bool"])
@@ -760,13 +824,14 @@ def test_budget_checked_up_front(kern, budget):
     # the budget goes through operator.index before any work, so a call
     # that needs no step, or whose monomial is out of range, still rejects
     # it with the TypeError of the compiled kernel; a bool is an int
-    basis = built(kern, [((1, 0), (0, 1))], 2)  # x -> y
+    meet = Meets(kern, [((1, 0), (0, 1))], 2)  # x -> y
+    basis = meet.basis
     calls = {
-        "irreducible": (lambda: basis.normal_form((0, 3), budget), (0, 3)),
-        "bad monomial": (lambda: basis.normal_form((0, 2 ** 16), budget),
-                         (LimitExceededError, "exponent of (0, 65536) outside the kernel limit 0..32767")),
-        "equal starts": (lambda: basis.meet((0, 3), (0, 3), budget), ()),
-        "one step": (lambda: basis.meet((1, 0), (0, 1), budget), ()),
+        "irreducible": (lambda: basis.normal_form((0, 3, 0), budget), (0, 3, 0)),
+        "bad monomial": (lambda: basis.normal_form((0, 2 ** 16, 0), budget),
+                         (LimitExceededError, "exponent of (0, 65536, 0) outside the kernel limit 0..32767")),
+        "equal starts": (lambda: meet((0, 3), (0, 3), budget), ()),
+        "one step": (lambda: meet((1, 0), (0, 1), budget), ()),
         "zero pair": (lambda: basis.s_pair(0, 0, budget), ()),
     }
     expected = outcome(operator.index, budget)
@@ -820,10 +885,10 @@ def test_meet_matches_tuple_oracle(kernels, system):
     # overflow on either side and a chain through the other's start
     rules, m, n = system
     for kern in kernels:
-        basis = built(kern, rules, len(m))
+        meet = Meets(kern, rules, len(m))
         for budget in range(8):
-            want = outcome(oracles.tuple_meet, rules, m, n, budget, kern.MAX_EXPONENT)
-            assert outcome(basis.meet, m, n, budget) == want, (kern.BACKEND, budget)
+            want = outcome(oracle_meet, rules, m, n, budget, kern.MAX_EXPONENT)
+            assert outcome(meet, m, n, budget) == want, (kern.BACKEND, budget)
 
 
 @settings(max_examples=300, deadline=None)
@@ -853,8 +918,9 @@ def test_earliest_divisor_wins_across_buckets(kern):
     rules = [((3, 0, 0), (0, 0, 0)), ((1, 0, 0), (0, 0, 2)), ((0, 0, 1), (0, 0, 0))]
     mono = (1, 1, 1)
     basis = built(kern, rules, 3)
-    assert basis.meet(mono, (0, 1, 3), 1) == ()
-    assert basis.meet(mono, (1, 1, 0), 1) is None
+    meet = Meets(kern, rules, 3)
+    assert meet(mono, (0, 1, 3), 1) == ()
+    assert meet(mono, (1, 1, 0), 1) is None
     chain = oracles.tuple_rewrite_chain(rules, mono)
     assert chain == [(1, 1, 1), (0, 1, 3), (0, 1, 2), (0, 1, 1), (0, 1, 0)]
     for budget in range(len(chain) + 1):
@@ -867,29 +933,31 @@ def test_unit_lead_divides_everything(kern):
     # rule that divides still comes first
     rules = [((1, 0), (0, 1)), ((0, 0), (2, 0)), ((0, 0), (0, 2))]
     basis = built(kern, rules, 2)
+    meet = Meets(kern, rules, 2)
     for mono in ((0, 0), (1, 0), (0, 3)):
         for budget in range(6):
             assert oracles.tuple_normal_form(rules, mono, budget) is None
             assert basis.normal_form(mono, budget) is None
         for target in ((0, 1), (2, 0), (0, 2), (1, 1)):
             for budget in range(4):
-                assert basis.meet(mono, target, budget) == oracles.tuple_meet(rules, mono, target, budget)
+                assert meet(mono, target, budget) == oracle_meet(rules, mono, target, budget)
     # x -> y, then 1 -> x^2 reaches the other chain's start, which has
     # stepped twice by then
-    assert basis.meet((1, 0), (2, 1), 2) == ()
-    assert basis.meet((1, 0), (2, 1), 1) is None
+    assert meet((1, 0), (2, 1), 2) == ()
+    assert meet((1, 0), (2, 1), 1) is None
 
 
 def test_basis_without_variables(kern):
     basis = kern.Basis(0)
     assert basis.normal_form((), 5) == ()
-    assert basis.meet((), (), 0) == ()
+    assert rule_count(basis) == 0
     basis.append((), ())
-    assert len(basis) == 1
+    assert rule_count(basis) == 1
     for budget in (0, 1, 7):
         assert basis.normal_form((), budget) is None
         assert oracles.tuple_normal_form([((), ())], (), budget) is None
-    assert basis.meet((), (), 0) == ()
+    # the unit lead divides everything, but the two cofactors start equal
+    assert basis.s_pair(0, 0, 0) == ()
 
 
 # shapes whose elimination rings, with v_0 set to 1, have 31 variables and
@@ -903,11 +971,13 @@ def wide_cases():
     ``toric_ideal_elimination`` appends, in append order.
 
     Each case is (method, args, expected), expected from
-    ``oracles.tuple_normal_form`` and ``oracles.tuple_meet``, over a sample
-    of the monomials the engine rewrote with that system and products of two
-    of its leads, whose supports span several variables and so several of
-    the pure kernel's lead buckets at once; and from ``oracles.tuple_s_pair``,
-    over a sample of the pairs the engine reduced.
+    ``oracles.tuple_normal_form`` and ``oracle_meet``, over a sample of the
+    monomials the engine rewrote with that system and products of two of
+    its leads, whose supports span several variables and so several of the
+    pure kernel's lead buckets at once; and from ``oracles.tuple_s_pair``,
+    over a sample of the pairs the engine reduced. The methods are those of
+    a ``Meets`` over the system and of its basis, so normal forms and
+    S-pairs are lifted.
     """
     kern = kernel.get_kernel()
     real = kern.Basis
@@ -927,10 +997,6 @@ def wide_cases():
             self.monos.append(mono)
             return self.basis.normal_form(mono, budget)
 
-        def meet(self, m, n, budget):
-            self.monos.extend((m, n))
-            return self.basis.meet(m, n, budget)
-
         def s_pair(self, i, j, budget):
             # the two cofactors the kernel forms for the pair
             self.monos.extend(oracles.tuple_cofactors(self.rules, i, j))
@@ -949,22 +1015,22 @@ def wide_cases():
         distinct = sorted(set(monos))
         sample = rng.sample(distinct, min(25, len(distinct)))
         leads = [lead for lead, _ in rules]
+        lifted_rules = [(lifted(a), lifted(b)) for a, b in rules]
         sample += [tuple(x + y for x, y in zip(*rng.sample(leads, 2))) for _ in range(15)]
         cases = []
         for mono in sample:
             chain = oracles.tuple_rewrite_chain(rules, mono)
             steps = len(chain) - 1
             for budget in sorted({0, 1, steps, 10 ** 6}):
-                cases.append(("normal_form", (mono, budget),
-                              oracles.tuple_normal_form(rules, mono, budget)))
+                cases.append(("normal_form", (lifted(mono), budget),
+                              oracles.tuple_normal_form(lifted_rules, lifted(mono), budget)))
             unrelated = rng.choice(sample)
             for k, target in enumerate(chain + [unrelated]):
                 for budget in sorted({max(k - 1, 0), k, steps}):
-                    cases.append(("meet", (mono, target, budget),
-                                  oracles.tuple_meet(rules, mono, target, budget)))
+                    cases.append(("meet", (mono, target, budget), oracle_meet(rules, mono, target, budget)))
         for i, j in rng.sample(pairs, 15):
             for budget in (0, 1, 10 ** 6):
-                cases.append(("s_pair", (i, j, budget), oracles.tuple_s_pair(rules, i, j, budget)))
+                cases.append(("s_pair", (i, j, budget), oracles.tuple_s_pair(lifted_rules, i, j, budget)))
         out[text] = nvars, rules, cases
     return out
 
@@ -973,9 +1039,10 @@ def wide_cases():
 def test_wide_ring_normal_form_matches_tuple_oracle(kern, wide_cases, text):
     nvars, rules, cases = wide_cases[text]
     assert 29 <= nvars and len(rules) >= 90
-    basis = built(kern, rules, nvars)
+    meet = Meets(kern, rules, nvars)
+    calls = {"normal_form": meet.basis.normal_form, "meet": meet, "s_pair": meet.basis.s_pair}
     for method, args, want in cases:
-        assert getattr(basis, method)(*args) == want, (method, args)
+        assert calls[method](*args) == want, (method, args)
 
 
 PIPELINE_SHAPES = ["#", "##", "#.\n##", "##\n##", "###\n#.#\n###", "####\n#..#\n####"]
