@@ -218,12 +218,15 @@ def ideal_equal_paths(gb_inner, gb_toric, budgets=DEFAULT_BUDGETS):
     ``gaps`` lists the toric-basis elements outside the inner-minor ideal,
     so the ideals are equal by membership iff it is empty; every inner
     minor lies in the toric ideal, so the other inclusion is not tested.
-    ``identity`` is True iff the two reduced bases are the same.
+    ``identity`` is True iff the two reduced bases are the same. Only the
+    toric elements missing from the inner basis are reduced.
     """
     if gb_inner.order != gb_toric.order:
         raise ValueError("the two bases are under different orders")
-    red = Reducer(gb_inner.elements, gb_inner.order, budgets=budgets)
-    gaps = [g for g in gb_toric.elements if red.binomial(g) is not ZERO]
+    inner = set(gb_inner.elements)
+    missing = [g for g in gb_toric.elements if g not in inner]
+    red = Reducer(gb_inner.elements, gb_inner.order, budgets=budgets) if missing else None
+    gaps = [g for g in missing if red.binomial(g) is not ZERO]
     return gaps, gb_inner.elements == gb_toric.elements
 
 

@@ -8,6 +8,9 @@ alternately on the plus and the minus side.
 
 from __future__ import annotations
 
+from itertools import combinations
+from math import comb
+
 from polyprime.binomials import Binomial, mono_from_indices
 from polyprime.errors import LimitExceededError
 
@@ -87,6 +90,11 @@ def is_weakly_chordal(graph):
     for _ in chordless_cycles(graph, min_len=6):
         return False
     return True
+
+
+def four_cycle_count(graph):
+    """Number of 4-cycles: two v-vertices with c common neighbours lie on C(c, 2) of them."""
+    return sum(comb((a & b).bit_count(), 2) for a, b in combinations(graph.adjacency[:graph.m], 2))
 
 
 def graph_is_connected(graph):

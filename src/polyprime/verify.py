@@ -5,7 +5,9 @@ weak chordality of its interval graph, and equality of the inner-minor
 ideal with the toric ideal. ``simple == True`` must imply the other two;
 any violation aborts the run, because it means either an engine bug or a
 counterexample, and both demand attention. Non-simple shapes get a gap
-witness instead.
+witness instead. Ideal equality is basis identity, which must agree with
+membership and with the graph: weakly chordal with one 4-cycle per inner
+interval (Ohsugi-Hibi, "Toric ideals generated by quadratic binomials").
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from polyprime.errors import (
     InternalInconsistencyError,
     InvariantViolationError,
 )
-from polyprime.graph import graph_is_connected, is_weakly_chordal
+from polyprime.graph import four_cycle_count, graph_is_connected, is_weakly_chordal
 from polyprime.grid import (
     Polyomino, check_cell_count, enumerate_polyominoes, grid_variables, inner_minors, is_simple)
 from polyprime.intervals import build_interval_graph
@@ -114,10 +116,11 @@ def verify_polyomino(poly, config=VerifyConfig()):
         gb_toric = staged(
             "gb_toric", lambda: toric_ideal_elimination(graph, gvars, order, budgets=config.budgets))
 
-        gaps, identity = staged(
-            "ideal_equal", lambda: ideal_equal_paths(gb_inner, gb_toric, budgets=config.budgets))
-        # membership says equal iff there is no gap; identity must agree
-        if identity == bool(gaps):
+        (gaps, identity), graph_equal = staged("ideal_equal", lambda: (
+            ideal_equal_paths(gb_inner, gb_toric, budgets=config.budgets),
+            report.weakly_chordal and four_cycle_count(graph) == len(gens)))
+        # membership says equal iff there is no gap; identity must agree with both checks
+        if identity != graph_equal or identity == bool(gaps):
             raise InternalInconsistencyError(
                 f"ideal equality paths disagree on {list(poly.cells_sorted)}")
         report.ideals_equal = identity

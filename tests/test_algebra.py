@@ -421,6 +421,41 @@ class TestIdealEqual:
             gaps, identity = ideal_equal_paths(buchberger(inner_minors(poly, gvars), order), toric)
             assert (not gaps) == identity
 
+    def test_membership_reduces_only_elements_missing_from_the_inner_basis(self, monkeypatch):
+        # on identical bases no Reducer is built; on the holed octominoes only
+        # the toric elements outside the inner basis are reduced, and the gaps
+        # are those of a full pass over every toric element
+        def bases(poly):
+            gvars = grid_variables(poly)
+            order = default_grid_order(gvars)
+            return (buchberger(inner_minors(poly, gvars), order),
+                    toric_ideal_elimination(build_interval_graph(poly), gvars, order))
+
+        small = [bases(p) for n in range(1, 7) for p in enumerate_polyominoes(n)]
+        holed = [bases(p) for p in enumerate_polyominoes(8) if not is_simple(p)]
+        full_pass = [[g for g in toric.elements if not member(g, inner)] for inner, toric in holed]
+        built, reduced = [], []
+
+        class Spy(Reducer):
+            def __init__(self, *args, **kwargs):
+                built.append(self)
+                super().__init__(*args, **kwargs)
+
+            def binomial(self, b):
+                reduced.append(b)
+                return super().binomial(b)
+
+        monkeypatch.setattr(algebra, "Reducer", Spy)
+        assert all(ideal_equal_paths(inner, toric) == ([], True) for inner, toric in small)
+        assert (built, reduced) == ([], [])
+        assert len(holed) == 41
+        missing = []
+        for (inner, toric), gaps in zip(holed, full_pass):
+            assert ideal_equal_paths(inner, toric) == (gaps, False)
+            missing.extend(g for g in toric.elements if g not in inner.elements)
+        assert len(built) == 41
+        assert reduced == missing and len(missing) == 544
+
     def test_bases_under_different_orders_rejected(self, square2):
         gvars = grid_variables(square2)
         gens = inner_minors(square2, gvars)

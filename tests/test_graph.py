@@ -12,6 +12,7 @@ from polyprime import (
     enumerate_polyominoes,
     grid_variables,
     inner_intervals,
+    inner_minors,
     is_simple,
     is_weakly_chordal,
     parse_grid,
@@ -28,7 +29,9 @@ from oracles import (
 )
 from polyprime import graph as graph_module
 from polyprime.errors import LimitExceededError
-from polyprime.graph import graph_is_connected
+from polyprime.graph import four_cycle_count, graph_is_connected
+from polyprime.grid import random_polyomino
+from polyprime.verify import verify_polyomino
 
 
 class SyntheticBipartite:
@@ -73,7 +76,7 @@ class TestChordlessCycles:
 
     def test_k33_has_nine_four_cycles(self):
         cycles = list(chordless_cycles(k33(), min_len=4, max_len=4))
-        assert len(cycles) == 9
+        assert len(cycles) == four_cycle_count(k33()) == 9
         brute = oracles.brute_chordless_cycles(
             6, {(p, 3 + q) for p, q in k33().pairs}, 4, 4)
         assert {cycle_vertex_ids(c, 3) for c in cycles} == set(brute)
@@ -163,6 +166,38 @@ class TestWeaklyChordal:
             relabeled = SyntheticBipartite(
                 g.m, g.n, {(sigma[p], tau[q]) for p, q, _ in g.edges})
             assert is_weakly_chordal(g) == is_weakly_chordal(relabeled)
+
+
+@pytest.fixture
+def four_cycle_corpus(three_six_cycles):
+    """Every shape with <= 7 cells, a non-weakly-chordal 19-cell shape and 300 seeded shapes of 10-60 cells."""
+    rng = random.Random(7)
+    return ([p for n in range(1, 8) for p in enumerate_polyominoes(n)] + [three_six_cycles]
+            + [random_polyomino(rng.randint(10, 60), rng) for _ in range(300)])
+
+
+class TestFourCycleCount:
+    def test_equals_chordless_four_cycles(self, four_cycle_corpus):
+        # in a bipartite graph every 4-cycle is chordless
+        for poly in four_cycle_corpus:
+            g = build_interval_graph(poly)
+            assert four_cycle_count(g) == sum(1 for _ in chordless_cycles(g, 4, 4)), poly
+
+    def test_degree_two_criterion(self, four_cycle_corpus):
+        # I_P equals the toric ideal iff the graph is weakly chordal with one
+        # 4-cycle per inner interval (Ohsugi-Hibi, J. Algebra 1999)
+        branches = set()
+        for poly in four_cycle_corpus:
+            g = build_interval_graph(poly)
+            chordal, simple = is_weakly_chordal(g), is_simple(poly)
+            criterion = chordal and four_cycle_count(g) == len(inner_minors(poly, grid_variables(poly)))
+            assert criterion == simple, poly
+            branches.add((chordal, simple))
+            # verify runs within its budgets on these; it checks the criterion itself too
+            if len(poly.cells) <= 5 or not simple and len(poly.cells) <= 19:
+                assert verify_polyomino(poly).ideals_equal == criterion, poly
+        # both reasons for unequal ideals occur: not weakly chordal, and holed but weakly chordal
+        assert {(False, False), (True, False)} <= branches
 
 
 class TestConnected:

@@ -106,6 +106,16 @@ class TestVerifyPolyomino:
         with pytest.raises(InternalInconsistencyError, match="paths disagree"):
             verify_polyomino(annulus)
 
+    @pytest.mark.parametrize("shape", ["domino", "annulus"])
+    def test_graph_count_disagreeing_with_identity_raises(self, monkeypatch, request, shape):
+        # a simple shape with one 4-cycle too many, a holed one with one per inner minor
+        poly = request.getfixturevalue(shape)
+        real = verify.four_cycle_count(intervals.build_interval_graph(poly))
+        fake = real + 1 if shape == "domino" else len(grid.inner_minors(poly, grid.grid_variables(poly)))
+        monkeypatch.setattr(verify, "four_cycle_count", lambda graph: fake)
+        with pytest.raises(InternalInconsistencyError, match="paths disagree"):
+            verify_polyomino(poly)
+
 
 class TestReportInvariants:
     def test_simple_implies_rest(self):
