@@ -9,7 +9,6 @@ alternately on the plus and the minus side.
 from __future__ import annotations
 
 from itertools import combinations
-from math import comb
 
 from polyprime.binomials import Binomial, mono_from_indices
 from polyprime.errors import LimitExceededError
@@ -92,9 +91,12 @@ def is_weakly_chordal(graph):
     return True
 
 
-def four_cycle_count(graph):
-    """Number of 4-cycles: two v-vertices with c common neighbours lie on C(c, 2) of them."""
-    return sum(comb((a & b).bit_count(), 2) for a, b in combinations(graph.adjacency[:graph.m], 2))
+def four_cycles(graph):
+    """Each 4-cycle v_p, h_q, v_r, h_s as chordless_cycles yields it, ((p, q), (r, s)) with p < r, q < s."""
+    for (p, a), (r, b) in combinations(enumerate(graph.adjacency[:graph.m]), 2):
+        common = (a & b) >> graph.m
+        for q, s in combinations([q for q in range(common.bit_length()) if common >> q & 1], 2):
+            yield (p, q), (r, s)
 
 
 def graph_is_connected(graph):

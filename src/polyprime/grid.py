@@ -17,6 +17,8 @@ from polyprime.errors import (
     DisconnectedError,
     EmptyInputError,
 )
+from polyprime.graph import four_cycles
+from polyprime.intervals import build_interval_graph
 
 DEFAULT_ENUM_CAP = 8
 
@@ -179,23 +181,19 @@ def is_simple(poly):
 
 
 def inner_intervals(poly):
-    """All intervals [lo, hi] (lo < hi componentwise) whose cells all lie in the polyomino.
+    """All intervals [lo, hi] (lo < hi componentwise) whose cells all lie in the polyomino, sorted by (lo, hi).
 
-    Ordered lexicographically by (lo, hi).
+    Each side of one lies on a maximal edge interval, so they are the rectangles of the interval graph's
+    4-cycles v_p, h_q, v_r, h_s that a table of cell counts finds full; lo = label(p, q), hi = label(r, s).
     """
-    w, h = poly.width, poly.height
-    out = []
-    for x1 in range(w):
-        for y1 in range(h):
-            for x2 in range(x1 + 1, w + 1):
-                for y2 in range(y1 + 1, h + 1):
-                    if all(
-                        (cx, cy) in poly.cells
-                        for cx in range(x1, x2)
-                        for cy in range(y1, y2)
-                    ):
-                        out.append(((x1, y1), (x2, y2)))
-    return out
+    graph = build_interval_graph(poly)
+    below = [[0] * (poly.height + 1) for _ in range(poly.width + 1)]   # below[x][y]: cells left of x, below y
+    for x in range(poly.width):
+        for y in range(poly.height):
+            below[x + 1][y + 1] = below[x][y + 1] + below[x + 1][y] - below[x][y] + ((x, y) in poly.cells)
+    corners = (graph.label(p, q) + graph.label(r, s) for (p, q), (r, s) in four_cycles(graph))
+    return sorted(((x1, y1), (x2, y2)) for x1, y1, x2, y2 in corners
+                  if below[x2][y2] - below[x1][y2] - below[x2][y1] + below[x1][y1] == (x2 - x1) * (y2 - y1))
 
 
 def grid_variables(poly):

@@ -31,7 +31,7 @@ from polyprime.errors import (
     InternalInconsistencyError,
     InvariantViolationError,
 )
-from polyprime.graph import four_cycle_count, graph_is_connected, is_weakly_chordal
+from polyprime.graph import four_cycles, graph_is_connected, is_weakly_chordal
 from polyprime.grid import (
     Polyomino, check_cell_count, enumerate_polyominoes, grid_variables, inner_minors, is_simple)
 from polyprime.intervals import build_interval_graph
@@ -118,7 +118,7 @@ def verify_polyomino(poly, config=VerifyConfig()):
 
         (gaps, identity), graph_equal = staged("ideal_equal", lambda: (
             ideal_equal_paths(gb_inner, gb_toric, budgets=config.budgets),
-            report.weakly_chordal and four_cycle_count(graph) == len(gens)))
+            report.weakly_chordal and sum(1 for _ in four_cycles(graph)) == len(gens)))
         # membership says equal iff there is no gap; identity must agree with both checks
         if identity != graph_equal or identity == bool(gaps):
             raise InternalInconsistencyError(

@@ -2,7 +2,8 @@
 
 Everything here is implemented from first principles, without calling the
 library code under test: enumeration by subset filtering and by growth on
-cell tuples, hole detection via the Euler characteristic, induced-cycle
+cell tuples, hole detection via the Euler characteristic, inner
+intervals by testing every cell of every rectangle, induced-cycle
 search by subset inspection, alternating cycle search by DFS over
 segments, dense linear algebra for degree-bounded ideal membership,
 Hilbert numerators of monomial ideals by pivoting, rook polynomials by
@@ -145,6 +146,26 @@ def polyomino_vertices(cells):
     for x, y in cells:
         verts.update(((x, y), (x + 1, y), (x, y + 1), (x + 1, y + 1)))
     return verts
+
+
+def area_inner_intervals(poly):
+    """All intervals [lo, hi] (lo < hi componentwise) whose cells all lie in the polyomino.
+
+    Ordered lexicographically by (lo, hi).
+    """
+    w, h = poly.width, poly.height
+    out = []
+    for x1 in range(w):
+        for y1 in range(h):
+            for x2 in range(x1 + 1, w + 1):
+                for y2 in range(y1 + 1, h + 1):
+                    if all(
+                        (cx, cy) in poly.cells
+                        for cx in range(x1, x2)
+                        for cy in range(y1, y2)
+                    ):
+                        out.append(((x1, y1), (x2, y2)))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -28,8 +28,9 @@ from oracles import (
     validate_polyo_cycle,
 )
 from polyprime import graph as graph_module
+from polyprime.algebra import witness_from_bases
 from polyprime.errors import LimitExceededError
-from polyprime.graph import four_cycle_count, graph_is_connected
+from polyprime.graph import four_cycles, graph_is_connected
 from polyprime.grid import random_polyomino
 from polyprime.verify import verify_polyomino
 
@@ -76,7 +77,7 @@ class TestChordlessCycles:
 
     def test_k33_has_nine_four_cycles(self):
         cycles = list(chordless_cycles(k33(), min_len=4, max_len=4))
-        assert len(cycles) == four_cycle_count(k33()) == 9
+        assert len(cycles) == 9
         brute = oracles.brute_chordless_cycles(
             6, {(p, 3 + q) for p, q in k33().pairs}, 4, 4)
         assert {cycle_vertex_ids(c, 3) for c in cycles} == set(brute)
@@ -176,12 +177,18 @@ def four_cycle_corpus(three_six_cycles):
             + [random_polyomino(rng.randint(10, 60), rng) for _ in range(300)])
 
 
-class TestFourCycleCount:
+class TestFourCycles:
     def test_equals_chordless_four_cycles(self, four_cycle_corpus):
         # in a bipartite graph every 4-cycle is chordless
+        graphs = [build_interval_graph(poly) for poly in four_cycle_corpus] + [k33(), c6()]
+        for g in graphs:
+            assert sorted(four_cycles(g)) == sorted(chordless_cycles(g, 4, 4)), g
+        assert len(list(four_cycles(k33()))) == 9
+        assert list(four_cycles(c6())) == []
+
+    def test_inner_intervals_equal_area_scan(self, four_cycle_corpus):
         for poly in four_cycle_corpus:
-            g = build_interval_graph(poly)
-            assert four_cycle_count(g) == sum(1 for _ in chordless_cycles(g, 4, 4)), poly
+            assert inner_intervals(poly) == oracles.area_inner_intervals(poly), poly
 
     def test_degree_two_criterion(self, four_cycle_corpus):
         # I_P equals the toric ideal iff the graph is weakly chordal with one
@@ -190,7 +197,7 @@ class TestFourCycleCount:
         for poly in four_cycle_corpus:
             g = build_interval_graph(poly)
             chordal, simple = is_weakly_chordal(g), is_simple(poly)
-            criterion = chordal and four_cycle_count(g) == len(inner_minors(poly, grid_variables(poly)))
+            criterion = chordal and len(list(four_cycles(g))) == len(inner_minors(poly, grid_variables(poly)))
             assert criterion == simple, poly
             branches.add((chordal, simple))
             # verify runs within its budgets on these; it checks the criterion itself too
@@ -198,6 +205,20 @@ class TestFourCycleCount:
                 assert verify_polyomino(poly).ideals_equal == criterion, poly
         # both reasons for unequal ideals occur: not weakly chordal, and holed but weakly chordal
         assert {(False, False), (True, False)} <= branches
+
+    def test_graph_witness_equals_verify_witness(self, three_six_cycles):
+        # the least binomial of a 4-cycle whose rectangle is not full is the
+        # gap witness that verify finds from the two bases
+        holed = [p for n in range(1, 9) for p in enumerate_polyominoes(n) if not is_simple(p)]
+        assert len(holed) == 45
+        for poly in holed + [three_six_cycles]:
+            g = build_interval_graph(poly)
+            gvars = grid_variables(poly)
+            inner = set(oracles.area_inner_intervals(poly))
+            outer = [c for c in four_cycles(g) if (g.label(*c[0]), g.label(*c[1])) not in inner]
+            assert outer, poly
+            witness = witness_from_bases([cycle_binomial(g, c, gvars) for c in outer], gvars)
+            assert render_binomial(witness, gvars) == verify_polyomino(poly).gap_witness_text, poly
 
 
 class TestConnected:

@@ -46,11 +46,12 @@ class TestVerifyPolyomino:
 
     def test_graph_and_variables_built_once(self, monkeypatch, annulus):
         # the toric stage takes the interval graph and the grid variables
-        # that verify_polyomino built, instead of building its own
+        # that verify_polyomino built, instead of building its own; the
+        # inner minors' inner_intervals reads its 4-cycles off a graph of its own
         counts = Counter()
         for original in (intervals.build_interval_graph, grid.grid_variables):
             def counted(*args, _original=original):
-                counts[_original.__name__] += 1
+                counts[_original.__name__, sys._getframe(1).f_globals["__name__"]] += 1
                 return _original(*args)
             for name, module in list(sys.modules.items()):
                 if name == "polyprime" or name.startswith("polyprime."):
@@ -58,7 +59,9 @@ class TestVerifyPolyomino:
                         if value is original:
                             monkeypatch.setattr(module, attr, counted)
         assert verify_polyomino(annulus).gap_witness_text == "x(1,1)*x(2,2) - x(1,2)*x(2,1)"
-        assert counts == {"build_interval_graph": 1, "grid_variables": 1}
+        assert counts == {("build_interval_graph", "polyprime.verify"): 1,
+                          ("build_interval_graph", "polyprime.grid"): 1,
+                          ("grid_variables", "polyprime.verify"): 1}
 
     def test_l_tromino_with_quadratic_search(self, tromino_l):
         report = verify_polyomino(tromino_l, VerifyConfig(search_quadratic=True))
@@ -108,11 +111,18 @@ class TestVerifyPolyomino:
 
     @pytest.mark.parametrize("shape", ["domino", "annulus"])
     def test_graph_count_disagreeing_with_identity_raises(self, monkeypatch, request, shape):
-        # a simple shape with one 4-cycle too many, a holed one with one per inner minor
+        # a simple shape with one 4-cycle too many, a holed one with only the
+        # 4-cycles of its inner intervals, one per inner minor
         poly = request.getfixturevalue(shape)
-        real = verify.four_cycle_count(intervals.build_interval_graph(poly))
-        fake = real + 1 if shape == "domino" else len(grid.inner_minors(poly, grid.grid_variables(poly)))
-        monkeypatch.setattr(verify, "four_cycle_count", lambda graph: fake)
+        g = intervals.build_interval_graph(poly)
+        real = list(verify.four_cycles(g))
+        inner = set(grid.inner_intervals(poly))
+        fake = real + real[:1] if shape == "domino" else [
+            c for c in real if (g.label(*c[0]), g.label(*c[1])) in inner]
+        assert len(fake) != len(real)
+        if shape == "annulus":
+            assert len(fake) == len(grid.inner_minors(poly, grid.grid_variables(poly)))
+        monkeypatch.setattr(verify, "four_cycles", lambda graph: iter(fake))
         with pytest.raises(InternalInconsistencyError, match="paths disagree"):
             verify_polyomino(poly)
 
