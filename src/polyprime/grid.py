@@ -151,33 +151,26 @@ def from_json_dict(data):
 def is_simple(poly):
     """True iff the polyomino has no holes.
 
-    Every cell of the bounding box that is not in the polyomino must
-    reach, through empty cells sharing edges, a cell strictly outside the
-    box.
+    A hole is a set of empty cells, connected through shared edges, that
+    reaches no cell outside the bounding box. The closed cells have Euler
+    characteristic V - E + F = (components) - (bounded components of the
+    complement), and a polyomino is one component. Two empty cells that
+    touch only at a corner are kept apart by a vertex of the polyomino, or
+    else joined by the two empty cells beside them, so the bounded
+    components are exactly the holes: simple iff V - E + F == 1.
 
-    The box plus a one-cell ring around it is a bitmask with one bit per
-    cell, column by column. The fill starts from the ring and grows by
-    shifts until it stops changing; a shift that wraps from the top of one
-    column to the bottom of the next only ever joins two ring cells.
+    The cells are one int, column by column with stride height + 1, and
+    bit x * stride + y also stands for the lower-left vertex, bottom edge
+    and left edge of cell (x, y). The spare bit above each column holds its
+    top row of vertices and edges, so no shift spills into the next column.
     """
-    stride = poly.height + 2              # bits per column, ring included
-    cols = poly.width + 2
-    origin = stride + 1                   # cell (0, 0), inside the ring
+    stride = poly.height + 1
     cells = 0
     for x, y in poly.cells_sorted:
-        cells |= 1 << (origin + x * stride + y)
-    inner_column = ((1 << (stride - 2)) - 1) << 1
-    interior = 0
-    for _ in range(cols - 2):
-        interior = (interior | inner_column) << stride
-    empty = ((1 << (cols * stride)) - 1) ^ cells
-    reached = empty & ~interior
-    while True:
-        grown = (reached | reached << 1 | reached >> 1
-                 | reached << stride | reached >> stride) & empty
-        if grown == reached:
-            return reached == empty
-        reached = grown
+        cells |= 1 << (x * stride + y)
+    vertices = (cells | cells << 1 | cells << stride | cells << (stride + 1)).bit_count()
+    edges = (cells | cells << 1).bit_count() + (cells | cells << stride).bit_count()
+    return vertices - edges + len(poly.cells_sorted) == 1
 
 
 def inner_intervals(poly):

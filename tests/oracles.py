@@ -133,6 +133,38 @@ def euler_is_simple(cells):
     return len(verts) - len(edges) + len(cells) == 1
 
 
+def flood_is_simple(poly):
+    """True iff the polyomino has no holes, by a flood fill of the empty cells.
+
+    Every cell of the bounding box that is not in the polyomino must
+    reach, through empty cells sharing edges, a cell strictly outside the
+    box.
+
+    The box plus a one-cell ring around it is a bitmask with one bit per
+    cell, column by column. The fill starts from the ring and grows by
+    shifts until it stops changing; a shift that wraps from the top of one
+    column to the bottom of the next only ever joins two ring cells.
+    """
+    stride = poly.height + 2              # bits per column, ring included
+    cols = poly.width + 2
+    origin = stride + 1                   # cell (0, 0), inside the ring
+    cells = 0
+    for x, y in poly.cells_sorted:
+        cells |= 1 << (origin + x * stride + y)
+    inner_column = ((1 << (stride - 2)) - 1) << 1
+    interior = 0
+    for _ in range(cols - 2):
+        interior = (interior | inner_column) << stride
+    empty = ((1 << (cols * stride)) - 1) ^ cells
+    reached = empty & ~interior
+    while True:
+        grown = (reached | reached << 1 | reached >> 1
+                 | reached << stride | reached >> stride) & empty
+        if grown == reached:
+            return reached == empty
+        reached = grown
+
+
 def polyomino_edges(cells):
     edges = set()
     for x, y in cells:

@@ -245,6 +245,17 @@ class TestBuchberger:
                 budgets=EngineBudgets(elements=2),
             )
 
+    def test_reduction_step_budget_exhaustion(self, annulus):
+        # a kernel call that runs out of steps returns None; were that not
+        # raised, the engine would read it as a zero S-pair and stop short
+        gvars = grid_variables(annulus)
+        with pytest.raises(BudgetExceededError, match="reduction step budget 0 exhausted"):
+            buchberger(
+                inner_minors(annulus, gvars),
+                default_grid_order(gvars),
+                budgets=EngineBudgets(reduction_steps=0),
+            )
+
     def test_zero_generator_rejected(self):
         with pytest.raises(ValueError):
             buchberger([ZERO], MonomialOrder("lex", 2, (0, 1)))

@@ -170,6 +170,44 @@ class TestSimple:
         assert verdicts == [oracles.euler_is_simple(p.cells) for p in octominoes]
         assert (len(octominoes), verdicts.count(False)) == (2725, 41)
 
+    @staticmethod
+    def assert_oracles_agree(shapes):
+        """is_simple on each shape against the flood fill and the Euler oracle; the verdicts."""
+        verdicts = [is_simple(p) for p in shapes]
+        assert verdicts == [oracles.flood_is_simple(p) for p in shapes]
+        assert verdicts == [oracles.euler_is_simple(p.cells) for p in shapes]
+        return verdicts
+
+    def test_shapes_up_to_nine_agree_with_flood_fill(self, monkeypatch):
+        monkeypatch.setenv("POLYPRIME_CAP", "9")
+        verdicts = self.assert_oracles_agree(list(shapes_upto(9)))
+        assert (len(verdicts), verdicts.count(False)) == (13702, 317)
+
+    def test_random_large_shapes_agree_with_flood_fill(self):
+        rng = random.Random(30)
+        shapes = [random_polyomino(rng.randint(10, 200), rng) for _ in range(2000)]
+        verdicts = self.assert_oracles_agree(shapes)
+        assert True in verdicts and False in verdicts
+
+    def test_three_cell_hole(self, three_six_cycles):
+        assert self.assert_oracles_agree([three_six_cycles]) == [False]
+
+    def test_holes_meeting_at_a_corner(self):
+        # two one-cell holes that share only the vertex (2, 2): the vertex
+        # keeps them apart, so chi = V - E + F = 1 - 2
+        poly = parse_grid("####\n#.##\n##.#\n####")
+        chi = (len(oracles.polyomino_vertices(poly.cells)) - len(oracles.polyomino_edges(poly.cells))
+               + len(poly))
+        assert chi == -1
+        assert self.assert_oracles_agree([poly]) == [False]
+
+    @pytest.mark.parametrize("height", [1, 2, 3, 4, 7])
+    def test_one_cell_wide_strips(self, height):
+        # a strip's top vertices and edges sit in the spare bit above each column
+        column = Polyomino({(0, y) for y in range(height)})
+        row = Polyomino({(x, 0) for x in range(height)})
+        assert self.assert_oracles_agree([column, row]) == [True, True]
+
 
 class TestInnerIntervals:
     def test_single_cell(self, cell):

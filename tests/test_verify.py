@@ -235,6 +235,17 @@ class TestSweep:
             assert "while verifying" in entry["error"]
         assert sweep_to_json(summary)["budget_errors"] == summary.budget_errors
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_reduction_step_budget_errors(self, workers):
+        # one reduction step is too few for every shape, the monomino too
+        summary = sweep(3, VerifyConfig(budgets=EngineBudgets(reduction_steps=1), workers=workers))
+        assert len(summary.reports) == 9
+        assert [e["cells"] for e in summary.budget_errors] == [
+            [list(c) for c in r.cells] for r in summary.reports]
+        for entry in summary.budget_errors:
+            cells = [tuple(c) for c in entry["cells"]]
+            assert entry["error"] == f"reduction step budget 1 exhausted while verifying {cells}"
+
     def test_unpooled_run_leaves_the_pool_unimported(self):
         # only a pooled sweep needs multiprocessing; the pooled tests above cover that path
         code = (f"import sys\nsys.path.insert(0, {str(Path(verify.__file__).resolve().parents[1])!r})\n"
