@@ -9,6 +9,7 @@ orientation: the top text row is the highest y row.
 from __future__ import annotations
 
 import os
+from bisect import bisect_left
 
 from polyprime.binomials import Binomial, VariableSet, mono_from_indices
 from polyprime.errors import (
@@ -17,8 +18,6 @@ from polyprime.errors import (
     DisconnectedError,
     EmptyInputError,
 )
-from polyprime.graph import four_cycles
-from polyprime.intervals import build_interval_graph
 
 DEFAULT_ENUM_CAP = 8
 
@@ -176,17 +175,22 @@ def is_simple(poly):
 def inner_intervals(poly):
     """All intervals [lo, hi] (lo < hi componentwise) whose cells all lie in the polyomino, sorted by (lo, hi).
 
-    Each side of one lies on a maximal edge interval, so they are the rectangles of the interval graph's
-    4-cycles v_p, h_q, v_r, h_s that a table of cell counts finds full; lo = label(p, q), hi = label(r, s).
+    A staircase scan from each cell (x1, y1) as the lower-left cell: widen one column at a time while the
+    bottom cell is present, and keep ``top``, the lowest row at which a column so far stops its run of
+    cells upward from y1. Each y1 < y <= top then closes one full rectangle, listed once and in order.
     """
-    graph = build_interval_graph(poly)
-    below = [[0] * (poly.height + 1) for _ in range(poly.width + 1)]   # below[x][y]: cells left of x, below y
-    for x in range(poly.width):
-        for y in range(poly.height):
-            below[x + 1][y + 1] = below[x][y + 1] + below[x + 1][y] - below[x][y] + ((x, y) in poly.cells)
-    corners = (graph.label(p, q) + graph.label(r, s) for (p, q), (r, s) in four_cycles(graph))
-    return sorted(((x1, y1), (x2, y2)) for x1, y1, x2, y2 in corners
-                  if below[x2][y2] - below[x1][y2] - below[x2][y1] + below[x1][y1] == (x2 - x1) * (y2 - y1))
+    cells = poly.cells
+    out = []
+    for x1, y1 in poly.cells_sorted:
+        x, top = x1, poly.height
+        while (x, y1) in cells:
+            y = y1 + 1
+            while y < top and (x, y) in cells:
+                y += 1
+            top = y
+            x += 1
+            out.extend(((x1, y1), (x, y2)) for y2 in range(y1 + 1, top + 1))
+    return out
 
 
 def grid_variables(poly):
@@ -287,18 +291,17 @@ def enumerate_polyominoes(n):
 
 
 def random_polyomino(n, rng):
-    """Seeded random growth: uniformly pick an adjacent empty cell n-1 times."""
+    """Seeded random growth: n-1 times, add the cell at a uniform index into the sorted frontier."""
     if n < 1:
         raise ValueError("cell count must be positive")
     cells = {(0, 0)}
+    frontier = sorted(_STEPS)
     while len(cells) < n:
-        frontier = sorted(
-            {
-                (x + dx, y + dy)
-                for x, y in cells
-                for dx, dy in _STEPS
-                if (x + dx, y + dy) not in cells
-            }
-        )
-        cells.add(frontier[rng.randrange(len(frontier))])
+        x, y = frontier.pop(rng.randrange(len(frontier)))
+        cells.add((x, y))
+        for dx, dy in _STEPS:
+            nb = (x + dx, y + dy)
+            i = bisect_left(frontier, nb)
+            if nb not in cells and frontier[i:i + 1] != [nb]:
+                frontier.insert(i, nb)
     return Polyomino(cells)

@@ -119,7 +119,8 @@ def verify_polyomino(poly, config=VerifyConfig()):
         (gaps, identity), graph_equal = staged("ideal_equal", lambda: (
             ideal_equal_paths(gb_inner, gb_toric, budgets=config.budgets),
             report.weakly_chordal and sum(1 for _ in four_cycles(graph)) == len(gens)))
-        # membership says equal iff there is no gap; identity must agree with both checks
+        # no gap means equal, and so does a weakly chordal graph with one 4-cycle per inner minor,
+        # the minors read off the cells, not the graph; identity must agree with both checks
         if identity != graph_equal or identity == bool(gaps):
             raise InternalInconsistencyError(
                 f"ideal equality paths disagree on {list(poly.cells_sorted)}")

@@ -11,7 +11,7 @@ subset counting, plain and up to switches, textbook monomial-order
 comparators, a dense weight-row comparator, and normal forms and
 two-ended meetings rewritten on exponent tuples.
 
-The last five sections are the exceptions. One is the Buchberger engine
+The last six sections are the exceptions. One is the Buchberger engine
 as it was before it worked over lead supports, scanning dense exponent
 tuples: it reads each pair's result off the tuple rewrite chains of its
 cofactors, finds redundant elements by a dense divisibility scan and
@@ -26,7 +26,10 @@ variable per interval: once on the package's engine, only the eliminated
 slice reduced, and once with the whole basis reduced, then sliced. The
 next is the
 quadratic-order search as it was before it stopped a failing order at its
-first cubic: every candidate's basis is computed in full. The last holds
+first cubic: every candidate's basis is computed in full. The next holds
+the inner intervals as they were found before the staircase scan over the
+cells, from the interval graph's 4-cycles, and random growth as it was
+before its frontier was kept sorted. The last holds
 the polyomino-cycle model (a graph cycle mapped to its grid points, and the
 binomial read off those points), a sign-blind binomial comparison, cycle
 checks and dihedral images, all built on the package's types. The package
@@ -46,8 +49,9 @@ from polyprime.algebra import (
 from polyprime.binomials import (
     GREATER, ZERO, Binomial, MonomialOrder, block_order, mono_from_indices, named_ranking, order_key)
 from polyprime.errors import BudgetExceededError, LimitExceededError
+from polyprime.graph import four_cycles
 from polyprime.grid import Polyomino
-from polyprime.intervals import maximal_edge_intervals
+from polyprime.intervals import build_interval_graph, maximal_edge_intervals
 
 STEPS = ((1, 0), (-1, 0), (0, 1), (0, -1))
 
@@ -801,6 +805,43 @@ def full_quadratic_order_search(gens, variables, budgets=DEFAULT_BUDGETS):
             if all(b.is_quadratic() and b.is_squarefree() for b in gb.elements):
                 return order
     return None
+
+
+# ---------------------------------------------------------------------------
+# inner intervals from the 4-cycles, and random growth over a re-sorted frontier
+
+def four_cycle_inner_intervals(poly):
+    """All intervals [lo, hi] (lo < hi componentwise) whose cells all lie in the polyomino, sorted by (lo, hi).
+
+    Each side of one lies on a maximal edge interval, so they are the rectangles of the interval graph's
+    4-cycles v_p, h_q, v_r, h_s that a table of cell counts finds full; lo = label(p, q), hi = label(r, s).
+    """
+    graph = build_interval_graph(poly)
+    below = [[0] * (poly.height + 1) for _ in range(poly.width + 1)]   # below[x][y]: cells left of x, below y
+    for x in range(poly.width):
+        for y in range(poly.height):
+            below[x + 1][y + 1] = below[x][y + 1] + below[x + 1][y] - below[x][y] + ((x, y) in poly.cells)
+    corners = (graph.label(p, q) + graph.label(r, s) for (p, q), (r, s) in four_cycles(graph))
+    return sorted(((x1, y1), (x2, y2)) for x1, y1, x2, y2 in corners
+                  if below[x2][y2] - below[x1][y2] - below[x2][y1] + below[x1][y1] == (x2 - x1) * (y2 - y1))
+
+
+def resorted_random_polyomino(n, rng):
+    """Seeded random growth: uniformly pick an adjacent empty cell n-1 times."""
+    if n < 1:
+        raise ValueError("cell count must be positive")
+    cells = {(0, 0)}
+    while len(cells) < n:
+        frontier = sorted(
+            {
+                (x + dx, y + dy)
+                for x, y in cells
+                for dx, dy in STEPS
+                if (x + dx, y + dy) not in cells
+            }
+        )
+        cells.add(frontier[rng.randrange(len(frontier))])
+    return Polyomino(cells)
 
 
 # ---------------------------------------------------------------------------

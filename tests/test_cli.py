@@ -82,6 +82,12 @@ class TestParse:
         assert out == ""
         assert err == "polyprime: input error: grid object has unknown keys ['x']\n"
 
+    def test_no_json_cells_exits_2(self, capsys):
+        code, out, err = run(capsys, "parse", "--grid", '{"cells": []}')
+        assert code == 2
+        assert out == ""
+        assert err == "polyprime: input error: 'cells' list is empty\n"
+
 
 class TestCheckSimple:
     def test_annulus_false(self, capsys):
@@ -234,6 +240,15 @@ class TestVerify:
         _, second, _ = run(capsys, *args)
         assert first == second
 
+    def test_holed_shape_taken_for_simple_is_violation(self, capsys, monkeypatch):
+        # the exit a counterexample to the paper takes: a simple shape whose ideals differ
+        monkeypatch.setattr(verify, "is_simple", lambda poly: True)
+        code, out, err = run(capsys, "verify", "--grid", "###\\n#.#\\n###", "--no-timings")
+        assert code == 1
+        assert out == ""
+        assert err.startswith(
+            "polyprime: VIOLATION: simple polyomino without weakly chordal graph or equal ideals: ")
+
     def test_text_and_json_agree(self, capsys):
         _, text_out, _ = run(capsys, "verify", "--grid", "##", "--no-timings")
         _, json_out, _ = run(capsys, "verify", "--grid", "##", "--format", "json", "--no-timings")
@@ -265,6 +280,14 @@ class TestSweep:
         assert data["total"] == 3
         assert [e["cells"] for e in data["budget_errors"]] == [[[0, 0], [0, 1]], [[0, 0], [1, 0]]]
         assert "budget exhausted on 2 shapes" in err
+
+    def test_disagreeing_equality_paths_is_violation(self, capsys, monkeypatch):
+        # the graph criterion then says unequal on the monomino, where the bases are identical
+        monkeypatch.setattr(verify, "is_weakly_chordal", lambda graph: False)
+        code, out, err = run(capsys, "sweep", "2", "--no-timings")
+        assert code == 1
+        assert out == ""
+        assert err == "polyprime: VIOLATION: ideal equality paths disagree on [(0, 0)]\n"
 
     def test_sweep_beyond_cap_is_usage_error(self, capsys, monkeypatch):
         # the size is checked before any shape of the sizes below the cap is verified

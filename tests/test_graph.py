@@ -190,6 +190,14 @@ class TestFourCycles:
         for poly in four_cycle_corpus:
             assert inner_intervals(poly) == oracles.area_inner_intervals(poly), poly
 
+    def test_inner_intervals_equal_four_cycle_scan(self, monkeypatch, random_large_shapes, three_six_cycles):
+        # the staircase scan reads only the cells; the oracle filters the interval graph's 4-cycles
+        monkeypatch.setenv("POLYPRIME_CAP", "9")
+        small = [p for n in range(1, 10) for p in enumerate_polyominoes(n)]
+        assert len(small) == 13702
+        for poly in small + random_large_shapes + [three_six_cycles]:
+            assert inner_intervals(poly) == oracles.four_cycle_inner_intervals(poly), poly
+
     def test_degree_two_criterion(self, four_cycle_corpus):
         # I_P equals the toric ideal iff the graph is weakly chordal with one
         # 4-cycle per inner interval (Ohsugi-Hibi, J. Algebra 1999)

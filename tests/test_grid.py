@@ -58,6 +58,14 @@ class TestParse:
         with pytest.raises(EmptyInputError):
             parse_grid("...\n...")
 
+    def test_polyomino_of_no_cells(self):
+        with pytest.raises(EmptyInputError, match="^a polyomino needs at least one cell$"):
+            Polyomino([])
+
+    def test_json_of_no_cells(self):
+        with pytest.raises(EmptyInputError, match="^'cells' list is empty$"):
+            from_json_dict({"cells": []})
+
     def test_bad_char(self):
         with pytest.raises(BadCharError):
             parse_grid("#x")
@@ -183,10 +191,8 @@ class TestSimple:
         verdicts = self.assert_oracles_agree(list(shapes_upto(9)))
         assert (len(verdicts), verdicts.count(False)) == (13702, 317)
 
-    def test_random_large_shapes_agree_with_flood_fill(self):
-        rng = random.Random(30)
-        shapes = [random_polyomino(rng.randint(10, 200), rng) for _ in range(2000)]
-        verdicts = self.assert_oracles_agree(shapes)
+    def test_random_large_shapes_agree_with_flood_fill(self, random_large_shapes):
+        verdicts = self.assert_oracles_agree(random_large_shapes)
         assert True in verdicts and False in verdicts
 
     def test_three_cell_hole(self, three_six_cycles):
@@ -335,6 +341,20 @@ class TestEnumeration:
     def test_random_polyomino_rejects_nonpositive_size(self, n):
         with pytest.raises(ValueError, match="cell count must be positive"):
             random_polyomino(n, random.Random(0))
+
+    def test_random_polyomino_equals_resorted_frontier_small(self):
+        # perfbench's reference pools are drawn by seed, so each seed must keep its shape
+        for seed in range(100):
+            for n in range(1, 11):
+                rng, oracle_rng = random.Random(seed), random.Random(seed)
+                assert random_polyomino(n, rng) == oracles.resorted_random_polyomino(n, oracle_rng), (seed, n)
+                assert rng.getstate() == oracle_rng.getstate()
+
+    def test_random_polyomino_equals_resorted_frontier_large(self, random_large_shapes):
+        rng = random.Random(30)
+        for poly in random_large_shapes:
+            assert poly == oracles.resorted_random_polyomino(rng.randint(10, 200), rng)
+        assert len(random_large_shapes) == 2000
 
     def test_enumeration_retains_nothing(self):
         # a fresh interpreter, so that no earlier enumeration in this

@@ -46,8 +46,8 @@ class TestVerifyPolyomino:
 
     def test_graph_and_variables_built_once(self, monkeypatch, annulus):
         # the toric stage takes the interval graph and the grid variables
-        # that verify_polyomino built, instead of building its own; the
-        # inner minors' inner_intervals reads its 4-cycles off a graph of its own
+        # that verify_polyomino built, instead of building its own, and the
+        # inner minors' inner_intervals reads the cells, not a graph
         counts = Counter()
         for original in (intervals.build_interval_graph, grid.grid_variables):
             def counted(*args, _original=original):
@@ -60,7 +60,6 @@ class TestVerifyPolyomino:
                             monkeypatch.setattr(module, attr, counted)
         assert verify_polyomino(annulus).gap_witness_text == "x(1,1)*x(2,2) - x(1,2)*x(2,1)"
         assert counts == {("build_interval_graph", "polyprime.verify"): 1,
-                          ("build_interval_graph", "polyprime.grid"): 1,
                           ("grid_variables", "polyprime.verify"): 1}
 
     def test_l_tromino_with_quadratic_search(self, tromino_l):
